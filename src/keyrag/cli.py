@@ -241,15 +241,17 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     done_qids: set[int] = set()
     if args.skip_completed and out.exists():
+        write_header = True
         with open(out, encoding="utf-8") as f:
             for line in f:
                 if not line.strip():
                     continue
                 obj = json.loads(line)
-                if obj.get("kind") != "header" and "qid" in obj:
+                if obj.get("kind") == "header":
+                    write_header = False
+                elif "qid" in obj:
                     done_qids.add(obj["qid"])
         sink = open(out, "a", encoding="utf-8")
-        write_header = not done_qids
     else:
         sink = open(out, "w", encoding="utf-8")
         write_header = True

@@ -55,22 +55,30 @@ def doc_contains_answer(chunk_text: str, refs: Sequence[str]) -> bool:
     """True iff some normalized reference occurs in the normalized text on word boundaries."""
     if not refs:
         raise ValueError("refs must be non-empty")
-    haystack = f" {normalize_answer(chunk_text)} "
-    for ref in refs:
-        needle = normalize_answer(ref)
-        if needle and f" {needle} " in haystack:
-            return True
-    return False
+    return _contains(_haystack(chunk_text), _needles(refs))
+
+
+def _haystack(chunk_text: str) -> str:
+    return f" {normalize_answer(chunk_text)} "
+
+
+def _needles(refs: Sequence[str]) -> list[str]:
+    return [f" {needle} " for needle in map(normalize_answer, refs) if needle]
+
+
+def _contains(haystack: str, needles: list[str]) -> bool:
+    return any(needle in haystack for needle in needles)
 
 
 # --- recall ------------------------------------------------------------------
 
 
-def _hit_horizons(trace: RunTrace, refs, k: int, text_lookup) -> int | None:
+def _hit_horizons(trace: RunTrace, refs, k: int, haystack) -> int | None:
     """First 1-based iteration horizon at which a top-k doc contains an answer."""
+    needles = _needles(refs)
     for h, rec in enumerate(trace.iterations, 1):
         for doc in rec.retrieved[:k]:
-            if doc_contains_answer(text_lookup(doc.chunk_id), refs):
+            if _contains(haystack(doc.chunk_id), needles):
                 return h
     return None
 
@@ -80,13 +88,26 @@ def recall_curve(
     refs_list: Sequence[Sequence[str]],
     k: int,
     text_lookup: Callable[[str], str],
+    haystacks: dict[str, str] | None = None,
 ) -> list[float]:
-    """Recall@k per iteration horizon, counting hits in the union of top-k sets so far."""
+    """Recall@k per iteration horizon, counting hits in the union of top-k sets so far.
+
+    haystacks caches normalized chunk texts by chunk id; pass one dict to every
+    call over the same index so each text is normalized once.
+    """
     _check_aligned(traces, refs_list)
     horizon = max((len(t.iterations) for t in traces), default=0)
     if horizon == 0 or not traces:
         return []
-    firsts = [_hit_horizons(t, refs, k, text_lookup) for t, refs in zip(traces, refs_list)]
+    cache = {} if haystacks is None else haystacks
+
+    def haystack(chunk_id: str) -> str:
+        text = cache.get(chunk_id)
+        if text is None:
+            text = cache[chunk_id] = _haystack(text_lookup(chunk_id))
+        return text
+
+    firsts = [_hit_horizons(t, refs, k, haystack) for t, refs in zip(traces, refs_list)]
     return [
         sum(1 for first in firsts if first is not None and first <= h) / len(traces)
         for h in range(1, horizon + 1)
@@ -330,8 +351,9 @@ def evaluate(
         result.recall_at = {}
         result.recall_curves = {}
         result.recall_mean_over_horizons = {}
+        haystacks: dict[str, str] = {}
         for k in recall_ks:
-            curve = recall_curve(traces, refs_list, k, text_lookup)
+            curve = recall_curve(traces, refs_list, k, text_lookup, haystacks)
             result.recall_curves[k] = curve
             result.recall_at[k] = curve[-1] if curve else 0.0
             result.recall_mean_over_horizons[k] = _mean(curve)

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from keyrag.bm25 import (
     Bm25Params,
@@ -14,7 +16,6 @@ from keyrag.bm25 import (
     load_index,
     retrieve_top_k,
     save_index,
-    score,
     tokenize,
 )
 
@@ -50,10 +51,17 @@ def test_build_avg_doc_len():
     assert idx.doc_len == [4, 6, 2]
 
 
+def _postings(idx, term):
+    start, end = idx.terms[term]
+    return list(idx.refs[start:end]), list(idx.impacts[start:end])
+
+
 def test_build_term_frequencies():
+    # One chunk, so its length is the average and norm is 1: impact = idf*tf*(k1+1)/(tf+k1).
     idx = index_from_texts(["moon moon base"])
-    assert idx.postings["moon"] == [(0, 2)]
-    assert idx.postings["base"] == [(0, 1)]
+    w = math.log((0.5 / 1.5) + 1)
+    assert _postings(idx, "moon") == ([0], [w * 2 * 2.5 / (2 + 1.5)])
+    assert _postings(idx, "base") == ([0], [w * 1 * 2.5 / (1 + 1.5)])
 
 
 def test_build_empty_corpus_rejected():
@@ -70,10 +78,12 @@ def test_build_duplicate_chunk_id_rejected():
 
 def test_postings_sorted_by_chunk_ref():
     idx = index_from_texts(["x y", "y z", "x z", "x y z"])
-    for plist in idx.postings.values():
-        refs = [ref for ref, _ in plist]
-        assert refs == sorted(refs)
-        assert all(tf >= 1 for _, tf in plist)
+    assert sorted(idx.terms.values()) == list(idx.terms.values())
+    assert idx.terms["z"][1] == len(idx.refs) == len(idx.impacts)
+    for start, end in idx.terms.values():
+        refs = list(idx.refs[start:end])
+        assert refs == sorted(set(refs))
+        assert all(impact > 0 for impact in idx.impacts[start:end])
 
 
 # --- idf ------------------------------------------------------------------------
@@ -103,23 +113,29 @@ def test_idf_positive_for_all_df():
 # --- score ----------------------------------------------------------------------
 
 
+def _score(idx, query: str, chunk_id: str = "c0") -> float:
+    return {r.chunk_id: r.score for r in retrieve_top_k(idx, query, idx.n_docs)}.get(chunk_id, 0.0)
+
+
 def test_score_hand_computed():
     idx = index_from_texts(["moon moon base"])
     expected = math.log((0.5 / 1.5) + 1) * (2 * 2.5) / (2 + 1.5)
-    got = score(["moon"], 0, idx)
+    got = _score(idx, "moon")
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(0.4110, abs=1e-4)
+    assert got == pytest.approx(oracle_top_k(["moon moon base"], ["c0"], "moon", 1)[0][1], rel=1e-12)
 
 
 def test_score_absent_term_is_zero():
-    idx = index_from_texts(["moon base alpha"])
-    assert score(["zebra"], 0, idx) == 0.0
+    idx = index_from_texts(["moon base alpha", "zebra"])
+    assert _score(idx, "zebra") == 0.0
+    assert [r.chunk_id for r in retrieve_top_k(idx, "zebra", 2)] == ["c1"]
 
 
 def test_score_query_multiplicity_counts():
     idx = index_from_texts(["moon base", "sun base"])
-    single = score(["moon"], 0, idx)
-    double = score(["moon", "moon"], 0, idx)
+    single = _score(idx, "moon")
+    double = _score(idx, "moon moon")
     assert double == pytest.approx(2 * single, rel=1e-12)
 
 
@@ -127,13 +143,7 @@ def test_score_b_zero_ignores_length():
     params = Bm25Params(k1=1.5, b=0.0)
     short = index_from_texts(["moon base", "filler text"], params=params)
     long = index_from_texts(["moon base extra words here now", "filler text"], params=params)
-    assert score(["moon"], 0, short) == pytest.approx(score(["moon"], 0, long), rel=1e-12)
-
-
-def test_score_out_of_range_chunk_ref():
-    idx = index_from_texts(["moon"])
-    with pytest.raises(IndexError):
-        score(["moon"], 5, idx)
+    assert _score(short, "moon") == pytest.approx(_score(long, "moon"), rel=1e-12)
 
 
 def test_score_monotone_in_tf():
@@ -142,7 +152,7 @@ def test_score_monotone_in_tf():
     for tf in range(1, 6):
         text = " ".join(["moon"] * tf + ["pad"] * (6 - tf))
         idx = index_from_texts([text, "other doc entirely"])
-        current = score(["moon"], 0, idx)
+        current = _score(idx, "moon")
         if previous is not None:
             assert current >= previous
         previous = current
@@ -251,6 +261,13 @@ def test_load_unsupported_version(tmp_path):
         load_index(path)
 
 
+def test_load_v1_asks_for_rebuild(tmp_path):
+    path = tmp_path / "v1.idx"
+    path.write_bytes(b"ITKIDX1" + bytes([1]) + b"\x00" * 40)
+    with pytest.raises(IndexFormatError, match="rebuild the index with `keyrag index`"):
+        load_index(path)
+
+
 def test_load_truncated_file(tmp_path):
     idx = index_from_texts(["moon base", "sun star"])
     path = tmp_path / "trunc.idx"
@@ -276,3 +293,83 @@ def test_text_lookup_after_load(tmp_path):
     save_index(idx, path)
     loaded = load_index(path)
     assert loaded.text_of("c1") == "sun star"
+
+
+def test_save_load_exact_round_trip_random_corpora(tmp_path):
+    rng = random.Random(7)
+    path = tmp_path / "rt.idx"
+    for _ in range(20):
+        texts, vocab = random_corpus(rng, max_chunks=200, max_vocab=60)
+        k1, b = rng.choice([1.5, 1.2, 0.0, 2.0]), rng.choice([0.75, 0.0, 1.0, 0.3])
+        stopwords = frozenset(rng.sample(vocab, rng.randint(0, 3)))
+        idx = index_from_texts(texts, params=Bm25Params(k1=k1, b=b), stopwords=stopwords)
+        save_index(idx, path)
+        loaded = load_index(path)
+        assert loaded == idx
+        for _ in range(5):
+            query = random_query(rng, vocab)
+            k = rng.randint(1, 10)
+            got = retrieve_top_k(loaded, query, k)
+            assert [(g.chunk_id, g.score) for g in got] == [
+                (g.chunk_id, g.score) for g in retrieve_top_k(idx, query, k)]
+            want = oracle_top_k(texts, idx.chunk_ids, query, k, k1=k1, b=b, stopwords=stopwords)
+            assert [g.chunk_id for g in got] == [w[0] for w in want]
+            for g, (_, s) in zip(got, want):
+                assert g.score == pytest.approx(s, rel=1e-9)
+
+
+# --- corrupt index files ------------------------------------------------------------
+
+
+def _small_index_bytes(tmp_path) -> bytes:
+    idx = index_from_texts(["moon moon base", "sun and stars", "base camp \u00e9t\u00e9"],
+                           stopwords=frozenset({"and"}))
+    path = tmp_path / "small.idx"
+    save_index(idx, path)
+    return path.read_bytes()
+
+
+def _load_or_format_error(path) -> None:
+    """A load either gives a well-formed index or raises IndexFormatError, nothing else."""
+    try:
+        loaded = load_index(path)
+    except IndexFormatError:
+        return
+    # The term spans tile refs/impacts in order, with no span lost or reversed.
+    spans = list(loaded.terms.values())
+    bounds = [0] + [end for _, end in spans]
+    assert [start for start, _ in spans] == bounds[:-1]
+    assert bounds == sorted(bounds) and bounds[-1] == len(loaded.refs) == len(loaded.impacts)
+    retrieve_top_k(loaded, "moon base sun camp stars", 3)
+
+
+def test_load_every_truncation_is_a_format_error(tmp_path):
+    data = _small_index_bytes(tmp_path)
+    path = tmp_path / "cut.idx"
+    for n in range(len(data)):
+        path.write_bytes(data[:n])
+        with pytest.raises(IndexFormatError):
+            load_index(path)
+
+
+def test_load_duplicate_terms(tmp_path):
+    path = tmp_path / "dup.idx"
+    save_index(index_from_texts(["xa xb"]), path)
+    data = path.read_bytes()
+    assert data.count(b"xaxb") == 1  # the term blob
+    path.write_bytes(data.replace(b"xaxb", b"xaxa"))
+    with pytest.raises(IndexFormatError, match="duplicate"):
+        load_index(path)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mask=st.integers(min_value=1, max_value=255))
+def test_load_single_byte_flip_is_loaded_or_format_error(tmp_path, mask):
+    data = _small_index_bytes(tmp_path)
+    path = tmp_path / "flipped.idx"
+    for pos in range(len(data)):
+        flipped = bytearray(data)
+        flipped[pos] ^= mask
+        path.write_bytes(flipped)
+        _load_or_format_error(path)

@@ -184,6 +184,22 @@ def test_run_skip_completed(tmp_path, index_path, script_path):
     assert [qid for qid, _ in rows] == [0, 1]
 
 
+def test_run_skip_completed_header_only_file_keeps_one_header(tmp_path, dataset_path, index_path,
+                                                             script_path):
+    out = tmp_path / "traces.jsonl"
+    argv = ["run", "--dataset", str(dataset_path), "--index", str(index_path),
+            "--mock-script", str(script_path), "--out", str(out)]
+    assert main(argv) == 0
+    header_line = out.read_text(encoding="utf-8").splitlines()[0]
+    assert json.loads(header_line)["kind"] == "header"
+    out.write_text(header_line + "\n", encoding="utf-8")  # interrupted before any trace
+    assert main(argv + ["--skip-completed"]) == 0
+    kinds = [json.loads(line).get("kind") for line in out.read_text(encoding="utf-8").splitlines()]
+    assert kinds.count("header") == 1
+    _, rows = read_traces(out)
+    assert [qid for qid, _ in rows] == [0]
+
+
 def test_run_save_raw_embeds_prompts(tmp_path, dataset_path, index_path, script_path):
     out = tmp_path / "traces.jsonl"
     main(["run", "--dataset", str(dataset_path), "--index", str(index_path),

@@ -407,6 +407,41 @@ def test_evaluate_with_recall():
     assert d["recall_at"]["2"] == 1.0
 
 
+def test_evaluate_recall_ks_1_3_5_report_unchanged():
+    # Reference: the recall report computed doc by doc with doc_contains_answer,
+    # for each k, iteration and question, as evaluate did before it cached texts.
+    rng = random.Random(5)
+    texts = {f"d{i}": rng.choice(["the Eagle landed", "nothing here", "Apollo, the 11th!",
+                                  "a lunar module", "Newark Penn Station"]) for i in range(12)}
+    traces = [
+        _trace([("x", rng.random() < 0.3, (), tuple(rng.sample(sorted(texts), 5)))
+                for _ in range(rng.randint(1, 5))])
+        for _ in range(30)
+    ]
+    refs = [[rng.choice(["Eagle", "apollo 11th", "lunar", "Penn"])] for _ in traces]
+
+    def reference_curve(k):
+        horizon = max(len(t.iterations) for t in traces)
+        firsts = [next((h for h, rec in enumerate(t.iterations, 1)
+                        if any(doc_contains_answer(texts[d.chunk_id], r) for d in rec.retrieved[:k])),
+                       None) for t, r in zip(traces, refs)]
+        return [sum(f is not None and f <= h for f in firsts) / len(traces)
+                for h in range(1, horizon + 1)]
+
+    looked_up = []
+
+    def lookup(chunk_id):
+        looked_up.append(chunk_id)
+        return texts[chunk_id]
+
+    report = evaluate(traces, refs, mode="base", recall_ks=(1, 3, 5), text_lookup=lookup).to_dict()
+    want = {k: reference_curve(k) for k in (1, 3, 5)}
+    assert report["recall_curves"] == {str(k): c for k, c in want.items()}
+    assert report["recall_at"] == {str(k): c[-1] for k, c in want.items()}
+    assert report["recall_mean_over_horizons"] == {str(k): sum(c) / len(c) for k, c in want.items()}
+    assert len(looked_up) == len(set(looked_up))  # each chunk text normalized once per call
+
+
 def test_evaluate_recall_requires_lookup():
     trace = _trace([("a", True)])
     with pytest.raises(ValueError, match="lookup"):
