@@ -133,7 +133,7 @@ def cmd_index(args) -> int:
 # --- run ---------------------------------------------------------------------
 
 
-def _build_backends(args, file_values, workers: int) -> StepBackends:
+def _build_backends(args, file_values, max_in_flight: int) -> StepBackends:
     if args.mock_script:
         return StepBackends.shared(MockBackend.from_script_file(args.mock_script))
     endpoint = _merged(args.endpoint, file_values, "endpoint", ENV_ENDPOINT)
@@ -152,7 +152,7 @@ def _build_backends(args, file_values, workers: int) -> StepBackends:
             api_key,
             supports_logprobs=not args.no_logprobs,
             timeout=timeout,
-            max_in_flight=workers,
+            max_in_flight=max_in_flight,
         )
 
     default = backend(model)
@@ -205,7 +205,6 @@ def cmd_run(args) -> int:
         index_sha = _sha256_file(args.index)
 
     workers = int(_merged(args.workers, file_values, "workers", default=4))
-    backends = _build_backends(args, file_values, workers)
     templates = load_templates(args.templates) if args.templates else None
     config = RunConfig(
         max_iterations=int(_merged(args.max_iterations, file_values, "max_iterations", default=5)),
@@ -217,6 +216,9 @@ def cmd_run(args) -> int:
         save_raw=args.save_raw,
         templates=templates,
     )
+    # Each worker runs one question; a docwise round sends top_k calls at once.
+    max_in_flight = workers * config.top_k if config.regen_mode == "docwise" else workers
+    backends = _build_backends(args, file_values, max_in_flight)
 
     effective = {
         "method": args.method,
@@ -302,6 +304,7 @@ def cmd_run(args) -> int:
         return 1
     finally:
         sink.close()
+        backends.close()
 
     print(f"wrote {written} traces to {out} ({errored} errored)", file=sys.stderr)
     if todo and errored > 0.10 * len(todo):

@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 
 class LlmError(Exception):
@@ -22,7 +26,7 @@ class LlmError(Exception):
 
 
 class TransportError(LlmError):
-    """Network-level failure (connection refused, timeout) after retries."""
+    """Network-level failure (connection refused, timeout, broken body) after retries."""
 
 
 class BackendError(LlmError):
@@ -76,9 +80,23 @@ class LlmBackend:
     def complete(self, messages: list[ChatMessage], params: GenParams) -> str:
         raise NotImplementedError
 
+    def complete_many(self, batch: list[list[ChatMessage]], params: GenParams) -> list[str]:
+        """complete() for each message list of a batch; replies in input order.
+
+        Calls are made one after another, so a scripted backend sees them in
+        batch order. Backends that can overlap independent calls override this.
+        """
+        return [self.complete(messages, params) for messages in batch]
+
     def choice_probs(self, messages: list[ChatMessage]) -> tuple[float, float] | None:
         """(p_true, p_false) from a probability probe, or None if unsupported."""
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release threads and connections; the backend is not used afterwards.
+
+        Safe to call more than once.
+        """
 
 
 FORCED_OPTIONS = ("True", "False")
@@ -119,6 +137,15 @@ def verdict_from_text(text: str) -> BinaryVerdict:
         if lowered == "false":
             return BinaryVerdict(False, None, None, "text-fallback")
     return BinaryVerdict(False, None, None, "text-fallback", flagged=True)
+
+
+def _delta_seconds(value: str | None) -> float | None:
+    """A Retry-After header in delta-seconds; None when absent or an HTTP date."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0 <= seconds < math.inf else None
 
 
 def _user_text(messages: list[ChatMessage]) -> str:
@@ -222,10 +249,16 @@ class MockBackend(LlmBackend):
 class HttpBackend(LlmBackend):
     """OpenAI-compatible chat-completions client.
 
-    Retries (at most max_retries, exponential backoff) apply only to transport
-    failures, timeouts, and 5xx responses; a 2xx response is never retried.
-    In-flight requests are bounded by a semaphore so shared backends stay polite
-    under concurrent pipelines.
+    Retries (at most max_retries) apply only to transport failures, timeouts,
+    HTTP 429 and 5xx responses; a 2xx response is never retried. A 429 waits
+    for its Retry-After seconds when given; every other retry waits an
+    exponential backoff with jitter. A backend that creates its own session
+    holds at most max_in_flight connections, and a request waits for a free one,
+    so shared backends stay polite under concurrent pipelines.
+
+    Everything about a request but its body is prepared once, when the backend
+    is made: the session's headers, cookies and netrc credentials, and proxy and
+    TLS settings from the environment.
     """
 
     def __init__(
@@ -242,6 +275,10 @@ class HttpBackend(LlmBackend):
         max_in_flight: int = 4,
         session: requests.Session | None = None,
     ):
+        # Imported here, not at module level: `keyrag index` and `keyrag eval`
+        # never make a request and should not pay for importing requests.
+        import requests
+
         trimmed = endpoint.rstrip("/")
         if not trimmed.endswith("/chat/completions"):
             trimmed += "/chat/completions"
@@ -253,8 +290,22 @@ class HttpBackend(LlmBackend):
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
-        self._sem = threading.Semaphore(max_in_flight)
-        self._session = session or requests.Session()
+        self._owns_session = session is None
+        if session is None:
+            session = requests.Session()
+            adapter = requests.adapters.HTTPAdapter(pool_maxsize=max_in_flight, pool_block=True)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self._session = session
+        # Preparing these for every request cost about a third of the client's
+        # CPU per call; a docwise round's calls share the CPU of one interpreter.
+        self._template = session.prepare_request(
+            requests.Request("POST", self.url, json={}, headers=self._headers())
+        )
+        self._send_settings = session.merge_environment_settings(self.url, {}, None, None, None)
+        # complete_many's helper threads: started on first use and kept until
+        # close(), so a batch does not pay for starting and joining threads.
+        self._pool = ThreadPoolExecutor(max_in_flight, thread_name_prefix="keyrag-llm")
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -263,16 +314,21 @@ class HttpBackend(LlmBackend):
         return headers
 
     def _post(self, payload: dict) -> dict:
+        import requests
+
+        request = self._template.copy()
+        request.prepare_body(None, None, json=payload)
         last_err: LlmError | None = None
+        delay: float | None = None  # the Retry-After of the last 429, if it gave one
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                if delay is None:
+                    delay = self.backoff * (2 ** (attempt - 1)) * random.uniform(0.5, 1.0)
+                time.sleep(delay)
+                delay = None
             try:
-                with self._sem:
-                    resp = self._session.post(
-                        self.url, json=payload, headers=self._headers(), timeout=self.timeout
-                    )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                resp = self._session.send(request, timeout=self.timeout, **self._send_settings)
+            except requests.RequestException as exc:
                 last_err = TransportError(f"request to {self.url} failed: {exc}")
                 continue
             if 200 <= resp.status_code < 300:
@@ -282,16 +338,36 @@ class HttpBackend(LlmBackend):
                     raise BackendError(
                         f"non-JSON 2xx response: {resp.text[:200]!r}", status=resp.status_code
                     ) from exc
-            if resp.status_code >= 500:
-                last_err = BackendError(
-                    f"HTTP {resp.status_code}: {resp.text[:200]}", status=resp.status_code
-                )
-                continue
-            raise BackendError(
+            last_err = BackendError(
                 f"HTTP {resp.status_code}: {resp.text[:200]}", status=resp.status_code
             )
+            if resp.status_code == 429:
+                delay = _delta_seconds(resp.headers.get("Retry-After"))
+            elif resp.status_code < 500:
+                raise last_err
         assert last_err is not None
         raise last_err
+
+    def complete_many(self, batch: list[list[ChatMessage]], params: GenParams) -> list[str]:
+        """All calls of the batch at once; replies in input order.
+
+        The calling thread makes the first call itself, the backend's helper
+        threads the others. If any call fails, waits for the others, then
+        raises the error of the first failed call in batch order.
+        """
+        if len(batch) < 2:
+            return super().complete_many(batch, params)
+        futures = [self._pool.submit(self.complete, messages, params) for messages in batch[1:]]
+        try:
+            first = self.complete(batch[0], params)
+        finally:
+            wait(futures)
+        return [first] + [future.result() for future in futures]
+
+    def close(self) -> None:
+        self._pool.shutdown()
+        if self._owns_session:
+            self._session.close()
 
     def _payload(self, messages: list[ChatMessage]) -> dict:
         return {

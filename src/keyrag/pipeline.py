@@ -51,6 +51,10 @@ class StepBackends:
     def shared(cls, backend: LlmBackend) -> "StepBackends":
         return cls(keyword_gen=backend, answer_gen=backend, validate=backend)
 
+    def close(self) -> None:
+        for backend in (self.keyword_gen, self.answer_gen, self.validate):
+            backend.close()
+
 
 @dataclass
 class RunConfig:
@@ -150,44 +154,40 @@ def _record_raw(raws: list[dict] | None, step: str, messages, completion: str) -
     )
 
 
-def _keywords_initial(question, backends, config, flags, raws) -> list[str]:
-    messages = render("step1_keywords", {"q": question}, config.templates)
+def _keywords(question, prev_keywords, backends, config, flags, raws) -> list[str]:
+    """First-round keywords when prev_keywords is None, else a refinement of them.
+
+    A reply that does not parse is asked for once more. If that fails too, the
+    first round goes on with no keywords and a later round with the previous set.
+    """
+    if prev_keywords is None:
+        messages = render("step1_keywords", {"q": question}, config.templates)
+        step, failed_flag = "keyword_generation", "keyword_parse_failed"
+    else:
+        template_id = "step4_regen_cot" if config.validation_mode == "cot" else "step4_regen"
+        messages = render(
+            template_id, {"q": question, "K": format_keywords(prev_keywords)}, config.templates
+        )
+        step, failed_flag = "keyword_regeneration", "keyword_parse_failed_reused_previous"
     for attempt in (0, 1):
         reply = backends.keyword_gen.complete(messages, config.keyword_params)
-        _record_raw(raws, "keyword_generation", messages, reply)
+        _record_raw(raws, step, messages, reply)
         try:
             return parse_keyword_list(reply)
         except KeywordParseError:
             if attempt == 0:
                 flags.append("keyword_parse_retry")
-    flags.append("keyword_parse_failed")
-    return []
-
-
-def _keywords_regen(question, prev_keywords, backends, config, flags, raws) -> list[str]:
-    template_id = "step4_regen_cot" if config.validation_mode == "cot" else "step4_regen"
-    messages = render(
-        template_id, {"q": question, "K": format_keywords(prev_keywords)}, config.templates
-    )
-    for attempt in (0, 1):
-        reply = backends.keyword_gen.complete(messages, config.keyword_params)
-        _record_raw(raws, "keyword_regeneration", messages, reply)
-        try:
-            return parse_keyword_list(reply)
-        except KeywordParseError:
-            if attempt == 0:
-                flags.append("keyword_parse_retry")
-    # Keep the loop moving with the previous set rather than dropping to nothing.
-    flags.append("keyword_parse_failed_reused_previous")
-    return list(prev_keywords)
+    flags.append(failed_flag)
+    return list(prev_keywords or [])
 
 
 def _keywords_regen_docwise(
     question, prev_keywords, prev_doc_texts, backends, config, flags, raws
 ) -> list[str]:
-    merged: list[str] = []
-    for doc_text in prev_doc_texts:
-        messages = render(
+    # The per-document calls are independent: send them as one batch, then
+    # merge the replies in document order.
+    batch = [
+        render(
             "step4_regen_docwise",
             {
                 "q": question,
@@ -196,7 +196,11 @@ def _keywords_regen_docwise(
             },
             config.templates,
         )
-        reply = backends.keyword_gen.complete(messages, config.keyword_params)
+        for doc_text in prev_doc_texts
+    ]
+    replies = backends.keyword_gen.complete_many(batch, config.keyword_params)
+    merged: list[str] = []
+    for messages, reply in zip(batch, replies):
         _record_raw(raws, "keyword_regeneration_docwise", messages, reply)
         try:
             merged.extend(parse_keyword_list(reply))
@@ -243,7 +247,7 @@ def run_iterative(
     records: list[IterationRecord] = []
     seen_keywords: set[str] = set()
     seen_docs: set[str] = set()
-    prev_keywords: list[str] = []
+    prev_keywords: list[str] | None = None
     prev_doc_texts: list[str] = []
     all_doc_texts: list[str] = []
 
@@ -253,14 +257,12 @@ def run_iterative(
         raws: list[dict] | None = [] if config.save_raw else None
 
         with timer.time(STEP_QUERY_EXPANSION):
-            if i == 0:
-                keywords = _keywords_initial(question, backends, config, flags, raws)
-            elif config.regen_mode == "docwise":
+            if prev_keywords is not None and config.regen_mode == "docwise":
                 keywords = _keywords_regen_docwise(
                     question, prev_keywords, prev_doc_texts, backends, config, flags, raws
                 )
             else:
-                keywords = _keywords_regen(question, prev_keywords, backends, config, flags, raws)
+                keywords = _keywords(question, prev_keywords, backends, config, flags, raws)
 
         expanded = expand_query(question, keywords)
         with timer.time(STEP_RETRIEVAL):

@@ -8,6 +8,8 @@ import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import requests
+
 from keyrag.bm25 import Bm25Params, Index, build_index
 from keyrag.corpus import Chunk, Document
 from keyrag.llm import ScriptEntry
@@ -134,7 +136,8 @@ class StubLlmServer:
     """Local HTTP server that records request payloads and replays canned replies.
 
     Behavior is driven by `respond`, a callable (payload, request_index) -> dict
-    returning {"status": int, "body": dict|str}. Defaults to a plain completion.
+    returning {"status": int, "body": dict|str} and optionally "headers", a dict
+    of extra response headers. Defaults to a plain completion.
     """
 
     def __init__(self, respond=None):
@@ -159,6 +162,8 @@ class StubLlmServer:
                 self.send_response(reply.get("status", 200))
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in reply.get("headers", {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
 
@@ -181,6 +186,19 @@ class StubLlmServer:
         self._server.shutdown()
         self._server.server_close()
         return False
+
+
+class RaisingSession(requests.Session):
+    """A requests session whose every send raises `error`."""
+
+    def __init__(self, error: type[Exception]):
+        super().__init__()
+        self.error = error
+        self.calls = 0
+
+    def send(self, *args, **kwargs):
+        self.calls += 1
+        raise self.error("connection broken")
 
 
 def completion_body(text: str) -> dict:

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import requests
 
+from keyrag import cli
 from keyrag.cli import main, read_traces
+from keyrag.llm import HttpBackend
 
-from .helpers import write_jsonl
+from .helpers import RaisingSession, write_jsonl
 
 
 @pytest.fixture()
@@ -142,6 +150,53 @@ def test_run_unreachable_endpoint_errors(tmp_path, dataset_path, index_path):
     assert code == 1  # every question errored -> >10% failure exit
     _, rows = read_traces(out)
     assert rows[0][1].error
+
+
+def test_run_requests_exception_is_a_question_error(tmp_path, dataset_path, index_path,
+                                                    monkeypatch):
+    session = RaisingSession(requests.exceptions.ChunkedEncodingError)
+    monkeypatch.setattr(cli, "HttpBackend",
+                        functools.partial(HttpBackend, backoff=0.0, session=session))
+    out = tmp_path / "traces.jsonl"
+    code = main([
+        "run", "--dataset", str(dataset_path), "--index", str(index_path),
+        "--endpoint", "http://127.0.0.1:9/v1", "--model", "m", "--out", str(out),
+    ])
+    assert code == 1  # the question failed, the run did not abort
+    _, rows = read_traces(out)
+    assert len(rows) == 1
+    assert "connection broken" in rows[0][1].error
+    assert session.calls == 4  # initial call + 3 retries
+
+
+def test_run_closes_its_backends(tmp_path, dataset_path, index_path, monkeypatch):
+    made, closed = [], []
+
+    class Recording(HttpBackend):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    monkeypatch.setattr(cli, "HttpBackend", functools.partial(Recording, backoff=0.0))
+    main([
+        "run", "--dataset", str(dataset_path), "--index", str(index_path),
+        "--endpoint", "http://127.0.0.1:9/v1", "--model", "m", "--answer-model", "m2",
+        "--regen-mode", "docwise", "--out", str(tmp_path / "traces.jsonl"),
+    ])
+    assert len(made) == 2
+    assert {id(b) for b in closed} == {id(b) for b in made}
+
+
+def test_import_cli_leaves_requests_unloaded():
+    # `keyrag index` and `keyrag eval` never make a request.
+    code = "import sys, keyrag.cli; sys.exit('requests' in sys.modules)"
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_run_deterministic_outputs(tmp_path, dataset_path, index_path, script_path):

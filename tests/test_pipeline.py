@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import inspect
+import re
+import threading
+import time
 
 import pytest
 
-from keyrag.bm25 import build_index
+from keyrag.bm25 import build_index, retrieve_top_k
 from keyrag.corpus import chunk_corpus
-from keyrag.llm import GenParams, MockBackend, ScriptEntry
+from keyrag.llm import GenParams, HttpBackend, MockBackend, ScriptEntry, TransportError
 from keyrag.pipeline import (
     STOP_BUDGET,
     STOP_VALIDATED,
@@ -267,6 +270,89 @@ def test_docwise_parse_failure_contributes_nothing():
     second = trace.iterations[1]
     assert second.keywords == ["a", "b", "c"]  # failing doc contributed nothing
     assert "docwise_parse_failed" in second.flags
+
+
+class _DocwiseModel(HttpBackend):
+    """HttpBackend's batching in front of a model that needs no server.
+
+    A docwise keyword call runs `on_docwise(rank)`, rank being its document's
+    place in the batch, and answers with that document's keyword; document
+    "skip" gets an unparseable reply. Every answer is rejected.
+    """
+
+    def __init__(self, order: list[str], on_docwise):
+        super().__init__("http://127.0.0.1:9/v1", "m")
+        self.order = order
+        self.on_docwise = on_docwise
+
+    def complete(self, messages, params):
+        user = messages[-1].content
+        if "Please refine the keyword selection" in user:
+            doc = re.search(r"\bdoc_(\w+)", user).group(1)
+            self.on_docwise(self.order.index(doc))
+            return "[]" if doc == "skip" else f'["kw_{doc}"]'
+        if "Generate a list of important keywords" in user:
+            return '["moon"]'
+        return "an answer"
+
+    def choice_probs(self, messages):
+        return (0.1, 0.9)
+
+
+_FANOUT_TEXTS = ["moon landing doc_a", "moon landing program doc_skip", "moon doc_c history"]
+_FANOUT_QUESTION = "what landed on the moon?"
+
+
+def _docwise_round(on_docwise):
+    """One docwise refinement round; returns (documents in batch order, trace)."""
+    idx = index_from_texts(_FANOUT_TEXTS)
+    first = retrieve_top_k(idx, expand_query(_FANOUT_QUESTION, ["moon"]), 3)
+    order = [re.search(r"doc_(\w+)", idx.text_of(d.chunk_id)).group(1) for d in first]
+    backend = _DocwiseModel(order, on_docwise)
+    config = RunConfig(regen_mode="docwise", max_iterations=2, save_raw=True)
+    return order, run_iterative(_FANOUT_QUESTION, idx, StepBackends.shared(backend), config)
+
+
+def test_docwise_round_calls_overlap():
+    barrier = threading.Barrier(3, timeout=5)
+    _, trace = _docwise_round(lambda rank: barrier.wait())
+    assert len(trace.iterations) == 2
+
+
+def test_docwise_replies_merge_in_document_order_whatever_order_they_finish():
+    done = [threading.Event() for _ in range(3)]
+    finished: list[int] = []
+
+    def on_docwise(rank):
+        if rank + 1 < len(done):
+            assert done[rank + 1].wait(timeout=5)
+        finished.append(rank)
+        done[rank].set()
+
+    order, trace = _docwise_round(on_docwise)
+    assert finished == [2, 1, 0]
+    second = trace.iterations[1]
+    assert second.keywords == [f"kw_{doc}" for doc in order if doc != "skip"]
+    assert second.flags == ["docwise_parse_failed"]
+    docwise_raws = [r for r in second.raw if r["step"] == "keyword_regeneration_docwise"]
+    assert [re.search(r"\bdoc_(\w+)", r["user"]).group(1) for r in docwise_raws] == order
+    assert [r["completion"] for r in docwise_raws] == [
+        "[]" if doc == "skip" else f'["kw_{doc}"]' for doc in order
+    ]
+
+
+def test_docwise_failed_call_raises_after_its_siblings_return():
+    finished: list[int] = []
+
+    def on_docwise(rank):
+        if rank == 0:
+            raise TransportError("doc 0 failed")
+        time.sleep(0.2)
+        finished.append(rank)
+
+    with pytest.raises(TransportError, match="doc 0 failed"):
+        _docwise_round(on_docwise)
+    assert sorted(finished) == [1, 2]
 
 
 # --- baselines ----------------------------------------------------------------------
