@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from pathlib import Path
 
 from . import bm25, corpus, metrics, pipeline
@@ -242,71 +242,76 @@ def cmd_run(args) -> int:
 
     out = Path(args.out)
     done_qids: set[int] = set()
+    write_header = True
     if args.skip_completed and out.exists():
-        write_header = True
-        with open(out, encoding="utf-8") as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                if obj.get("kind") == "header":
-                    write_header = False
-                elif "qid" in obj:
-                    done_qids.add(obj["qid"])
+        header, rows = read_traces(out)
+        write_header = header is None
+        # A question whose last trace records an error is run again.
+        done_qids = {qid for qid, trace in rows if not trace.error}
         sink = open(out, "a", encoding="utf-8")
     else:
         sink = open(out, "w", encoding="utf-8")
-        write_header = True
 
     todo = [(qid, ex.question) for qid, ex in enumerate(examples) if qid not in done_qids]
     errored = 0
-    written = 0
+    written: set[Future] = set()  # futures whose trace is in the file
+
+    def work(qid: int, question: str):
+        try:
+            trace = _run_one(args.method, question, index, backends, config)
+        except LlmError as exc:
+            trace = pipeline.RunTrace(
+                question=question,
+                method=args.method,
+                iterations=[],
+                stop_reason=None,
+                final_answer="",
+                early_stop=config.early_stop,
+                error=str(exc),
+            )
+        return qid, trace
+
+    def write(future: Future) -> None:
+        nonlocal errored
+        qid, trace = future.result()
+        if trace.error:
+            errored += 1
+            print(f"question {qid} failed: {trace.error}", file=sys.stderr)
+        if args.no_timings:
+            _strip_timings(trace)
+        sink.write(_json_line(pipeline.trace_to_dict(trace, qid=qid)) + "\n")
+        sink.flush()
+        written.add(future)
+        if len(written) % 25 == 0:
+            print(f"{len(written)}/{len(todo)} traces written", file=sys.stderr)
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    futures: list[Future] = []
     try:
         if write_header:
             sink.write(_json_line({"v": 1, "kind": "header", "config": effective}) + "\n")
             sink.flush()
-
-        def work(qid: int, question: str):
-            try:
-                trace = _run_one(args.method, question, index, backends, config)
-            except LlmError as exc:
-                trace = pipeline.RunTrace(
-                    question=question,
-                    method=args.method,
-                    iterations=[],
-                    stop_reason=None,
-                    final_answer="",
-                    early_stop=config.early_stop,
-                    error=str(exc),
-                )
-            return qid, trace
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(work, qid, q) for qid, q in todo]
-            for future in as_completed(futures):
-                qid, trace = future.result()
-                if trace.error:
-                    errored += 1
-                    print(f"question {qid} failed: {trace.error}", file=sys.stderr)
-                if args.no_timings:
-                    _strip_timings(trace)
-                sink.write(_json_line(pipeline.trace_to_dict(trace, qid=qid)) + "\n")
-                sink.flush()
-                written += 1
-                if written % 25 == 0:
-                    print(f"{written}/{len(todo)} traces written", file=sys.stderr)
+        futures = [pool.submit(work, qid, q) for qid, q in todo]
+        for future in as_completed(futures):
+            write(future)
     except KeyboardInterrupt:
+        # Drop the queued questions; the running ones finish and are kept.
+        pool.shutdown(cancel_futures=True)
+        for future in futures:
+            if future not in written and not future.cancelled():
+                write(future)
         print(
-            f"interrupted: {written}/{len(todo)} traces preserved in {out}"
+            f"interrupted: {len(written)}/{len(todo)} traces preserved in {out}"
             " (resume with --skip-completed)",
             file=sys.stderr,
         )
         return 1
     finally:
+        pool.shutdown()
         sink.close()
         backends.close()
 
-    print(f"wrote {written} traces to {out} ({errored} errored)", file=sys.stderr)
+    print(f"wrote {len(written)} traces to {out} ({errored} errored)", file=sys.stderr)
     if todo and errored > 0.10 * len(todo):
         print(f"error: {errored}/{len(todo)} questions failed (>10%)", file=sys.stderr)
         return 1
@@ -317,9 +322,15 @@ def cmd_run(args) -> int:
 
 
 def read_traces(path) -> tuple[dict | None, list[tuple[int, pipeline.RunTrace]]]:
-    """Read a trace file; returns (header, traces sorted by question index)."""
+    """Read a trace file; returns (header, traces sorted by question index).
+
+    Within one run, a question traced more than once (a resumed run retries
+    failed questions) keeps its last trace. A file may also hold several runs
+    one after another, each starting with its header; each keeps its traces.
+    """
     header = None
-    rows: list[tuple[int, pipeline.RunTrace]] = []
+    runs = 0
+    rows: dict[tuple[int, int], tuple[int, pipeline.RunTrace]] = {}
     with open(path, encoding="utf-8") as f:
         for pos, line in enumerate(f):
             if not line.strip():
@@ -327,10 +338,11 @@ def read_traces(path) -> tuple[dict | None, list[tuple[int, pipeline.RunTrace]]]
             obj = json.loads(line)
             if obj.get("kind") == "header":
                 header = obj
+                runs += 1
                 continue
-            rows.append((obj.get("qid", pos), pipeline.trace_from_dict(obj)))
-    rows.sort(key=lambda pair: pair[0])
-    return header, rows
+            qid = obj.get("qid", pos)
+            rows[runs, qid] = (qid, pipeline.trace_from_dict(obj))
+    return header, sorted(rows.values(), key=lambda pair: pair[0])
 
 
 def _align_refs(rows, examples) -> list[tuple[str, ...]]:
@@ -356,6 +368,12 @@ def cmd_eval(args) -> int:
     if not rows:
         print("error: no traces found", file=sys.stderr)
         return 1
+    run_sha = (header or {}).get("config", {}).get("index_sha256")
+    if args.index and run_sha and _sha256_file(args.index) != run_sha:
+        raise UsageError(
+            f"{args.index} does not match the run's index (index_sha256 {run_sha[:12]}...);"
+            " pass the index the traces were produced with"
+        )
     examples = corpus.load_qa(args.dataset)
     refs_list = _align_refs(rows, examples)
     traces = [trace for _, trace in rows]

@@ -7,18 +7,16 @@ word when the backend hides probabilities.
 """
 from __future__ import annotations
 
+import base64
 import json
 import math
 import random
 import re
+import select
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import requests
 
 
 class LlmError(Exception):
@@ -148,6 +146,19 @@ def _delta_seconds(value: str | None) -> float | None:
     return seconds if 0 <= seconds < math.inf else None
 
 
+def _readable(sock) -> bool:
+    """True when an idle socket has data or EOF waiting: the peer closed it."""
+    try:
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):
+        return True  # closed or out of select's range: treat as dropped
+
+
+def _head(body: bytes) -> str:
+    """The start of a response body, for error messages."""
+    return body[:200].decode("utf-8", "replace")
+
+
 def _user_text(messages: list[ChatMessage]) -> str:
     for msg in reversed(messages):
         if msg.role == "user":
@@ -247,18 +258,22 @@ class MockBackend(LlmBackend):
 
 
 class HttpBackend(LlmBackend):
-    """OpenAI-compatible chat-completions client.
+    """OpenAI-compatible chat-completions client over stdlib `http.client`.
 
-    Retries (at most max_retries) apply only to transport failures, timeouts,
-    HTTP 429 and 5xx responses; a 2xx response is never retried. A 429 waits
-    for its Retry-After seconds when given; every other retry waits an
-    exponential backoff with jitter. A backend that creates its own session
-    holds at most max_in_flight connections, and a request waits for a free one,
-    so shared backends stay polite under concurrent pipelines.
+    Retries (at most max_retries) apply only to transport failures (any
+    `OSError` or `http.client.HTTPException`: refused or dropped connections,
+    timeouts, TLS errors, broken bodies), HTTP 429 and 5xx responses; a 2xx
+    response is never retried. A 429 waits for its Retry-After seconds when
+    given; every other retry waits an exponential backoff with jitter.
 
-    Everything about a request but its body is prepared once, when the backend
-    is made: the session's headers, cookies and netrc credentials, and proxy and
-    TLS settings from the environment.
+    The backend holds at most max_in_flight keep-alive connections, and a
+    request waits for a free one, so shared backends stay polite under
+    concurrent pipelines. An idle connection the server has closed is replaced
+    before it is used, not retried. Proxies come from the environment
+    (`HTTP_PROXY`, `HTTPS_PROXY`, `ALL_PROXY`, `NO_PROXY`), read once when the
+    backend is made; an https endpoint behind a proxy is reached through a
+    CONNECT tunnel. TLS is verified against the default trust store
+    (`ssl.create_default_context`). Redirects are not followed.
     """
 
     def __init__(
@@ -273,11 +288,13 @@ class HttpBackend(LlmBackend):
         backoff: float = 0.5,
         timeout: float = 60.0,
         max_in_flight: int = 4,
-        session: requests.Session | None = None,
     ):
         # Imported here, not at module level: `keyrag index` and `keyrag eval`
-        # never make a request and should not pay for importing requests.
-        import requests
+        # never make a request and should not pay for importing http.client.
+        import http.client
+        import queue
+        import urllib.parse
+        import urllib.request
 
         trimmed = endpoint.rstrip("/")
         if not trimmed.endswith("/chat/completions"):
@@ -290,34 +307,71 @@ class HttpBackend(LlmBackend):
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
-        self._owns_session = session is None
-        if session is None:
-            session = requests.Session()
-            adapter = requests.adapters.HTTPAdapter(pool_maxsize=max_in_flight, pool_block=True)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-        self._session = session
-        # Preparing these for every request cost about a third of the client's
-        # CPU per call; a docwise round's calls share the CPU of one interpreter.
-        self._template = session.prepare_request(
-            requests.Request("POST", self.url, json={}, headers=self._headers())
-        )
-        self._send_settings = session.merge_environment_settings(self.url, {}, None, None, None)
+
+        url = urllib.parse.urlsplit(self.url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint must be an http:// or https:// URL, got {endpoint!r}")
+        host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
+        self._target = url.path + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json", "User-Agent": "keyrag"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        proxies = urllib.request.getproxies()
+        proxy = proxies.get(url.scheme) or proxies.get("all")
+        tunnel = None
+        if proxy and not urllib.request.proxy_bypass(host):
+            via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if via.scheme != "http" or not via.hostname:
+                raise ValueError(f"unsupported proxy {proxy!r}: only http:// proxies are supported")
+            proxy_headers = {}
+            if via.username:
+                credentials = f"{urllib.parse.unquote(via.username)}:"
+                credentials += urllib.parse.unquote(via.password or "")
+                token = base64.b64encode(credentials.encode()).decode("ascii")
+                proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+            if url.scheme == "https":
+                tunnel = (host, port, proxy_headers)
+            else:
+                self._target = self.url  # absolute-form request target
+                self._headers.update(proxy_headers)
+            host, port = via.hostname, via.port or 80
+        connection, options = http.client.HTTPConnection, {"timeout": timeout}
+        if url.scheme == "https":
+            import ssl
+
+            connection = http.client.HTTPSConnection
+            options["context"] = ssl.create_default_context()
+        self._connections = [connection(host, port, **options) for _ in range(max_in_flight)]
+        # Connections open on first use; the most recently used is taken first,
+        # so a backend that is rarely busy keeps few of them open.
+        self._idle: queue.LifoQueue = queue.LifoQueue()
+        for conn in self._connections:
+            if tunnel:
+                conn.set_tunnel(*tunnel)
+            self._idle.put(conn)
         # complete_many's helper threads: started on first use and kept until
         # close(), so a batch does not pay for starting and joining threads.
         self._pool = ThreadPoolExecutor(max_in_flight, thread_name_prefix="keyrag-llm")
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        return headers
+    def _send(self, body: bytes) -> tuple[int, str | None, bytes]:
+        """POST body on a free connection; (status, Retry-After header, response body)."""
+        conn = self._idle.get()
+        try:
+            if conn.sock is not None and _readable(conn.sock):
+                conn.close()  # closed by the server while idle: reconnect, do not retry
+            conn.request("POST", self._target, body, self._headers)
+            resp = conn.getresponse()
+            return resp.status, resp.getheader("Retry-After"), resp.read()
+        except BaseException:
+            conn.close()  # its state is unknown; the next request reconnects
+            raise
+        finally:
+            self._idle.put(conn)
 
     def _post(self, payload: dict) -> dict:
-        import requests
+        import http.client
 
-        request = self._template.copy()
-        request.prepare_body(None, None, json=payload)
+        body = json.dumps(payload).encode()
         last_err: LlmError | None = None
         delay: float | None = None  # the Retry-After of the last 429, if it gave one
         for attempt in range(self.max_retries + 1):
@@ -327,23 +381,21 @@ class HttpBackend(LlmBackend):
                 time.sleep(delay)
                 delay = None
             try:
-                resp = self._session.send(request, timeout=self.timeout, **self._send_settings)
-            except requests.RequestException as exc:
-                last_err = TransportError(f"request to {self.url} failed: {exc}")
+                status, retry_after, data = self._send(body)
+            except (OSError, http.client.HTTPException) as exc:
+                last_err = TransportError(f"request to {self.url} failed: {exc!r}")
                 continue
-            if 200 <= resp.status_code < 300:
+            if 200 <= status < 300:
                 try:
-                    return resp.json()
+                    return json.loads(data)
                 except ValueError as exc:
                     raise BackendError(
-                        f"non-JSON 2xx response: {resp.text[:200]!r}", status=resp.status_code
+                        f"non-JSON 2xx response: {_head(data)!r}", status=status
                     ) from exc
-            last_err = BackendError(
-                f"HTTP {resp.status_code}: {resp.text[:200]}", status=resp.status_code
-            )
-            if resp.status_code == 429:
-                delay = _delta_seconds(resp.headers.get("Retry-After"))
-            elif resp.status_code < 500:
+            last_err = BackendError(f"HTTP {status}: {_head(data)}", status=status)
+            if status == 429:
+                delay = _delta_seconds(retry_after)
+            elif status < 500:
                 raise last_err
         assert last_err is not None
         raise last_err
@@ -366,8 +418,8 @@ class HttpBackend(LlmBackend):
 
     def close(self) -> None:
         self._pool.shutdown()
-        if self._owns_session:
-            self._session.close()
+        for conn in self._connections:
+            conn.close()
 
     def _payload(self, messages: list[ChatMessage]) -> dict:
         return {

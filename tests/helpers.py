@@ -1,15 +1,18 @@
-"""Shared test utilities: independent BM25 oracle, corpus builders, HTTP stub."""
+"""Shared test utilities: independent BM25 oracle, corpus builders, HTTP stubs."""
 from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import re
+import socketserver
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
-import requests
-
+import keyrag
 from keyrag.bm25 import Bm25Params, Index, build_index
 from keyrag.corpus import Chunk, Document
 from keyrag.llm import ScriptEntry
@@ -132,46 +135,12 @@ MOON_DOCS = [
 # --- stub chat-completions server ---------------------------------------------
 
 
-class StubLlmServer:
-    """Local HTTP server that records request payloads and replays canned replies.
+class _LocalServer:
+    """A server on 127.0.0.1, served from a daemon thread inside a `with` block."""
 
-    Behavior is driven by `respond`, a callable (payload, request_index) -> dict
-    returning {"status": int, "body": dict|str} and optionally "headers", a dict
-    of extra response headers. Defaults to a plain completion.
-    """
-
-    def __init__(self, respond=None):
-        self.requests: list[dict] = []
-        self._respond = respond or (lambda payload, i: {
-            "status": 200,
-            "body": completion_body("ok"),
-        })
-        self._lock = threading.Lock()
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):  # noqa: N802 (http.server API)
-                length = int(self.headers.get("Content-Length", 0))
-                payload = json.loads(self.rfile.read(length) or b"{}")
-                with outer._lock:
-                    i = len(outer.requests)
-                    outer.requests.append(payload)
-                reply = outer._respond(payload, i)
-                body = reply["body"]
-                data = (body if isinstance(body, str) else json.dumps(body)).encode()
-                self.send_response(reply.get("status", 200))
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                for name, value in reply.get("headers", {}).items():
-                    self.send_header(name, value)
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args):
-                pass
-
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+    def __init__(self, server: socketserver.TCPServer):
+        self._server = server
+        self._thread = threading.Thread(target=server.serve_forever, daemon=True)
 
     @property
     def url(self) -> str:
@@ -188,17 +157,113 @@ class StubLlmServer:
         return False
 
 
-class RaisingSession(requests.Session):
-    """A requests session whose every send raises `error`."""
+class StubLlmServer(_LocalServer):
+    """Local HTTP server that records request payloads and replays canned replies.
 
-    def __init__(self, error: type[Exception]):
-        super().__init__()
-        self.error = error
-        self.calls = 0
+    Behavior is driven by `respond`, a callable (payload, request_index) -> dict
+    returning {"status": int, "body": dict|str} and optionally "headers", a dict
+    of extra response headers. Defaults to a plain completion.
+    """
 
-    def send(self, *args, **kwargs):
-        self.calls += 1
-        raise self.error("connection broken")
+    def __init__(self, respond=None):
+        self.requests: list[dict] = []
+        self.client_ports: list[int] = []  # one per request; repeats mean a kept-alive connection
+        self._respond = respond or (lambda payload, i: {
+            "status": 200,
+            "body": completion_body("ok"),
+        })
+        self._lock = threading.Lock()
+        outer = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"  # keeps connections alive, as real endpoints do
+            # The head and the body go out in two writes: without this, Nagle's
+            # algorithm holds the body for the client's delayed ACK (~40 ms).
+            disable_nagle_algorithm = True
+
+            def do_POST(self):  # noqa: N802 (http.server API)
+                length = int(self.headers.get("Content-Length", 0))
+                payload = json.loads(self.rfile.read(length) or b"{}")
+                with outer._lock:
+                    i = len(outer.requests)
+                    outer.requests.append(payload)
+                    outer.client_ports.append(self.client_address[1])
+                reply = outer._respond(payload, i)
+                body = reply["body"]
+                data = (body if isinstance(body, str) else json.dumps(body)).encode()
+                self.send_response(reply.get("status", 200))
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                for name, value in reply.get("headers", {}).items():
+                    self.send_header(name, value)
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        super().__init__(ThreadingHTTPServer(("127.0.0.1", 0), Handler))
+
+
+class FaultServer(_LocalServer):
+    """Raw TCP server: reads one request per connection, sends `reply` bytes, closes.
+
+    `reply` may be a malformed or truncated HTTP response; `delay` seconds pass
+    between reading the request and replying. `requests` holds the head
+    (request line and headers) of each request read.
+    """
+
+    def __init__(self, reply: bytes, delay: float = 0.0):
+        self.requests: list[bytes] = []
+        outer = self
+
+        class Handler(socketserver.BaseRequestHandler):
+            def handle(self):
+                head = _read_request(self.request)
+                if head is None:
+                    return
+                outer.requests.append(head)
+                time.sleep(delay)
+                self.request.sendall(reply)
+
+        class Server(socketserver.ThreadingTCPServer):
+            daemon_threads = True
+            block_on_close = False
+
+        super().__init__(Server(("127.0.0.1", 0), Handler))
+
+
+def _read_request(sock) -> bytes | None:
+    """Read one HTTP request with a Content-Length body; its head, or None on hang-up."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return None
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    match = re.search(rb"(?im)^content-length:\s*(\d+)", head)
+    missing = int(match.group(1)) - len(body) if match else 0
+    while missing > 0:
+        chunk = sock.recv(missing)
+        if not chunk:
+            return None
+        missing -= len(chunk)
+    return head
+
+
+def http_response(body: dict | str, status: str = "200 OK") -> bytes:
+    """A complete HTTP/1.1 response with a Content-Length body."""
+    data = (body if isinstance(body, str) else json.dumps(body)).encode()
+    head = (f"HTTP/1.1 {status}\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n\r\n")
+    return head.encode() + data
+
+
+def keyrag_env(**extra: str) -> dict[str, str]:
+    """Environment for a subprocess that imports keyrag from this checkout."""
+    paths = [str(Path(keyrag.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **extra}
 
 
 def completion_body(text: str) -> dict:

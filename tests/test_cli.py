@@ -2,19 +2,25 @@ from __future__ import annotations
 
 import functools
 import json
-import os
+import signal
 import subprocess
 import sys
-from pathlib import Path
+import time
 
 import pytest
-import requests
 
 from keyrag import cli
 from keyrag.cli import main, read_traces
 from keyrag.llm import HttpBackend
 
-from .helpers import RaisingSession, write_jsonl
+from .helpers import (
+    FaultServer,
+    StubLlmServer,
+    completion_body,
+    http_response,
+    keyrag_env,
+    write_jsonl,
+)
 
 
 @pytest.fixture()
@@ -152,21 +158,21 @@ def test_run_unreachable_endpoint_errors(tmp_path, dataset_path, index_path):
     assert rows[0][1].error
 
 
-def test_run_requests_exception_is_a_question_error(tmp_path, dataset_path, index_path,
-                                                    monkeypatch):
-    session = RaisingSession(requests.exceptions.ChunkedEncodingError)
-    monkeypatch.setattr(cli, "HttpBackend",
-                        functools.partial(HttpBackend, backoff=0.0, session=session))
+def test_run_broken_response_is_a_question_error(tmp_path, dataset_path, index_path,
+                                                monkeypatch):
+    truncated = http_response(completion_body("ok"))[:-5]  # the server closes mid-body
+    monkeypatch.setattr(cli, "HttpBackend", functools.partial(HttpBackend, backoff=0.0))
     out = tmp_path / "traces.jsonl"
-    code = main([
-        "run", "--dataset", str(dataset_path), "--index", str(index_path),
-        "--endpoint", "http://127.0.0.1:9/v1", "--model", "m", "--out", str(out),
-    ])
+    with FaultServer(truncated) as server:
+        code = main([
+            "run", "--dataset", str(dataset_path), "--index", str(index_path),
+            "--endpoint", server.url, "--model", "m", "--out", str(out),
+        ])
     assert code == 1  # the question failed, the run did not abort
     _, rows = read_traces(out)
     assert len(rows) == 1
-    assert "connection broken" in rows[0][1].error
-    assert session.calls == 4  # initial call + 3 retries
+    assert "IncompleteRead" in rows[0][1].error
+    assert len(server.requests) == 4  # initial call + 3 retries
 
 
 def test_run_closes_its_backends(tmp_path, dataset_path, index_path, monkeypatch):
@@ -194,9 +200,60 @@ def test_run_closes_its_backends(tmp_path, dataset_path, index_path, monkeypatch
 def test_import_cli_leaves_requests_unloaded():
     # `keyrag index` and `keyrag eval` never make a request.
     code = "import sys, keyrag.cli; sys.exit('requests' in sys.modules)"
-    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=keyrag_env()).returncode == 0
+
+
+def test_import_cli_leaves_http_client_unloaded():
+    code = ("import sys, keyrag.cli\n"
+            "loaded = [m for m in ('http.client', 'urllib.request') if m in sys.modules]\n"
+            "sys.exit(', '.join(loaded) or None)")
+    done = subprocess.run([sys.executable, "-c", code], env=keyrag_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="SIGINT cannot be sent to a child")
+def test_run_ctrl_c_cancels_queued_questions_and_keeps_finished_ones(tmp_path):
+    n = 60
+    dataset = tmp_path / "qa.jsonl"
+    write_jsonl(dataset, [{"question": f"Question {i}?", "answers": ["ok"]} for i in range(n)])
+    out = tmp_path / "traces.jsonl"
+
+    def slow(payload, i):
+        time.sleep(0.25)
+        return {"status": 200, "body": completion_body("ok")}
+
+    with StubLlmServer(slow) as server:
+        # One call per question on 2 workers: the queue drains in n * 0.25 / 2 = 7.5 s.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "keyrag.cli", "run", "--method", "vanilla",
+             "--dataset", str(dataset), "--endpoint", server.url, "--model", "m",
+             "--workers", "2", "--out", str(out)],
+            env=keyrag_env(NO_PROXY="127.0.0.1"), stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while len(server.requests) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(server.requests) >= 3, "the run never got going"
+            proc.send_signal(signal.SIGINT)
+            t0 = time.monotonic()
+            _, stderr = proc.communicate(timeout=30)
+            elapsed = time.monotonic() - t0
+        finally:
+            proc.kill()
+            proc.wait()
+        asked = len(server.requests)
+    assert proc.returncode == 1, stderr
+    assert "interrupted" in stderr
+    assert elapsed < 3.0
+    assert asked < n
+    lines = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert lines[0]["kind"] == "header"
+    traces = lines[1:]
+    # Every question that reached the server finished and was written, once.
+    assert len({t["qid"] for t in traces}) == len(traces) == asked
+    assert all(t["final_answer"] == "ok" and not t.get("error") for t in traces)
 
 
 def test_run_deterministic_outputs(tmp_path, dataset_path, index_path, script_path):
@@ -255,6 +312,42 @@ def test_run_skip_completed_header_only_file_keeps_one_header(tmp_path, dataset_
     assert [qid for qid, _ in rows] == [0]
 
 
+def test_run_skip_completed_retries_errored_questions(capsys, tmp_path, dataset_path,
+                                                    index_path, script_path):
+    out = tmp_path / "traces.jsonl"
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")  # an exhausted script: the question errors
+    argv = ["run", "--dataset", str(dataset_path), "--index", str(index_path), "--out", str(out)]
+    assert main(argv + ["--mock-script", str(empty)]) == 1
+    _, rows = read_traces(out)
+    assert [qid for qid, _ in rows] == [0] and rows[0][1].error
+
+    assert main(argv + ["--mock-script", str(script_path), "--skip-completed"]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 3  # header, the errored trace, the retried one
+    _, rows = read_traces(out)
+    assert len(rows) == 1
+    assert rows[0][1].error is None and rows[0][1].final_answer == "Eagle"
+    capsys.readouterr()
+    assert main(["eval", "--traces", str(out), "--dataset", str(dataset_path)]) == 0
+    printed = capsys.readouterr().out
+    assert "n                1\n" in printed
+    assert "accuracy         1.0000" in printed
+
+
+def test_read_traces_keeps_every_run_of_concatenated_files(capsys, tmp_path, dataset_path,
+                                                          index_path, script_path):
+    parts = [_run_traces(tmp_path / name, dataset_path, index_path, script_path)
+             for name in ("a", "b")]
+    merged = tmp_path / "merged.jsonl"
+    merged.write_text("".join(p.read_text(encoding="utf-8") for p in parts), encoding="utf-8")
+    _, rows = read_traces(merged)
+    assert [qid for qid, _ in rows] == [0, 0]  # one question per run, each with its header
+    capsys.readouterr()
+    assert main(["eval", "--traces", str(merged), "--dataset", str(dataset_path)]) == 0
+    assert "n                2\n" in capsys.readouterr().out
+
+
 def test_run_save_raw_embeds_prompts(tmp_path, dataset_path, index_path, script_path):
     out = tmp_path / "traces.jsonl"
     main(["run", "--dataset", str(dataset_path), "--index", str(index_path),
@@ -270,6 +363,7 @@ def test_run_save_raw_embeds_prompts(tmp_path, dataset_path, index_path, script_
 
 
 def _run_traces(tmp_path, dataset_path, index_path, script_path, *extra):
+    tmp_path.mkdir(exist_ok=True)
     out = tmp_path / "traces.jsonl"
     code = main(["run", "--dataset", str(dataset_path), "--index", str(index_path),
                  "--mock-script", str(script_path), "--out", str(out), *extra])
@@ -311,6 +405,22 @@ def test_eval_recall_requires_index(tmp_path, dataset_path, index_path, script_p
     code = main(["eval", "--traces", str(traces), "--dataset", str(dataset_path),
                  "--recall-ks", "1"])
     assert code == 2
+
+
+def test_eval_refuses_an_index_other_than_the_runs(tmp_path, dataset_path, corpus_path,
+                                                  index_path, script_path):
+    traces = _run_traces(tmp_path, dataset_path, index_path, script_path)
+    other = tmp_path / "other.idx"
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(other), "--no-titles"]) == 0
+    argv = ["eval", "--traces", str(traces), "--dataset", str(dataset_path), "--recall-ks", "1"]
+    assert main(argv + ["--index", str(index_path)]) == 0
+    assert main(argv + ["--index", str(other)]) == 2
+    # A header without index_sha256 cannot be checked, and is not refused.
+    lines = traces.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    del header["config"]["index_sha256"]
+    traces.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8")
+    assert main(argv + ["--index", str(other)]) == 0
 
 
 def test_eval_misaligned_dataset(tmp_path, dataset_path, index_path, script_path):

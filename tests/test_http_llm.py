@@ -1,14 +1,46 @@
 from __future__ import annotations
 
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
-import requests
 
-from keyrag.llm import BackendError, ChatMessage, GenParams, HttpBackend, TransportError, forced_choice
+from keyrag.llm import (
+    BackendError,
+    ChatMessage,
+    GenParams,
+    HttpBackend,
+    LlmError,
+    TransportError,
+    forced_choice,
+)
 
-from .helpers import RaisingSession, StubLlmServer, completion_body, logprob_body
+from .helpers import (
+    FaultServer,
+    StubLlmServer,
+    completion_body,
+    http_response,
+    keyrag_env,
+    logprob_body,
+)
+
+
+@pytest.fixture(autouse=True)
+def _close_backends(monkeypatch):
+    """Close every backend a test makes, so no kept-alive socket outlives the test."""
+    made: list[HttpBackend] = []
+    init = HttpBackend.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(HttpBackend, "__init__", recording_init)
+    yield
+    for backend in made:
+        backend.close()
 
 
 def _msgs(user: str = "hello") -> list[ChatMessage]:
@@ -39,6 +71,16 @@ def test_complete_request_shape_and_response():
 def test_complete_strips_trailing_whitespace_only():
     with StubLlmServer(lambda p, i: {"status": 200, "body": completion_body("  Eagle \n")}) as server:
         assert _backend(server).complete(_msgs(), GenParams(max_tokens=10)) == "  Eagle"
+
+
+def test_sequential_calls_reuse_one_kept_alive_connection():
+    with StubLlmServer() as server:
+        backend = _backend(server)  # max_in_flight=4
+        for _ in range(5):
+            backend.complete(_msgs(), GenParams(max_tokens=10))
+        backend.close()
+    assert len(server.client_ports) == 5
+    assert len(set(server.client_ports)) == 1
 
 
 def test_2xx_is_never_retried():
@@ -150,19 +192,48 @@ def test_malformed_completion_body_raises_backend_error():
 # --- transport errors, 429 -------------------------------------------------------
 
 
-@pytest.mark.parametrize("error", [
-    requests.exceptions.ChunkedEncodingError,
-    requests.exceptions.ContentDecodingError,
-    requests.exceptions.TooManyRedirects,
-    requests.exceptions.InvalidJSONError,
-])
-def test_any_requests_exception_is_a_retried_transport_error(error):
-    session = RaisingSession(error)
-    backend = HttpBackend("http://127.0.0.1:9/v1", "m", backoff=0.0, max_retries=2,
-                          session=session)
-    with pytest.raises(TransportError, match="connection broken"):
-        backend.complete(_msgs(), GenParams(max_tokens=10))
-    assert session.calls == 3  # initial call + 2 retries
+_TRUNCATED = http_response(completion_body("ok"))[:-5]
+
+
+@pytest.mark.parametrize("reply, delay, error", [
+    (_TRUNCATED, 0.0, "IncompleteRead"),  # the server closes mid-body
+    (b"", 0.0, "RemoteDisconnected"),  # closes before the status line
+    (b"SPDY/9 200 OK\r\n\r\n", 0.0, "BadStatusLine"),
+    (b"", 1.0, "timed out"),  # no reply within the timeout
+], ids=["truncated-body", "no-reply", "bad-status-line", "timeout"])
+def test_broken_response_is_a_retried_transport_error(reply, delay, error):
+    with FaultServer(reply, delay) as server:
+        backend = _backend(server, backoff=0.0, max_retries=2, timeout=0.2)
+        with pytest.raises(TransportError, match=error):
+            backend.complete(_msgs(), GenParams(max_tokens=10))
+        assert len(server.requests) == 3  # initial call + 2 retries
+
+
+def test_idle_connection_closed_by_the_server_is_replaced_not_retried():
+    # An HTTP/1.1 reply without "Connection: close" leaves the connection
+    # kept alive on the client's side; the server closes it anyway.
+    with FaultServer(http_response(completion_body("ok"))) as server:
+        backend = _backend(server, max_retries=0, max_in_flight=1)
+        for _ in range(5):
+            assert backend.complete(_msgs(), GenParams(max_tokens=10)) == "ok"
+            time.sleep(0.05)  # idle: the server's close arrives
+        assert len(server.requests) == 5
+
+
+def test_no_requests_package_needed():
+    with StubLlmServer() as server:
+        code = (
+            "import sys\n"
+            "sys.modules['requests'] = None  # any import of requests fails\n"
+            "from keyrag.llm import ChatMessage, GenParams, HttpBackend\n"
+            f"backend = HttpBackend({server.url!r}, 'm')\n"
+            "print(backend.complete([ChatMessage('user', 'hi')], GenParams(max_tokens=5)))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=keyrag_env(NO_PROXY="127.0.0.1"),
+                              capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
+    assert len(server.requests) == 1
 
 
 def test_429_waits_for_retry_after_then_succeeds():
@@ -301,3 +372,44 @@ def test_proxy_from_the_environment_is_used(monkeypatch):
         backend = HttpBackend("http://127.0.0.1:9/v1", "m", backoff=0.0)
         assert backend.complete(_msgs(), GenParams(max_tokens=10)) == "ok"
         assert len(proxy.requests) == 1
+
+
+@pytest.fixture()
+def no_proxy_env(monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY", "all_proxy",
+                 "ALL_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
+@pytest.mark.parametrize("endpoint, request_line", [
+    # http: the proxy gets the request itself, with an absolute-form target
+    ("http://127.0.0.1:9/v1", b"POST http://127.0.0.1:9/v1/chat/completions HTTP/"),
+    # https: the proxy is asked for a tunnel; TLS to the endpoint would follow
+    ("https://api.example.invalid/v1", b"CONNECT api.example.invalid:443 HTTP/"),
+])
+def test_proxy_gets_the_request_target_and_credentials(no_proxy_env, endpoint, request_line):
+    refusal = b"HTTP/1.1 407 Proxy Authentication Required\r\nContent-Length: 0\r\n\r\n"
+    with FaultServer(refusal) as proxy:
+        address = proxy.url.removeprefix("http://").removesuffix("/v1")
+        no_proxy_env.setenv("ALL_PROXY", f"http://user:p%20w@{address}")
+        backend = HttpBackend(endpoint, "m", max_retries=0)
+        with pytest.raises(LlmError):
+            backend.complete(_msgs(), GenParams(max_tokens=10))
+    head = proxy.requests[0].split(b"\r\n")
+    assert head[0].startswith(request_line)
+    assert b"Proxy-Authorization: Basic dXNlcjpwIHc=" in head  # base64 of "user:p w"
+
+
+def test_no_proxy_from_the_environment_is_honoured(no_proxy_env):
+    no_proxy_env.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens there
+    no_proxy_env.setenv("NO_PROXY", "localhost,127.0.0.1")
+    with StubLlmServer() as server:
+        assert _backend(server, max_retries=0).complete(_msgs(), GenParams(max_tokens=10)) == "ok"
+        assert len(server.requests) == 1
+
+
+def test_unsupported_proxy_is_refused(no_proxy_env):
+    no_proxy_env.setenv("HTTPS_PROXY", "socks5://127.0.0.1:1080")
+    with pytest.raises(ValueError, match="only http:// proxies"):
+        HttpBackend("https://api.example.invalid/v1", "m")
