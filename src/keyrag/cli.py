@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from pathlib import Path
 
@@ -35,6 +36,23 @@ _CONFIG_KEYS = {
     "workers",
     "timeout",
 }
+
+
+# Run header fields that shape a trace: --skip-completed refuses a file written
+# with other values. A field an older header lacks is not compared. The endpoint
+# and the mock script say where replies come from, so a resumed run may change them.
+_RESUME_KEYS = (
+    "method",
+    "index_sha256",
+    "max_iterations",
+    "top_k",
+    "regen_mode",
+    "validation_mode",
+    "early_stop",
+    "accumulate_validation_docs",
+    "save_raw",
+    "model",
+)
 
 
 class UsageError(Exception):
@@ -172,20 +190,6 @@ def _build_backends(args, file_values, max_in_flight: int) -> StepBackends:
     )
 
 
-def _run_one(method, question, index, backends, config) -> pipeline.RunTrace:
-    if method == "vanilla":
-        return pipeline.run_vanilla(
-            question,
-            backends.answer_gen,
-            config.answer_params,
-            save_raw=config.save_raw,
-            templates=config.templates,
-        )
-    if method == "rag":
-        return pipeline.run_rag_once(question, index, backends.answer_gen, config)
-    return pipeline.run_iterative(question, index, backends, config)
-
-
 def _strip_timings(trace: pipeline.RunTrace) -> None:
     for rec in trace.iterations:
         for step in rec.wall_time_ms:
@@ -216,10 +220,6 @@ def cmd_run(args) -> int:
         save_raw=args.save_raw,
         templates=templates,
     )
-    # Each worker runs one question; a docwise round sends top_k calls at once.
-    max_in_flight = workers * config.top_k if config.regen_mode == "docwise" else workers
-    backends = _build_backends(args, file_values, max_in_flight)
-
     effective = {
         "method": args.method,
         "dataset": str(args.dataset),
@@ -243,14 +243,24 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     done_qids: set[int] = set()
     write_header = True
-    if args.skip_completed and out.exists():
+    resume = args.skip_completed and out.exists()
+    if resume:
         header, rows = read_traces(out)
+        written_with = (header or {}).get("config", {})
+        for key in _RESUME_KEYS:
+            if key in written_with and written_with[key] != effective[key]:
+                raise UsageError(
+                    f"cannot resume {out}: it was written with {key}={written_with[key]!r},"
+                    f" this run has {key}={effective[key]!r}"
+                )
         write_header = header is None
         # A question whose last trace records an error is run again.
         done_qids = {qid for qid, trace in rows if not trace.error}
-        sink = open(out, "a", encoding="utf-8")
-    else:
-        sink = open(out, "w", encoding="utf-8")
+
+    # Each worker runs one question; a docwise round sends top_k calls at once.
+    max_in_flight = workers * config.top_k if config.regen_mode == "docwise" else workers
+    backends = _build_backends(args, file_values, max_in_flight)
+    sink = open(out, "a" if resume else "w", encoding="utf-8")
 
     todo = [(qid, ex.question) for qid, ex in enumerate(examples) if qid not in done_qids]
     errored = 0
@@ -258,17 +268,21 @@ def cmd_run(args) -> int:
 
     def work(qid: int, question: str):
         try:
-            trace = _run_one(args.method, question, index, backends, config)
+            return qid, pipeline.run(args.method, question, index, backends, config)
         except LlmError as exc:
-            trace = pipeline.RunTrace(
-                question=question,
-                method=args.method,
-                iterations=[],
-                stop_reason=None,
-                final_answer="",
-                early_stop=config.early_stop,
-                error=str(exc),
-            )
+            error = str(exc)
+        except Exception as exc:  # a bug, or an OSError from a template: this question fails
+            traceback.print_exc()
+            error = f"{type(exc).__name__}: {exc}"
+        trace = pipeline.RunTrace(
+            question=question,
+            method=args.method,
+            iterations=[],
+            stop_reason=None,
+            final_answer="",
+            early_stop=config.early_stop,
+            error=error,
+        )
         return qid, trace
 
     def write(future: Future) -> None:
@@ -397,16 +411,9 @@ def cmd_eval(args) -> int:
         text_lookup = index.text_of
 
     try:
-        if args.mode == "em":
-            result = metrics.evaluate(traces, refs_list, mode="base", recall_ks=recall_ks,
-                                      text_lookup=text_lookup)
-            result.mode = "em"
-            result.accuracy = metrics.em_accuracy(traces, refs_list)
-            result.per_iteration_accuracy = []
-        else:
-            result = metrics.evaluate(
-                traces, refs_list, mode=args.mode, recall_ks=recall_ks, text_lookup=text_lookup
-            )
+        result = metrics.evaluate(
+            traces, refs_list, mode=args.mode, recall_ks=recall_ks, text_lookup=text_lookup
+        )
     except KeyError as exc:
         raise UsageError(
             f"trace references chunk id {exc.args[0]!r} that is not in the index;"
@@ -479,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="answer a QA dataset, writing one trace per question")
     p_run.add_argument("--dataset", required=True, help="JSONL file of {question,answers}")
     p_run.add_argument("--out", required=True, help="trace file to write (JSONL)")
-    p_run.add_argument("--method", choices=["vanilla", "rag", "iterative"], default="iterative")
+    p_run.add_argument("--method", choices=pipeline.METHODS, default="iterative")
     p_run.add_argument("--index", help="index file (required unless --method vanilla)")
     p_run.add_argument("--mock-script", help="scripted mock backend (JSONL) instead of HTTP")
     p_run.add_argument("--endpoint", help="chat-completions endpoint URL")
@@ -514,8 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score a trace file against its dataset")
     p_eval.add_argument("--traces", required=True)
     p_eval.add_argument("--dataset", required=True)
-    p_eval.add_argument("--mode", choices=["em", "base", "verified_true", "verified_all"],
-                        default="em")
+    p_eval.add_argument("--mode", choices=metrics.MODES, default="em")
     p_eval.add_argument("--recall-ks", help="comma-separated ks, e.g. 1,3,5")
     p_eval.add_argument("--index", help="index file, required for recall")
     p_eval.add_argument("--out", help="write the report as JSON")

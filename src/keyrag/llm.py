@@ -296,10 +296,13 @@ class HttpBackend(LlmBackend):
         import urllib.parse
         import urllib.request
 
-        trimmed = endpoint.rstrip("/")
-        if not trimmed.endswith("/chat/completions"):
-            trimmed += "/chat/completions"
-        self.url = trimmed
+        # The path gets /chat/completions; a query (Azure's api-version) stays after it.
+        url = urllib.parse.urlsplit(endpoint)
+        path = url.path.rstrip("/")
+        if not path.endswith("/chat/completions"):
+            path += "/chat/completions"
+        url = url._replace(path=path)
+        self.url = urllib.parse.urlunsplit(url)
         self.model = model
         self.api_key = api_key
         self.supports_logprobs = supports_logprobs
@@ -308,7 +311,6 @@ class HttpBackend(LlmBackend):
         self.backoff = backoff
         self.timeout = timeout
 
-        url = urllib.parse.urlsplit(self.url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint must be an http:// or https:// URL, got {endpoint!r}")
         host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)

@@ -13,9 +13,10 @@ from .pipeline import (
     STEP_RETRIEVAL,
     STEP_VALIDATION,
     RunTrace,
+    novelty,
 )
 
-MODES = ("base", "verified_true", "verified_all")
+MODES = ("em", "base", "verified_true", "verified_all")
 
 _ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
 _ASCII_PUNCT = set(string.punctuation)
@@ -158,12 +159,14 @@ def score_mode(
     refs_list: Sequence[Sequence[str]],
     mode: str,
 ) -> "EvalResult":
-    """Score traces under one of the base / verified_true / verified_all readings.
+    """Score traces under one of the em / base / verified_true / verified_all readings.
 
-    The three correctness predicates form an implication chain (base ⇒
-    verified_true ⇒ verified_all), so accuracies are monotone across modes.
-    Verified modes compare answers across the full iteration budget and
-    therefore refuse traces produced with early stopping enabled.
+    em is the exact-match rate of final answers, whatever the verdicts said; it
+    has no per-iteration curve. The other three correctness predicates form an
+    implication chain (base ⇒ verified_true ⇒ verified_all), so accuracies are
+    monotone across them. Verified modes compare answers across the full
+    iteration budget and therefore refuse traces produced with early stopping
+    enabled.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -175,12 +178,16 @@ def score_mode(
                     f"{mode} requires traces produced with early stopping disabled"
                     f" (trace {i} was early-stopped); re-run with --no-early-stop"
                 )
-    horizon = max((len(t.iterations) for t in traces), default=0)
-    per_iteration = [
-        _mean([_correct_at_horizon(t, refs, mode, h) for t, refs in zip(traces, refs_list)])
-        for h in range(1, horizon + 1)
-    ]
-    accuracy = per_iteration[-1] if per_iteration else 0.0
+    if mode == "em":
+        per_iteration = []
+        accuracy = em_accuracy(traces, refs_list)
+    else:
+        horizon = max((len(t.iterations) for t in traces), default=0)
+        per_iteration = [
+            _mean([_correct_at_horizon(t, refs, mode, h) for t, refs in zip(traces, refs_list)])
+            for h in range(1, horizon + 1)
+        ]
+        accuracy = per_iteration[-1] if per_iteration else 0.0
     return EvalResult(
         mode=mode,
         accuracy=accuracy,
@@ -232,24 +239,13 @@ def delta_stats(traces: Sequence[RunTrace]) -> DeltaStats:
     kw_means: dict[int, float] = {}
     doc_means: dict[int, float] = {}
     for step in range(2, horizon + 1):
-        kw_counts: list[int] = []
-        doc_counts: list[int] = []
-        for trace in traces:
-            if len(trace.iterations) < step:
-                continue
-            earlier_kw = {
-                kw.casefold() for rec in trace.iterations[: step - 1] for kw in rec.keywords
-            }
-            earlier_docs = {
-                doc.chunk_id for rec in trace.iterations[: step - 1] for doc in rec.retrieved
-            }
-            rec = trace.iterations[step - 1]
-            kw_counts.append(
-                len({kw.casefold() for kw in rec.keywords} - earlier_kw)
-            )
-            doc_counts.append(len({doc.chunk_id for doc in rec.retrieved} - earlier_docs))
-        kw_means[step] = _mean(kw_counts)
-        doc_means[step] = _mean(doc_counts)
+        counts = [
+            novelty(trace.iterations[: step - 1], rec.keywords, rec.retrieved)
+            for trace in traces
+            for rec in trace.iterations[step - 1 : step]
+        ]
+        kw_means[step] = _mean(new_keywords for new_keywords, _ in counts)
+        doc_means[step] = _mean(new_docs for _, new_docs in counts)
     kw_total = sum(kw_means.values())
     doc_total = sum(doc_means.values())
     steps = max(horizon - 1, 0)

@@ -1,5 +1,9 @@
-"""The retrieve-answer-validate loop, plus the no-retrieval and single-shot baselines.
+"""The keyword loop and the two baselines it is compared with, run by one routine.
 
+`_run` answers a question by any of the three methods and builds every
+IterationRecord and RunTrace: iterative repeats keywords → retrieve → answer →
+validate; rag is one iteration with no keyword step and no validation, the
+question itself being the query; vanilla is one answer call with no retrieval.
 One trace is strictly sequential; traces for different questions may run
 concurrently (records are immutable once emitted, and backends handle their
 own synchronization). The pipeline never sees reference answers: nothing in
@@ -8,6 +12,7 @@ this module takes them as input, so leakage is impossible by construction.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .bm25 import Index, ScoredDoc, retrieve_top_k
@@ -37,6 +42,7 @@ STOP_BUDGET = "budget_exhausted"
 METHOD_ITERATIVE = "iterative"
 METHOD_RAG = "rag"
 METHOD_VANILLA = "vanilla"
+METHODS = (METHOD_VANILLA, METHOD_RAG, METHOD_ITERATIVE)
 
 
 @dataclass
@@ -118,27 +124,14 @@ def expand_query(question: str, keywords: list[str]) -> str:
     return question.rstrip() + " " + " ".join(keywords)
 
 
-class _Timer:
-    def __init__(self) -> None:
-        self.ms: dict[str, float] = {}
-
-    def time(self, step: str):
-        return _Timed(self, step)
-
-
-class _Timed:
-    def __init__(self, timer: _Timer, step: str):
-        self._timer = timer
-        self._step = step
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        elapsed = (time.perf_counter() - self._t0) * 1000.0
-        self._timer.ms[self._step] = self._timer.ms.get(self._step, 0.0) + elapsed
-        return False
+@contextmanager
+def _timed(ms: dict[str, float], step: str):
+    """Add the block's wall time, in milliseconds, to ms[step]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        ms[step] = ms.get(step, 0.0) + (time.perf_counter() - t0) * 1000.0
 
 
 def _record_raw(raws: list[dict] | None, step: str, messages, completion: str) -> None:
@@ -214,22 +207,142 @@ def _keywords_regen_docwise(
 
 
 def _validate(question, answer, doc_texts, backends, config, raws) -> BinaryVerdict:
-    docs_rendered = format_documents(doc_texts)
+    bindings = {"q": question, "a": answer, "Docs": format_documents(doc_texts)}
     if config.validation_mode == "cot":
-        messages = render(
-            "step3_validate_cot",
-            {"q": question, "a": answer, "Docs": docs_rendered},
-            config.templates,
-        )
+        messages = render("step3_validate_cot", bindings, config.templates)
         reply = backends.validate.complete(messages, config.validation_params)
         _record_raw(raws, "answer_validation", messages, reply)
         return parse_cot_verdict(reply)
-    messages = render(
-        "step3_validate", {"q": question, "a": answer, "Docs": docs_rendered}, config.templates
-    )
+    messages = render("step3_validate", bindings, config.templates)
     verdict = forced_choice(backends.validate, messages, params=config.validation_params)
     _record_raw(raws, "answer_validation", messages, f"verdict={verdict.choice}")
     return verdict
+
+
+def novelty(
+    earlier: list[IterationRecord], keywords: list[str], retrieved: list[ScoredDoc]
+) -> tuple[int, int]:
+    """(new keywords, new documents) of one iteration against all earlier ones.
+
+    Keywords compare case-folded and documents by chunk id; each counts once.
+    """
+    seen_keywords = {kw.casefold() for rec in earlier for kw in rec.keywords}
+    seen_docs = {doc.chunk_id for rec in earlier for doc in rec.retrieved}
+    return (
+        len({kw.casefold() for kw in keywords} - seen_keywords),
+        len({doc.chunk_id for doc in retrieved} - seen_docs),
+    )
+
+
+def _run(
+    method: str, question: str, index: Index | None, backends: StepBackends, config: RunConfig
+) -> RunTrace:
+    """Answer one question by any method: the one place its records and trace are built.
+
+    Only the keyword loop has keyword steps, validation and more than one
+    iteration; only vanilla skips retrieval and answers from the bare question.
+    """
+    refine = method == METHOD_ITERATIVE
+    retrieve = method != METHOD_VANILLA
+    records: list[IterationRecord] = []
+    prev_keywords: list[str] | None = None
+    prev_doc_texts: list[str] = []
+    all_doc_texts: list[str] = []
+
+    for i in range(config.max_iterations if refine else 1):
+        ms: dict[str, float] = {}
+        flags: list[str] = []
+        raws: list[dict] | None = [] if config.save_raw else None
+
+        keywords: list[str] = []
+        if refine:
+            with _timed(ms, STEP_QUERY_EXPANSION):
+                if prev_keywords is not None and config.regen_mode == "docwise":
+                    keywords = _keywords_regen_docwise(
+                        question, prev_keywords, prev_doc_texts, backends, config, flags, raws
+                    )
+                else:
+                    keywords = _keywords(question, prev_keywords, backends, config, flags, raws)
+
+        expanded = expand_query(question, keywords)
+        retrieved: list[ScoredDoc] = []
+        if retrieve:
+            with _timed(ms, STEP_RETRIEVAL):
+                retrieved = retrieve_top_k(index, expanded, config.top_k)
+            if not retrieved and not refine:  # rag answers from no document at all
+                flags.append("empty_retrieval")
+        doc_texts = [index.text_of(doc.chunk_id) for doc in retrieved]
+        for text in doc_texts:
+            if text not in all_doc_texts:
+                all_doc_texts.append(text)
+
+        with _timed(ms, STEP_ANSWER):
+            if retrieve:
+                bindings = {"q": question, "D": format_documents(doc_texts)}
+                messages = render("step2_answer", bindings, config.templates)
+            else:
+                messages = render("vanilla_answer", {"q": question}, config.templates)
+            answer = backends.answer_gen.complete(messages, config.answer_params).strip()
+            _record_raw(raws, STEP_ANSWER, messages, answer)
+
+        verdict = None
+        if refine:
+            validation_docs = all_doc_texts if config.accumulate_validation_docs else doc_texts
+            with _timed(ms, STEP_VALIDATION):
+                verdict = _validate(question, answer, validation_docs, backends, config, raws)
+            if verdict.flagged:
+                flags.append("verdict_unparsed")
+
+        new_keywords, new_docs = novelty(records, keywords, retrieved)
+        records.append(
+            IterationRecord(
+                index=i,
+                keywords=keywords,
+                expanded_query=expanded,
+                retrieved=retrieved,
+                answer=answer,
+                verdict=verdict,
+                new_keywords=new_keywords,
+                new_docs=new_docs,
+                wall_time_ms=ms,
+                flags=flags,
+                raw=raws,
+            )
+        )
+
+        if verdict and verdict.choice and config.early_stop:
+            break
+        prev_keywords = keywords
+        prev_doc_texts = doc_texts
+
+    last = records[-1]
+    stop_reason = None
+    if refine:
+        stop_reason = STOP_VALIDATED if last.verdict.choice else STOP_BUDGET
+    return RunTrace(
+        question=question,
+        method=method,
+        iterations=records,
+        stop_reason=stop_reason,
+        final_answer=last.answer,
+        early_stop=refine and config.early_stop,
+    )
+
+
+def run(
+    method: str, question: str, index: Index | None, backends: StepBackends, config: RunConfig
+) -> RunTrace:
+    """Answer one question by the named method (one of METHODS).
+
+    The baselines answer with backends.answer_gen; vanilla does not use the index.
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if method == METHOD_ITERATIVE:
+        # Through the public entry point, so that wrapping run_iterative (as
+        # perfbench's traced run does) sees every question of an iterative run.
+        return run_iterative(question, index, backends, config)
+    return _run(method, question, index, backends, config)
 
 
 def run_iterative(
@@ -243,86 +356,7 @@ def run_iterative(
     Stops on a True verdict (unless early stopping is disabled) or after
     max_iterations. The final answer is always the last iteration's answer.
     """
-    config = config or RunConfig()
-    records: list[IterationRecord] = []
-    seen_keywords: set[str] = set()
-    seen_docs: set[str] = set()
-    prev_keywords: list[str] | None = None
-    prev_doc_texts: list[str] = []
-    all_doc_texts: list[str] = []
-
-    for i in range(config.max_iterations):
-        timer = _Timer()
-        flags: list[str] = []
-        raws: list[dict] | None = [] if config.save_raw else None
-
-        with timer.time(STEP_QUERY_EXPANSION):
-            if prev_keywords is not None and config.regen_mode == "docwise":
-                keywords = _keywords_regen_docwise(
-                    question, prev_keywords, prev_doc_texts, backends, config, flags, raws
-                )
-            else:
-                keywords = _keywords(question, prev_keywords, backends, config, flags, raws)
-
-        expanded = expand_query(question, keywords)
-        with timer.time(STEP_RETRIEVAL):
-            retrieved = retrieve_top_k(index, expanded, config.top_k)
-        doc_texts = [index.text_of(doc.chunk_id) for doc in retrieved]
-        for text in doc_texts:
-            if text not in all_doc_texts:
-                all_doc_texts.append(text)
-
-        with timer.time(STEP_ANSWER):
-            messages = render(
-                "step2_answer",
-                {"q": question, "D": format_documents(doc_texts)},
-                config.templates,
-            )
-            answer = backends.answer_gen.complete(messages, config.answer_params).strip()
-            _record_raw(raws, "answer_generation", messages, answer)
-
-        validation_docs = all_doc_texts if config.accumulate_validation_docs else doc_texts
-        with timer.time(STEP_VALIDATION):
-            verdict = _validate(question, answer, validation_docs, backends, config, raws)
-        if verdict.flagged:
-            flags.append("verdict_unparsed")
-
-        new_keywords = sum(1 for kw in keywords if kw.casefold() not in seen_keywords)
-        seen_keywords.update(kw.casefold() for kw in keywords)
-        new_docs = sum(1 for doc in retrieved if doc.chunk_id not in seen_docs)
-        seen_docs.update(doc.chunk_id for doc in retrieved)
-
-        records.append(
-            IterationRecord(
-                index=i,
-                keywords=keywords,
-                expanded_query=expanded,
-                retrieved=retrieved,
-                answer=answer,
-                verdict=verdict,
-                new_keywords=new_keywords,
-                new_docs=new_docs,
-                wall_time_ms=timer.ms,
-                flags=flags,
-                raw=raws,
-            )
-        )
-
-        if verdict.choice and config.early_stop:
-            break
-        prev_keywords = keywords
-        prev_doc_texts = doc_texts
-
-    last = records[-1]
-    stop_reason = STOP_VALIDATED if (last.verdict and last.verdict.choice) else STOP_BUDGET
-    return RunTrace(
-        question=question,
-        method=METHOD_ITERATIVE,
-        iterations=records,
-        stop_reason=stop_reason,
-        final_answer=last.answer,
-        early_stop=config.early_stop,
-    )
+    return _run(METHOD_ITERATIVE, question, index, backends, config or RunConfig())
 
 
 def run_vanilla(
@@ -334,33 +368,10 @@ def run_vanilla(
     templates: dict[str, PromptTemplate] | None = None,
 ) -> RunTrace:
     """Answer with a single LLM call and no retrieval at all."""
-    params = params or GenParams(max_tokens=50)
-    timer = _Timer()
-    raws: list[dict] | None = [] if save_raw else None
-    with timer.time(STEP_ANSWER):
-        messages = render("vanilla_answer", {"q": question}, templates)
-        answer = backend.complete(messages, params).strip()
-        _record_raw(raws, "answer_generation", messages, answer)
-    record = IterationRecord(
-        index=0,
-        keywords=[],
-        expanded_query=question,
-        retrieved=[],
-        answer=answer,
-        verdict=None,
-        new_keywords=0,
-        new_docs=0,
-        wall_time_ms=timer.ms,
-        raw=raws,
+    config = RunConfig(
+        answer_params=params or GenParams(max_tokens=50), save_raw=save_raw, templates=templates
     )
-    return RunTrace(
-        question=question,
-        method=METHOD_VANILLA,
-        iterations=[record],
-        stop_reason=None,
-        final_answer=answer,
-        early_stop=False,
-    )
+    return _run(METHOD_VANILLA, question, None, StepBackends.shared(backend), config)
 
 
 def run_rag_once(
@@ -370,42 +381,7 @@ def run_rag_once(
     config: RunConfig | None = None,
 ) -> RunTrace:
     """Single retrieval with the raw question, one answer call, no validation."""
-    config = config or RunConfig()
-    timer = _Timer()
-    flags: list[str] = []
-    raws: list[dict] | None = [] if config.save_raw else None
-    with timer.time(STEP_RETRIEVAL):
-        retrieved = retrieve_top_k(index, question, config.top_k)
-    if not retrieved:
-        flags.append("empty_retrieval")
-    doc_texts = [index.text_of(doc.chunk_id) for doc in retrieved]
-    with timer.time(STEP_ANSWER):
-        messages = render(
-            "step2_answer", {"q": question, "D": format_documents(doc_texts)}, config.templates
-        )
-        answer = backend.complete(messages, config.answer_params).strip()
-        _record_raw(raws, "answer_generation", messages, answer)
-    record = IterationRecord(
-        index=0,
-        keywords=[],
-        expanded_query=question,
-        retrieved=retrieved,
-        answer=answer,
-        verdict=None,
-        new_keywords=0,
-        new_docs=len(retrieved),
-        wall_time_ms=timer.ms,
-        flags=flags,
-        raw=raws,
-    )
-    return RunTrace(
-        question=question,
-        method=METHOD_RAG,
-        iterations=[record],
-        stop_reason=None,
-        final_answer=answer,
-        early_stop=False,
-    )
+    return _run(METHOD_RAG, question, index, StepBackends.shared(backend), config or RunConfig())
 
 
 # --- trace (de)serialization -------------------------------------------------

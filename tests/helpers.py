@@ -140,7 +140,11 @@ class _LocalServer:
 
     def __init__(self, server: socketserver.TCPServer):
         self._server = server
-        self._thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # shutdown() waits for the serving loop's next poll: the default 0.5 s
+        # poll would add up to half a second to every test that starts a server.
+        self._thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+        )
 
     @property
     def url(self) -> str:
@@ -167,6 +171,7 @@ class StubLlmServer(_LocalServer):
 
     def __init__(self, respond=None):
         self.requests: list[dict] = []
+        self.paths: list[str] = []  # the request target of each request
         self.client_ports: list[int] = []  # one per request; repeats mean a kept-alive connection
         self._respond = respond or (lambda payload, i: {
             "status": 200,
@@ -187,6 +192,7 @@ class StubLlmServer(_LocalServer):
                 with outer._lock:
                     i = len(outer.requests)
                     outer.requests.append(payload)
+                    outer.paths.append(self.path)
                     outer.client_ports.append(self.client_address[1])
                 reply = outer._respond(payload, i)
                 body = reply["body"]

@@ -11,7 +11,7 @@ import pytest
 
 from keyrag import cli
 from keyrag.cli import main, read_traces
-from keyrag.llm import HttpBackend
+from keyrag.llm import HttpBackend, MockBackend
 
 from .helpers import (
     FaultServer,
@@ -147,7 +147,8 @@ def test_run_requires_backend(tmp_path, dataset_path, index_path, monkeypatch):
     assert code == 2
 
 
-def test_run_unreachable_endpoint_errors(tmp_path, dataset_path, index_path):
+def test_run_unreachable_endpoint_errors(tmp_path, dataset_path, index_path, monkeypatch):
+    monkeypatch.setattr(cli, "HttpBackend", functools.partial(HttpBackend, backoff=0.0))
     out = tmp_path / "traces.jsonl"
     code = main([
         "run", "--dataset", str(dataset_path), "--index", str(index_path),
@@ -173,6 +174,51 @@ def test_run_broken_response_is_a_question_error(tmp_path, dataset_path, index_p
     assert len(rows) == 1
     assert "IncompleteRead" in rows[0][1].error
     assert len(server.requests) == 4  # initial call + 3 retries
+
+
+class _AnswerFailsInIterationTwo(MockBackend):
+    """Raises RuntimeError, not an LlmError, on the Moon question's second answer call."""
+
+    moon_answers = 0
+
+    def complete(self, messages, params):
+        prompt = messages[-1].content
+        if prompt.startswith("Here is a question") and "Moon" in prompt:
+            self.moon_answers += 1
+            if self.moon_answers == 2:
+                raise RuntimeError("answer step broke")
+        return super().complete(messages, params)
+
+
+def test_run_worker_exception_is_a_question_error(capsys, tmp_path, index_path, monkeypatch):
+    dataset = tmp_path / "qa2.jsonl"
+    write_jsonl(dataset, [
+        {"question": "What is the name of the spacecraft that first landed humans on the Moon?",
+         "answers": ["Eagle"]},
+        {"question": "Second question?", "answers": ["y"]},
+    ])
+    script = tmp_path / "script.jsonl"
+    write_jsonl(script, [
+        {"match": "landed humans", "response": '["Moon landing"]'},
+        {"match": "landed humans", "response": "Challenger"},
+        {"match": "landed humans", "p_true": 0.2, "p_false": 0.8},
+        {"match": "landed humans", "response": '["Apollo 11"]'},
+        {"match": "Second question", "response": '["second"]'},
+        {"match": "Second question", "response": "y"},
+        {"match": "Second question", "p_true": 0.9, "p_false": 0.1},
+    ])
+    monkeypatch.setattr(cli, "MockBackend", _AnswerFailsInIterationTwo)
+    out = tmp_path / "traces.jsonl"
+    code = main(["run", "--dataset", str(dataset), "--index", str(index_path),
+                 "--mock-script", str(script), "--workers", "1", "--out", str(out)])
+    assert code == 1  # 1 of 2 questions failed: over the 10% threshold
+    _, rows = read_traces(out)
+    assert [(qid, trace.error) for qid, trace in rows] == [
+        (0, "RuntimeError: answer step broke"),
+        (1, None),
+    ]
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: answer step broke" in err
 
 
 def test_run_closes_its_backends(tmp_path, dataset_path, index_path, monkeypatch):
@@ -296,6 +342,47 @@ def test_run_skip_completed(tmp_path, index_path, script_path):
     assert [qid for qid, _ in rows] == [0, 1]
 
 
+def test_run_skip_completed_refuses_a_file_of_another_config(capsys, tmp_path, dataset_path,
+                                                            index_path, script_path):
+    out = tmp_path / "traces.jsonl"
+    argv = ["run", "--dataset", str(dataset_path), "--index", str(index_path),
+            "--mock-script", str(script_path), "--out", str(out)]
+    assert main(argv) == 0
+    before = out.read_bytes()
+    assert main(argv + ["--skip-completed", "--top-k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "written with top_k=3" in err and "this run has top_k=2" in err
+    assert out.read_bytes() == before
+
+
+def test_run_skip_completed_ignores_workers_and_fields_an_old_header_lacks(tmp_path, index_path,
+                                                                           script_path):
+    dataset = tmp_path / "qa2.jsonl"
+    write_jsonl(dataset, [
+        {"question": "What is the name of the spacecraft that first landed humans on the Moon?",
+         "answers": ["Eagle"]},
+        {"question": "Second question?", "answers": ["y"]},
+    ])
+    out = tmp_path / "traces.jsonl"
+    assert main(["run", "--dataset", str(dataset), "--index", str(index_path), "--workers", "1",
+                 "--mock-script", str(script_path), "--out", str(out), "--limit", "1"]) == 0
+    header, *rest = out.read_text(encoding="utf-8").splitlines()
+    older = json.loads(header)
+    del older["config"]["top_k"]  # as if written before top_k was recorded
+    out.write_text("\n".join([json.dumps(older), *rest]) + "\n", encoding="utf-8")
+    extra = tmp_path / "extra.jsonl"
+    write_jsonl(extra, [
+        {"match": "Generate a list of important keywords", "response": '["second"]'},
+        {"match": "Here is a question", "response": "y"},
+        {"match": "Is the following answer correct", "p_true": 0.9, "p_false": 0.1},
+    ])
+    assert main(["run", "--dataset", str(dataset), "--index", str(index_path), "--workers", "2",
+                 "--no-timings", "--top-k", "2", "--mock-script", str(extra), "--out", str(out),
+                 "--skip-completed"]) == 0
+    _, rows = read_traces(out)
+    assert [qid for qid, _ in rows] == [0, 1]
+
+
 def test_run_skip_completed_header_only_file_keeps_one_header(tmp_path, dataset_path, index_path,
                                                              script_path):
     out = tmp_path / "traces.jsonl"
@@ -378,6 +465,39 @@ def test_eval_em_and_base(capsys, tmp_path, dataset_path, index_path, script_pat
     assert code == 0
     printed = capsys.readouterr().out
     assert "accuracy         1.0000" in printed
+
+
+def test_eval_em_report(capsys, tmp_path, dataset_path, index_path, script_path):
+    traces = _run_traces(tmp_path, dataset_path, index_path, script_path, "--no-timings")
+    report_path = tmp_path / "report.json"
+    assert main(["eval", "--traces", str(traces), "--dataset", str(dataset_path), "--mode", "em",
+                 "--recall-ks", "1,2", "--index", str(index_path), "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    header, _ = read_traces(traces)
+    assert report == {
+        "v": 1,
+        "config": header["config"],
+        "result": {
+            "mode": "em",
+            "accuracy": 1.0,  # the final answer, Eagle
+            "n": 1,
+            "per_iteration_accuracy": [],
+            "avg_iterations": 2.0,
+            "keyword_deltas": {"per_step": {"2": 2.0}, "total": 2.0, "mean": 2.0},
+            "doc_deltas": {"per_step": {"2": 0.0}, "total": 0.0, "mean": 0.0},
+            "latency_seconds": {
+                "query_expansion": 0.0,
+                "retrieval": 0.0,
+                "answer_generation": 0.0,
+                "answer_validation": 0.0,
+                "total": 0.0,
+            },
+            "recall_at": {"1": 1.0, "2": 1.0},
+            "recall_curves": {"1": [1.0, 1.0], "2": [1.0, 1.0]},
+            "recall_mean_over_horizons": {"1": 1.0, "2": 1.0},
+        },
+    }
+    assert "per-iteration" not in capsys.readouterr().out
 
 
 def test_eval_verified_refused_on_early_stopped(tmp_path, dataset_path, index_path, script_path):
@@ -562,6 +682,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, dataset_path, index_path, sc
 
 
 def test_env_endpoint_used_when_no_flag(tmp_path, dataset_path, index_path, monkeypatch):
+    monkeypatch.setattr(cli, "HttpBackend", functools.partial(HttpBackend, backoff=0.0))
     monkeypatch.setenv("KEYRAG_ENDPOINT", "http://127.0.0.1:9/v1")
     monkeypatch.setenv("KEYRAG_MODEL", "env-model")
     out = tmp_path / "traces.jsonl"

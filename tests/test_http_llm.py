@@ -385,6 +385,9 @@ def no_proxy_env(monkeypatch):
 @pytest.mark.parametrize("endpoint, request_line", [
     # http: the proxy gets the request itself, with an absolute-form target
     ("http://127.0.0.1:9/v1", b"POST http://127.0.0.1:9/v1/chat/completions HTTP/"),
+    # a query string stays after the joined path
+    ("http://127.0.0.1:9/openai/deployments/d?api-version=2024-02-01",
+     b"POST http://127.0.0.1:9/openai/deployments/d/chat/completions?api-version=2024-02-01 HTTP/"),
     # https: the proxy is asked for a tunnel; TLS to the endpoint would follow
     ("https://api.example.invalid/v1", b"CONNECT api.example.invalid:443 HTTP/"),
 ])
@@ -399,6 +402,17 @@ def test_proxy_gets_the_request_target_and_credentials(no_proxy_env, endpoint, r
     head = proxy.requests[0].split(b"\r\n")
     assert head[0].startswith(request_line)
     assert b"Proxy-Authorization: Basic dXNlcjpwIHc=" in head  # base64 of "user:p w"
+
+
+def test_endpoint_query_string_stays_after_the_chat_completions_path(no_proxy_env):
+    with StubLlmServer() as server:
+        endpoint = server.url.removesuffix("/v1") + "/openai/deployments/d?api-version=2024-02-01"
+        backend = HttpBackend(endpoint, "m", max_retries=0)
+        assert backend.complete(_msgs(), GenParams(max_tokens=10)) == "ok"
+    assert backend.url == server.url.removesuffix("/v1") + (
+        "/openai/deployments/d/chat/completions?api-version=2024-02-01"
+    )
+    assert server.paths == ["/openai/deployments/d/chat/completions?api-version=2024-02-01"]
 
 
 def test_no_proxy_from_the_environment_is_honoured(no_proxy_env):

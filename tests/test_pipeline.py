@@ -1,21 +1,34 @@
 from __future__ import annotations
 
 import inspect
+import json
 import re
 import threading
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from keyrag.bm25 import build_index, retrieve_top_k
+from keyrag.bm25 import ScoredDoc, build_index, retrieve_top_k
 from keyrag.corpus import chunk_corpus
-from keyrag.llm import GenParams, HttpBackend, MockBackend, ScriptEntry, TransportError
+from keyrag.llm import (
+    BinaryVerdict,
+    GenParams,
+    HttpBackend,
+    MockBackend,
+    ScriptEntry,
+    TransportError,
+)
 from keyrag.pipeline import (
     STOP_BUDGET,
     STOP_VALIDATED,
+    IterationRecord,
     RunConfig,
+    RunTrace,
     StepBackends,
     expand_query,
+    run,
     run_iterative,
     run_rag_once,
     run_vanilla,
@@ -402,6 +415,107 @@ def test_rag_once_empty_retrieval_flagged():
     assert trace.final_answer == "no idea"
 
 
+def _zeroed_timings(d: dict) -> dict:
+    for rec in d["iterations"]:
+        rec["wall_time_ms"] = dict.fromkeys(rec["wall_time_ms"], 0.0)
+    return d
+
+
+ANSWER_SYSTEM = "You are an assistant that generates answers based on retrieved documents."
+
+
+def test_rag_trace_golden(moon_index):
+    mock = MockBackend([ScriptEntry("Here is a question", " Eagle ")])
+    trace = run_rag_once(MOON_QUESTION, moon_index, mock, RunConfig(top_k=1, save_raw=True))
+    assert _zeroed_timings(trace_to_dict(trace, qid=4)) == {
+        "v": 1,
+        "qid": 4,
+        "question": MOON_QUESTION,
+        "method": "rag",
+        "stop_reason": None,
+        "final_answer": "Eagle",
+        "early_stop": False,
+        "error": None,
+        "iterations": [{
+            "index": 0,
+            "keywords": [],
+            "expanded_query": MOON_QUESTION,
+            "retrieved": [{"chunk_id": "apollo#0", "score": 4.090140958628672}],
+            "answer": "Eagle",
+            "verdict": None,
+            "new_keywords": 0,
+            "new_docs": 1,
+            "wall_time_ms": {"retrieval": 0.0, "answer_generation": 0.0},
+            "flags": [],
+            "raw": [{
+                "step": "answer_generation",
+                "system": ANSWER_SYSTEM,
+                "user": (
+                    "Here is a question that you need to answer:\n"
+                    f"Query: {MOON_QUESTION}\n\n"
+                    "Below are some documents that may contain information relevant to the"
+                    " question. Consider the information in these documents while combining"
+                    " it with your own knowledge to answer the question accurately.\n\n"
+                    "Documents: Document 1: Apollo 11\n"
+                    "The Apollo 11 lunar module Eagle landed the first humans on the Moon in 1969"
+                    "\n\nProvide a clear and concise answer. Do not include any additional text."
+                ),
+                "completion": "Eagle",
+            }],
+        }],
+    }
+
+
+def test_vanilla_trace_golden():
+    mock = MockBackend([ScriptEntry("Here is a question", "Shakespeare ")])
+    trace = run_vanilla("Who wrote Hamlet?", mock, save_raw=True)
+    assert _zeroed_timings(trace_to_dict(trace)) == {
+        "v": 1,
+        "question": "Who wrote Hamlet?",
+        "method": "vanilla",
+        "stop_reason": None,
+        "final_answer": "Shakespeare",
+        "early_stop": False,
+        "error": None,
+        "iterations": [{
+            "index": 0,
+            "keywords": [],
+            "expanded_query": "Who wrote Hamlet?",
+            "retrieved": [],
+            "answer": "Shakespeare",
+            "verdict": None,
+            "new_keywords": 0,
+            "new_docs": 0,
+            "wall_time_ms": {"answer_generation": 0.0},
+            "flags": [],
+            "raw": [{
+                "step": "answer_generation",
+                "system": ANSWER_SYSTEM,
+                "user": (
+                    "Here is a question that you need to answer:\nQuery: Who wrote Hamlet?\n\n"
+                    "Provide a clear and concise answer. Do not include any additional text."
+                ),
+                "completion": "Shakespeare",
+            }],
+        }],
+    }
+
+
+def test_run_by_method_name(moon_index):
+    def trace(method):
+        mock = MockBackend([ScriptEntry("Here is a question", "Eagle")])
+        return _zeroed_timings(trace_to_dict(
+            run(method, MOON_QUESTION, moon_index, StepBackends.shared(mock), RunConfig())
+        ))
+
+    assert trace("rag") == _zeroed_timings(trace_to_dict(run_rag_once(
+        MOON_QUESTION, moon_index, MockBackend([ScriptEntry("Here is a question", "Eagle")])
+    )))
+    assert trace("vanilla")["iterations"][0]["retrieved"] == []  # the index is not used
+    with pytest.raises(ValueError, match="method must be one of"):
+        trace("bm25")
+
+
 # --- config validation / serde -------------------------------------------------------
 
 
@@ -428,6 +542,59 @@ def test_trace_round_trip_serde(moon_index):
     trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock))
     restored = trace_from_dict(trace_to_dict(trace, qid=7))
     assert restored == trace
+
+
+_short_text = st.text(max_size=12)
+_records = st.builds(
+    IterationRecord,
+    index=st.integers(0, 9),
+    keywords=st.lists(_short_text, max_size=3),
+    expanded_query=_short_text,
+    retrieved=st.lists(
+        st.builds(ScoredDoc, _short_text, st.floats(allow_nan=False, allow_infinity=False)),
+        max_size=3,
+    ),
+    answer=_short_text,
+    verdict=st.none() | st.builds(
+        BinaryVerdict,
+        choice=st.booleans(),
+        p_true=st.none() | st.floats(0.0, 1.0),
+        p_false=st.none() | st.floats(0.0, 1.0),
+        method=st.sampled_from(["logprob", "text-fallback"]),
+        flagged=st.booleans(),
+    ),
+    new_keywords=st.integers(0, 9),
+    new_docs=st.integers(0, 9),
+    wall_time_ms=st.dictionaries(
+        st.sampled_from(["query_expansion", "retrieval", "answer_generation", "answer_validation"]),
+        st.floats(0.0, 1e6),
+    ),
+    flags=st.lists(_short_text, max_size=2),
+    raw=st.none() | st.lists(
+        st.fixed_dictionaries(
+            {"step": _short_text, "system": _short_text, "user": _short_text,
+             "completion": _short_text}
+        ),
+        max_size=2,
+    ),
+)
+_traces = st.builds(
+    RunTrace,
+    question=_short_text,
+    method=st.sampled_from(["iterative", "rag", "vanilla"]),
+    iterations=st.lists(_records, max_size=3),
+    stop_reason=st.sampled_from([None, STOP_VALIDATED, STOP_BUDGET]),
+    final_answer=_short_text,
+    early_stop=st.booleans(),
+    error=st.none() | _short_text,
+)
+
+
+@given(_traces)
+def test_trace_dict_round_trips_through_a_json_line(trace):
+    line = json.dumps(trace_to_dict(trace, qid=3), sort_keys=True, ensure_ascii=False)
+    assert "\n" not in line
+    assert trace_from_dict(json.loads(line)) == trace
 
 
 def test_cot_mode_uses_cot_prompts(moon_index):

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import json
 import random
 import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from keyrag.llm import BinaryVerdict, verdict_from_text
 from keyrag.prompts import (
     TEMPLATES,
     KeywordParseError,
@@ -233,3 +237,27 @@ def test_load_templates_requires_separator(tmp_path):
     (tmp_path / "step1_keywords.txt").write_text("no separator", encoding="utf-8")
     with pytest.raises(TemplateError, match="---"):
         load_templates(tmp_path)
+
+
+# --- parser properties ---------------------------------------------------------
+
+# Text built from the characters the parsers look for, plus arbitrary text.
+_reply_text = st.text(alphabet=st.sampled_from('[]",\n `abTrueFalsconi:')) | st.text()
+
+
+@given(_reply_text | st.lists(st.text()).map(json.dumps))
+def test_parse_keyword_list_gives_non_empty_stripped_unique_strings_or_raises(text):
+    try:
+        keywords = parse_keyword_list(text)
+    except KeywordParseError:
+        return
+    assert keywords
+    for keyword in keywords:
+        assert isinstance(keyword, str) and keyword == keyword.strip() and keyword
+    assert len({keyword.casefold() for keyword in keywords}) == len(keywords)
+
+
+@given(_reply_text)
+def test_verdict_parsers_never_raise(text):
+    assert isinstance(parse_cot_verdict(text), BinaryVerdict)
+    assert isinstance(verdict_from_text(text), BinaryVerdict)
