@@ -1,19 +1,22 @@
 """Okapi BM25 sparse retrieval: tokenizer, inverted index, top-k search, persistence."""
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
+import os
 import re
 import struct
 import sys
+import threading
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Iterable
+from itertools import accumulate, pairwise
+from typing import Iterable, Sequence
 
 MAGIC = b"ITKIDX1"
-VERSION = 2
+VERSION = 3
 
 # Maximal runs of alphanumeric characters (unicode-aware, underscore excluded).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -62,22 +65,31 @@ class ScoredDoc:
 class Index:
     """Columnar inverted index; immutable after build/load, safe for concurrent readers.
 
-    terms maps each term to the [start, end) slice of refs/impacts holding its
-    postings, in array order; refs are sorted within a slice and index into
-    chunk_ids / chunk_texts / doc_len. impacts[i] is the BM25 weight of that
+    terms maps each term to its ordinal t, in sorted order; the term's postings
+    are refs/impacts[offsets[t]:offsets[t + 1]]. refs are sorted within a term
+    and index into chunk_ids / doc_len. impacts[i] is the BM25 weight of that
     term in chunk refs[i], precomputed because it does not depend on the query.
+    Chunk r's text is texts[text_offsets[r]:text_offsets[r + 1]].
+
+    A loaded index's offsets, refs, impacts and text_offsets are memoryviews
+    over the bytes read from the file (byteswapped arrays on a big-endian
+    host), and sha256 is the hex SHA-256 of those bytes; a built one has
+    arrays and no sha256.
     """
 
-    terms: dict[str, tuple[int, int]]
-    refs: array
-    impacts: array
+    terms: dict[str, int]
+    offsets: Sequence[int]
+    refs: Sequence[int]
+    impacts: Sequence[float]
     doc_len: list[int]
     avg_doc_len: float
     n_docs: int
     chunk_ids: list[str]
-    chunk_texts: list[str]
+    texts: str
+    text_offsets: Sequence[int]
     params: Bm25Params
     stopwords: frozenset[str] = frozenset()
+    sha256: str | None = field(default=None, compare=False)
     _by_id: dict[str, int] | None = field(default=None, repr=False, compare=False)
 
     def ref_of(self, chunk_id: str) -> int:
@@ -86,7 +98,8 @@ class Index:
         return self._by_id[chunk_id]
 
     def text_of(self, chunk_id: str) -> str:
-        return self.chunk_texts[self.ref_of(chunk_id)]
+        ref = self.ref_of(chunk_id)
+        return self.texts[self.text_offsets[ref]:self.text_offsets[ref + 1]]
 
     @property
     def vocab_size(self) -> int:
@@ -104,7 +117,10 @@ def build_index(
     postings: dict[str, tuple[list[int], list[int]]] = {}  # term -> (refs, tfs)
     doc_len: list[int] = []
     chunk_ids: list[str] = []
-    chunk_texts: list[str] = []
+    # The texts are gathered as UTF-8 and decoded once at the end: a list of
+    # them and its join would hold every text twice at the build's peak.
+    text_blob = bytearray()
+    text_offsets = array("Q", [0])
     seen: set[str] = set()
 
     for chunk in chunks:
@@ -113,7 +129,8 @@ def build_index(
         seen.add(chunk.chunk_id)
         ref = len(chunk_ids)
         chunk_ids.append(chunk.chunk_id)
-        chunk_texts.append(chunk.text)
+        text_blob += chunk.text.encode("utf-8")
+        text_offsets.append(text_offsets[-1] + len(chunk.text))
         tokens = tokenize(chunk.text, stopwords)
         doc_len.append(len(tokens))
         for term, tf in Counter(tokens).items():
@@ -125,33 +142,38 @@ def build_index(
 
     if not chunk_ids:
         raise ValueError("empty corpus")
+    texts = text_blob.decode("utf-8")
+    del text_blob
 
     n_docs = len(chunk_ids)
     avg_doc_len = sum(doc_len) / len(doc_len)
     k1 = params.k1
     k1_plus_1 = k1 + 1.0
     k1_norm = [k1 * _norm(n, avg_doc_len, params.b) for n in doc_len]
-    terms: dict[str, tuple[int, int]] = {}
-    refs, impacts = array("I"), array("d")
+    terms: dict[str, int] = {}
+    offsets, refs, impacts = array("Q", [0]), array("I"), array("d")
     # Sorted terms make the layout canonical: identical indexes serialize identically.
     for term in sorted(postings):
         term_refs, term_tfs = postings[term]
         w = _idf(len(term_refs), n_docs)
-        terms[term] = (len(refs), len(refs) + len(term_refs))
+        terms[term] = len(terms)
         refs.extend(term_refs)
+        offsets.append(len(refs))
         # The operations of per-query scoring, w * tf * (k1 + 1.0) / (tf + k1 * norm),
         # in the same order, so sums of impacts equal its scores bit for bit.
         impacts.extend([w * tf * k1_plus_1 / (tf + k1_norm[ref])
                         for ref, tf in zip(term_refs, term_tfs)])
     return Index(
         terms=terms,
+        offsets=offsets,
         refs=refs,
         impacts=impacts,
         doc_len=doc_len,
         avg_doc_len=avg_doc_len,
         n_docs=n_docs,
         chunk_ids=chunk_ids,
-        chunk_texts=chunk_texts,
+        texts=texts,
+        text_offsets=text_offsets,
         params=params,
         stopwords=stopwords,
     )
@@ -163,8 +185,9 @@ def _idf(df: int, n_docs: int) -> float:
 
 def idf(term: str, index: Index) -> float:
     """Smoothed inverse document frequency; strictly positive for any df in [0, N]."""
-    start, end = index.terms.get(term, (0, 0))
-    return _idf(end - start, index.n_docs)
+    t = index.terms.get(term)
+    df = 0 if t is None else index.offsets[t + 1] - index.offsets[t]
+    return _idf(df, index.n_docs)
 
 
 def _norm(doc_len: int, avg_doc_len: float, b: float) -> float:
@@ -184,13 +207,14 @@ def retrieve_top_k(index: Index, query: str, k: int) -> list[ScoredDoc]:
     if not tokens:
         return []
     n = index.n_docs
+    terms, offsets, refs, impacts = index.terms, index.offsets, index.refs, index.impacts
     acc = [0.0] * n
     for tok in tokens:
-        span = index.terms.get(tok)
-        if span is None:
+        t = terms.get(tok)
+        if t is None:
             continue
-        start, end = span
-        for ref, impact in zip(index.refs[start:end], index.impacts[start:end]):
+        start, end = offsets[t], offsets[t + 1]
+        for ref, impact in zip(refs[start:end], impacts[start:end]):
             acc[ref] += impact
     # Negated refs make the larger key the smaller ref on equal scores.
     top = heapq.nlargest(k, zip(acc, range(0, -n, -1)))
@@ -210,47 +234,64 @@ def retrieve_top_k(index: Index, query: str, k: int) -> list[ScoredDoc]:
 #   refs: u32 x n_postings
 #   impacts: f64 x n_postings
 #
-# A string table of n strings is u64 x (n + 1) byte offsets into a utf-8
-# blob, followed by the blob. Terms and stopwords are written sorted.
+# A string table of n strings is u64 x (n + 1) character offsets into the
+# text of a utf-8 blob, followed by the blob: one decode gives the whole
+# table, and each string is a slice of it. Terms and stopwords are written sorted.
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<ddIIIQQQQQ")
 
 
-def _le(arr: array) -> bytes:
+def _le(typecode: str, values: Iterable) -> bytes:
+    """Values of one array typecode as little-endian bytes; values are not modified."""
+    if not _SWAP and isinstance(values, (array, memoryview)):
+        return bytes(values)
+    arr = array(typecode, values)
     if _SWAP:
-        arr = array(arr.typecode, arr)
         arr.byteswap()
     return arr.tobytes()
 
 
 def _string_table(strings: Iterable[str]) -> tuple[bytes, bytes]:
-    encoded = [s.encode("utf-8") for s in strings]
-    offsets = array("Q", accumulate((len(e) for e in encoded), initial=0))
-    return _le(offsets), b"".join(encoded)
+    strings = list(strings)
+    return _le("Q", accumulate(map(len, strings), initial=0)), "".join(strings).encode("utf-8")
 
 
 def save_index(index: Index, path) -> None:
+    """Write the index to path atomically.
+
+    The bytes go to a temporary file beside path, which then replaces it, so
+    a crash, an interrupt or a full disk leaves any earlier file at path as it was.
+    """
     stop_offsets, stop_blob = _string_table(sorted(index.stopwords))
     id_offsets, id_blob = _string_table(index.chunk_ids)
-    text_offsets, text_blob = _string_table(index.chunk_texts)
+    text_blob = index.texts.encode("utf-8")
     term_offsets, term_blob = _string_table(index.terms)
-    postings_offsets = array("Q", [start for start, _ in index.terms.values()])
-    postings_offsets.append(len(index.refs))
     header = _HEADER.pack(
         index.params.k1, index.params.b,
         index.n_docs, len(index.terms), len(index.stopwords), len(index.refs),
         len(stop_blob), len(id_blob), len(text_blob), len(term_blob),
     )
-    with open(path, "wb") as f:
-        for part in (
-            MAGIC, bytes([VERSION]), header,
-            stop_offsets, stop_blob, id_offsets, id_blob, text_offsets, text_blob,
-            _le(array("I", index.doc_len)),
-            term_offsets, term_blob, _le(postings_offsets),
-            _le(index.refs), _le(index.impacts),
-        ):
-            f.write(part)
+    parts = (
+        MAGIC, bytes([VERSION]), header,
+        stop_offsets, stop_blob, id_offsets, id_blob,
+        _le("Q", index.text_offsets), text_blob,
+        _le("I", index.doc_len),
+        term_offsets, term_blob, _le("Q", index.offsets),
+        _le("I", index.refs), _le("d", index.impacts),
+    )
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.writelines(parts)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class _Reader:
@@ -266,33 +307,57 @@ class _Reader:
         self.pos += n
         return self.view[self.pos - n:self.pos]
 
-    def take_array(self, typecode: str, count: int) -> array:
+    def take_column(self, typecode: str, count: int) -> Sequence:
+        """count items: a view over the file's bytes, or a byteswapped copy if _SWAP."""
+        raw = self.take(count * struct.calcsize(typecode))
+        if not _SWAP:
+            return raw.cast(typecode)
         arr = array(typecode)
-        arr.frombytes(self.take(count * arr.itemsize))
-        if _SWAP:
-            arr.byteswap()
+        arr.frombytes(raw)
+        arr.byteswap()
         return arr
 
-    def take_offsets(self, count: int, end: int, what: str) -> array:
-        """count + 1 offsets that start at 0, never decrease and end at `end`."""
-        offsets = self.take_array("Q", count + 1)
-        if offsets[0] != 0 or offsets[-1] != end or any(map(int.__gt__, offsets, offsets[1:])):
-            raise IndexFormatError(f"corrupt index file: bad {what} offsets")
-        return offsets
-
-    def take_strings(self, count: int, size: int, what: str) -> list[str]:
-        offsets = self.take_offsets(count, size, what)
-        blob = self.take(size)
+    def take_table(self, count: int, size: int, what: str) -> tuple[Sequence[int], str]:
+        """A string table of count strings: its offsets and its decoded text."""
+        offsets = self.take_column("Q", count + 1)
         try:
-            return [str(blob[a:b], "utf-8") for a, b in zip(offsets, offsets[1:])]
+            text = str(self.take(size), "utf-8")
         except UnicodeDecodeError:
             raise IndexFormatError(f"corrupt index file: {what} are not valid UTF-8") from None
+        return _checked_offsets(offsets, len(text), what), text
+
+    def take_strings(self, count: int, size: int, what: str) -> list[str]:
+        offsets, text = self.take_table(count, size, what)
+        return [text[a:b] for a, b in pairwise(offsets)]
+
+
+def _checked_offsets(offsets: Sequence[int], end: int, what: str) -> Sequence[int]:
+    """Offsets that start at 0, never decrease and end at `end`."""
+    if offsets[0] != 0 or offsets[-1] != end or any(map(int.__gt__, offsets, offsets[1:])):
+        raise IndexFormatError(f"corrupt index file: bad {what} offsets")
+    return offsets
 
 
 def load_index(path) -> Index:
-    """Load and validate an index file; any defect raises IndexFormatError."""
+    """Load and validate an index file; any defect raises IndexFormatError.
+
+    The file is read once. A helper thread hashes those bytes while they are
+    checked (hashlib releases the GIL), and the digest is Index.sha256.
+    """
     with open(path, "rb") as f:
         data = f.read()
+    digest = hashlib.sha256()
+    hasher = threading.Thread(target=digest.update, args=(data,))
+    hasher.start()
+    try:
+        index = _parse(data)
+    finally:
+        hasher.join()
+    index.sha256 = digest.hexdigest()
+    return index
+
+
+def _parse(data: bytes) -> Index:
     if len(data) <= len(MAGIC) or data[: len(MAGIC)] != MAGIC:
         raise IndexFormatError("bad magic: not a recognized index file")
     version = data[len(MAGIC)]
@@ -313,28 +378,30 @@ def load_index(path) -> Index:
         raise IndexFormatError(f"corrupt index file: {exc}") from None
     stopwords = frozenset(r.take_strings(n_stopwords, stop_size, "stopword"))
     chunk_ids = r.take_strings(n_docs, id_size, "chunk id")
-    chunk_texts = r.take_strings(n_docs, text_size, "chunk text")
-    doc_len = r.take_array("I", n_docs).tolist()
+    text_offsets, texts = r.take_table(n_docs, text_size, "chunk text")
+    doc_len = r.take_column("I", n_docs).tolist()
     term_list = r.take_strings(n_terms, term_size, "term")
-    offsets = r.take_offsets(n_terms, n_postings, "postings")
-    refs = r.take_array("I", n_postings)
-    impacts = r.take_array("d", n_postings)
+    offsets = _checked_offsets(r.take_column("Q", n_terms + 1), n_postings, "postings")
+    refs = r.take_column("I", n_postings)
+    impacts = r.take_column("d", n_postings)
     if r.pos != len(data):
         raise IndexFormatError("trailing data after index payload")
     if n_postings and max(refs) >= n_docs:
         raise IndexFormatError("corrupt index file: posting refers past the last chunk")
-    terms = dict(zip(term_list, zip(offsets, offsets[1:])))
+    terms = dict(zip(term_list, range(n_terms)))
     if len(terms) != n_terms:
         raise IndexFormatError("corrupt index file: duplicate terms")
     return Index(
         terms=terms,
+        offsets=offsets,
         refs=refs,
         impacts=impacts,
         doc_len=doc_len,
         avg_doc_len=sum(doc_len) / n_docs,
         n_docs=n_docs,
         chunk_ids=chunk_ids,
-        chunk_texts=chunk_texts,
+        texts=texts,
+        text_offsets=text_offsets,
         params=params,
         stopwords=stopwords,
     )

@@ -7,7 +7,6 @@ backend settings is flags over config file over environment variables
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -61,14 +60,6 @@ class UsageError(Exception):
 
 def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-
-
-def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def _load_config_file(path) -> dict[str, str]:
@@ -201,12 +192,10 @@ def cmd_run(args) -> int:
     examples = corpus.load_qa(args.dataset, limit=args.limit)
 
     index = None
-    index_sha = None
     if args.method != "vanilla":
         if not args.index:
             raise UsageError(f"--index is required for method {args.method!r}")
         index = bm25.load_index(args.index)
-        index_sha = _sha256_file(args.index)
 
     workers = int(_merged(args.workers, file_values, "workers", default=4))
     templates = load_templates(args.templates) if args.templates else None
@@ -224,7 +213,7 @@ def cmd_run(args) -> int:
         "method": args.method,
         "dataset": str(args.dataset),
         "index": str(args.index) if args.index else None,
-        "index_sha256": index_sha,
+        "index_sha256": index.sha256 if index else None,
         "max_iterations": config.max_iterations,
         "top_k": config.top_k,
         "regen_mode": config.regen_mode,
@@ -382,8 +371,9 @@ def cmd_eval(args) -> int:
     if not rows:
         print("error: no traces found", file=sys.stderr)
         return 1
+    index = bm25.load_index(args.index) if args.index else None
     run_sha = (header or {}).get("config", {}).get("index_sha256")
-    if args.index and run_sha and _sha256_file(args.index) != run_sha:
+    if index and run_sha and index.sha256 != run_sha:
         raise UsageError(
             f"{args.index} does not match the run's index (index_sha256 {run_sha[:12]}...);"
             " pass the index the traces were produced with"
@@ -397,7 +387,7 @@ def cmd_eval(args) -> int:
         recall_ks = [int(part) for part in args.recall_ks.split(",") if part.strip()]
     text_lookup = None
     if recall_ks:
-        if not args.index:
+        if index is None:
             raise UsageError("--recall-ks requires --index to resolve chunk texts")
         run_top_k = (header or {}).get("config", {}).get("top_k")
         if run_top_k is not None:
@@ -407,7 +397,6 @@ def cmd_eval(args) -> int:
                     f"recall k={too_big[0]} exceeds the run's top_k={run_top_k};"
                     " traces only hold top_k documents per iteration"
                 )
-        index = bm25.load_index(args.index)
         text_lookup = index.text_of
 
     try:

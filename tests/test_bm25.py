@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
+import struct
+import subprocess
+import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from keyrag import bm25
 from keyrag.bm25 import (
     Bm25Params,
     IndexFormatError,
@@ -19,7 +24,16 @@ from keyrag.bm25 import (
     tokenize,
 )
 
-from .helpers import chunks_from_texts, index_from_texts, oracle_top_k, random_corpus, random_query
+from keyrag.corpus import Document, chunk_corpus
+
+from .helpers import (
+    chunks_from_texts,
+    index_from_texts,
+    keyrag_env,
+    oracle_top_k,
+    random_corpus,
+    random_query,
+)
 
 
 # --- tokenizer ------------------------------------------------------------------
@@ -52,7 +66,8 @@ def test_build_avg_doc_len():
 
 
 def _postings(idx, term):
-    start, end = idx.terms[term]
+    t = idx.terms[term]
+    start, end = idx.offsets[t], idx.offsets[t + 1]
     return list(idx.refs[start:end]), list(idx.impacts[start:end])
 
 
@@ -78,9 +93,12 @@ def test_build_duplicate_chunk_id_rejected():
 
 def test_postings_sorted_by_chunk_ref():
     idx = index_from_texts(["x y", "y z", "x z", "x y z"])
-    assert sorted(idx.terms.values()) == list(idx.terms.values())
-    assert idx.terms["z"][1] == len(idx.refs) == len(idx.impacts)
-    for start, end in idx.terms.values():
+    assert list(idx.terms) == sorted(idx.terms)
+    assert list(idx.terms.values()) == list(range(len(idx.terms)))
+    assert len(idx.offsets) == len(idx.terms) + 1
+    assert idx.offsets[0] == 0 and list(idx.offsets) == sorted(idx.offsets)
+    assert idx.offsets[idx.terms["z"] + 1] == len(idx.refs) == len(idx.impacts)
+    for start, end in zip(idx.offsets, idx.offsets[1:]):
         refs = list(idx.refs[start:end])
         assert refs == sorted(set(refs))
         assert all(impact > 0 for impact in idx.impacts[start:end])
@@ -262,10 +280,12 @@ def test_load_unsupported_version(tmp_path):
 
 
 def test_load_v1_asks_for_rebuild(tmp_path):
-    path = tmp_path / "v1.idx"
-    path.write_bytes(b"ITKIDX1" + bytes([1]) + b"\x00" * 40)
-    with pytest.raises(IndexFormatError, match="rebuild the index with `keyrag index`"):
-        load_index(path)
+    # Version 1 (tuple postings) and version 2 (byte offsets in string tables).
+    for version in (1, 2):
+        path = tmp_path / f"v{version}.idx"
+        path.write_bytes(b"ITKIDX1" + bytes([version]) + b"\x00" * 40)
+        with pytest.raises(IndexFormatError, match="rebuild the index with `keyrag index`"):
+            load_index(path)
 
 
 def test_load_truncated_file(tmp_path):
@@ -293,6 +313,91 @@ def test_text_lookup_after_load(tmp_path):
     save_index(idx, path)
     loaded = load_index(path)
     assert loaded.text_of("c1") == "sun star"
+
+
+def test_load_gives_the_sha256_of_the_file(tmp_path):
+    path = tmp_path / "sha.idx"
+    save_index(index_from_texts(["moon base", "sun star"]), path)
+    assert load_index(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert index_from_texts(["moon base"]).sha256 is None
+
+
+def test_loaded_columns_are_views_over_one_buffer(tmp_path):
+    path = tmp_path / "views.idx"
+    save_index(index_from_texts(["moon base", "sun star"]), path)
+    loaded = load_index(path)
+    if sys.byteorder == "big":
+        pytest.skip("big-endian hosts load byteswapped copies")
+    columns = [loaded.offsets, loaded.refs, loaded.impacts, loaded.text_offsets]
+    assert all(isinstance(c, memoryview) for c in columns)
+    assert all(c.obj is columns[0].obj for c in columns)
+
+
+def test_byteswapped_save_and_load_round_trip(tmp_path, monkeypatch):
+    idx = index_from_texts(["moon moon base", "sun and stars", "base camp \u00e9t\u00e9"],
+                           stopwords=frozenset({"and"}))
+    native = tmp_path / "native.idx"
+    save_index(idx, native)
+    monkeypatch.setattr(bm25, "_SWAP", True)
+    path = tmp_path / "swapped.idx"
+    save_index(idx, path)
+    assert path.read_bytes() != native.read_bytes()
+    loaded = load_index(path)
+    assert loaded == idx
+    assert not isinstance(loaded.refs, memoryview)
+    assert retrieve_top_k(loaded, "moon base camp", 3) == retrieve_top_k(idx, "moon base camp", 3)
+    assert [loaded.text_of(c) for c in idx.chunk_ids] == [idx.text_of(c) for c in idx.chunk_ids]
+
+
+_ALPHABET = st.one_of(st.sampled_from("aZ9 -\n\u00e9\u00df\u4e2d\u0416\U0001f680\U00010348"),
+                      st.characters(blacklist_categories=("Cs",)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    docs=st.lists(
+        st.tuples(st.text(_ALPHABET, min_size=1, max_size=8), st.text(_ALPHABET, max_size=8),
+                  st.text(_ALPHABET, min_size=1, max_size=60)),
+        min_size=1, max_size=6, unique_by=lambda doc: doc[0]),
+    stopwords=st.frozensets(st.text(_ALPHABET, min_size=1, max_size=4), max_size=3),
+)
+def test_save_load_round_trip_arbitrary_unicode(tmp_path, docs, stopwords):
+    chunks = list(chunk_corpus((Document(*doc) for doc in docs), chunk_size=3, overlap=1))
+    assume(chunks)
+    idx = build_index(chunks, stopwords=stopwords)
+    path = tmp_path / "unicode.idx"
+    save_index(idx, path)
+    loaded = load_index(path)
+    assert loaded == idx
+    for chunk in chunks:
+        assert loaded.text_of(chunk.chunk_id) == idx.text_of(chunk.chunk_id) == chunk.text
+        assert retrieve_top_k(loaded, chunk.text, 4) == retrieve_top_k(idx, chunk.text, 4)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
+def test_save_that_fails_halfway_leaves_the_old_file(tmp_path):
+    path = tmp_path / "corpus.idx"
+    save_index(index_from_texts(["moon base"]), path)
+    old = path.read_bytes()
+    # The child may write no more than the old file's size, so its write of a
+    # larger index fails partway with EFBIG, as on a full disk.
+    code = (
+        "import resource, signal, sys, types\n"
+        "from keyrag.bm25 import build_index, save_index\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({len(old)}, hard))\n"
+        "chunks = [types.SimpleNamespace(chunk_id=f'c{i}', text=f'w{i} moon base camp')"
+        " for i in range(2000)]\n"
+        "save_index(build_index(chunks), sys.argv[1])\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=keyrag_env(),
+                          capture_output=True, text=True)
+    assert done.returncode != 0
+    assert "File too large" in done.stderr, done.stderr
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_save_load_exact_round_trip_random_corpora(tmp_path):
@@ -335,11 +440,16 @@ def _load_or_format_error(path) -> None:
         loaded = load_index(path)
     except IndexFormatError:
         return
-    # The term spans tile refs/impacts in order, with no span lost or reversed.
-    spans = list(loaded.terms.values())
-    bounds = [0] + [end for _, end in spans]
-    assert [start for start, _ in spans] == bounds[:-1]
+    # Term ordinals are 0..n-1, and their offsets tile refs/impacts in order,
+    # with no posting lost and no span reversed; the text offsets tile the texts.
+    assert list(loaded.terms.values()) == list(range(len(loaded.terms)))
+    bounds = list(loaded.offsets)
+    assert len(bounds) == len(loaded.terms) + 1 and bounds[0] == 0
     assert bounds == sorted(bounds) and bounds[-1] == len(loaded.refs) == len(loaded.impacts)
+    text_bounds = list(loaded.text_offsets)
+    assert len(text_bounds) == loaded.n_docs + 1 and text_bounds[0] == 0
+    assert text_bounds == sorted(text_bounds) and text_bounds[-1] == len(loaded.texts)
+    assert all(ref < loaded.n_docs for ref in loaded.refs)
     retrieve_top_k(loaded, "moon base sun camp stars", 3)
 
 
@@ -350,6 +460,38 @@ def test_load_every_truncation_is_a_format_error(tmp_path):
         path.write_bytes(data[:n])
         with pytest.raises(IndexFormatError):
             load_index(path)
+
+
+def test_load_refuses_bad_bm25_params(tmp_path):
+    path = tmp_path / "params.idx"
+    save_index(index_from_texts(["moon base"]), path)
+    data = path.read_bytes()
+    assert struct.unpack_from("<dd", data, 8) == (1.5, 0.75)  # k1, b after magic and version
+    for k1, b, field in ((-1.0, 0.75, "k1"), (1.5, 2.0, "b")):
+        path.write_bytes(data[:8] + struct.pack("<dd", k1, b) + data[24:])
+        with pytest.raises(IndexFormatError, match=f"corrupt index file: {field} must be"):
+            load_index(path)
+
+
+def test_load_refuses_an_index_without_chunks(tmp_path):
+    # A well-formed header and sections for zero chunks, terms, stopwords and postings:
+    # five string-table/postings offset columns of one u64 zero each.
+    path = tmp_path / "empty.idx"
+    header = struct.pack("<ddIIIQQQQQ", 1.5, 0.75, 0, 0, 0, 0, 0, 0, 0, 0)
+    path.write_bytes(b"ITKIDX1" + bytes([bm25.VERSION]) + header + bytes(5 * 8))
+    with pytest.raises(IndexFormatError, match="no chunks"):
+        load_index(path)
+
+
+def test_load_refuses_invalid_utf8(tmp_path):
+    path = tmp_path / "utf8.idx"
+    save_index(index_from_texts(["moon base", "base camp"]), path)
+    data = path.read_bytes()
+    assert data.count(b"camp") == 2  # the chunk texts and the terms
+    # One byte for one byte, so the character counts, and with them the offsets, still fit.
+    path.write_bytes(data.replace(b"camp", b"ca\xffp"))
+    with pytest.raises(IndexFormatError, match="not valid UTF-8"):
+        load_index(path)
 
 
 def test_load_duplicate_terms(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import signal
 import subprocess
@@ -10,6 +11,7 @@ import time
 import pytest
 
 from keyrag import cli
+from keyrag.bm25 import load_index
 from keyrag.cli import main, read_traces
 from keyrag.llm import HttpBackend, MockBackend
 
@@ -118,6 +120,31 @@ def test_run_iterative_with_mock(tmp_path, dataset_path, index_path, script_path
     assert len(trace.iterations) == 2
     assert trace.final_answer == "Eagle"
     assert trace.stop_reason == "validated_true"
+
+
+def test_run_header_records_the_sha256_of_the_loaded_index(tmp_path, dataset_path, index_path,
+                                                          script_path):
+    header, _ = read_traces(_run_traces(tmp_path, dataset_path, index_path, script_path))
+    digest = hashlib.sha256(index_path.read_bytes()).hexdigest()
+    assert header["config"]["index_sha256"] == load_index(index_path).sha256 == digest
+
+
+def test_run_opens_the_index_file_once(tmp_path, dataset_path, index_path, script_path):
+    code = (
+        "import os, sys\n"
+        "opened = []\n"
+        "sys.addaudithook(lambda event, args: event == 'open' and opened.append(args[0]))\n"
+        "from keyrag.cli import main\n"
+        "assert main(sys.argv[2:]) == 0\n"
+        "paths = [os.fsdecode(p) for p in opened if isinstance(p, (str, bytes))]\n"
+        "print(paths.count(sys.argv[1]))\n"
+    )
+    argv = ["run", "--dataset", str(dataset_path), "--index", str(index_path),
+            "--mock-script", str(script_path), "--out", str(tmp_path / "traces.jsonl")]
+    done = subprocess.run([sys.executable, "-c", code, str(index_path), *argv],
+                          env=keyrag_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1"]
 
 
 def test_run_vanilla_three_questions(tmp_path):
@@ -276,6 +303,8 @@ def test_run_ctrl_c_cancels_queued_questions_and_keeps_finished_ones(tmp_path):
              "--dataset", str(dataset), "--endpoint", server.url, "--model", "m",
              "--workers", "2", "--out", str(out)],
             env=keyrag_env(NO_PROXY="127.0.0.1"), stderr=subprocess.PIPE, text=True,
+            # A shell's background job ignores SIGINT, and its children inherit that.
+            preexec_fn=functools.partial(signal.signal, signal.SIGINT, signal.SIG_DFL),
         )
         try:
             deadline = time.monotonic() + 30
@@ -541,6 +570,21 @@ def test_eval_refuses_an_index_other_than_the_runs(tmp_path, dataset_path, corpu
     del header["config"]["index_sha256"]
     traces.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8")
     assert main(argv + ["--index", str(other)]) == 0
+
+
+def test_eval_index_that_fails_to_load_exits_1(capsys, tmp_path, dataset_path, index_path,
+                                               script_path):
+    traces = _run_traces(tmp_path, dataset_path, index_path, script_path)
+    v2 = tmp_path / "v2.idx"
+    v2.write_bytes(b"ITKIDX1" + bytes([2]) + b"\x00" * 40)
+    cut = tmp_path / "cut.idx"
+    cut.write_bytes(index_path.read_bytes()[:-1])
+    capsys.readouterr()
+    for bad, message in ((v2, "rebuild the index"), (cut, "truncated")):
+        code = main(["eval", "--traces", str(traces), "--dataset", str(dataset_path),
+                     "--index", str(bad)])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
 
 def test_eval_misaligned_dataset(tmp_path, dataset_path, index_path, script_path):
