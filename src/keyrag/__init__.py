@@ -1,83 +1,1 @@
 """BM25 retrieval-augmented QA with an LLM keyword-refinement loop."""
-
-from .bm25 import Bm25Params, Index, ScoredDoc, build_index, load_index, retrieve_top_k, save_index
-from .corpus import Chunk, Document, QaExample, chunk_corpus, chunk_document, load_corpus, load_qa
-from .llm import (
-    BinaryVerdict,
-    ChatMessage,
-    GenParams,
-    HttpBackend,
-    LlmBackend,
-    MockBackend,
-    forced_choice,
-)
-from .metrics import (
-    EvalResult,
-    delta_stats,
-    doc_contains_answer,
-    em_accuracy,
-    evaluate,
-    exact_match,
-    latency_report,
-    normalize_answer,
-    recall_at_k,
-    score_mode,
-)
-from .pipeline import (
-    IterationRecord,
-    RunConfig,
-    RunTrace,
-    StepBackends,
-    expand_query,
-    run_iterative,
-    run_rag_once,
-    run_vanilla,
-)
-from .prompts import parse_cot_verdict, parse_keyword_list, render
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Bm25Params",
-    "BinaryVerdict",
-    "ChatMessage",
-    "Chunk",
-    "Document",
-    "EvalResult",
-    "GenParams",
-    "HttpBackend",
-    "Index",
-    "IterationRecord",
-    "LlmBackend",
-    "MockBackend",
-    "QaExample",
-    "RunConfig",
-    "RunTrace",
-    "ScoredDoc",
-    "StepBackends",
-    "build_index",
-    "chunk_corpus",
-    "chunk_document",
-    "delta_stats",
-    "doc_contains_answer",
-    "em_accuracy",
-    "evaluate",
-    "exact_match",
-    "expand_query",
-    "forced_choice",
-    "latency_report",
-    "load_corpus",
-    "load_index",
-    "load_qa",
-    "normalize_answer",
-    "parse_cot_verdict",
-    "parse_keyword_list",
-    "recall_at_k",
-    "render",
-    "retrieve_top_k",
-    "run_iterative",
-    "run_rag_once",
-    "run_vanilla",
-    "save_index",
-    "score_mode",
-]

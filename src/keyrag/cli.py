@@ -189,6 +189,9 @@ def _strip_timings(trace: pipeline.RunTrace) -> None:
 
 def cmd_run(args) -> int:
     file_values = _load_config_file(args.config) if args.config else {}
+    workers = int(_merged(args.workers, file_values, "workers", default=4))
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
     examples = corpus.load_qa(args.dataset, limit=args.limit)
 
     index = None
@@ -197,7 +200,6 @@ def cmd_run(args) -> int:
             raise UsageError(f"--index is required for method {args.method!r}")
         index = bm25.load_index(args.index)
 
-    workers = int(_merged(args.workers, file_values, "workers", default=4))
     templates = load_templates(args.templates) if args.templates else None
     config = RunConfig(
         max_iterations=int(_merged(args.max_iterations, file_values, "max_iterations", default=5)),
@@ -366,7 +368,22 @@ def _align_refs(rows, examples) -> list[tuple[str, ...]]:
     return refs
 
 
+def _recall_ks(text: str | None) -> list[int]:
+    """The ks of --recall-ks: comma-separated integers >= 1."""
+    ks = []
+    for part in filter(str.strip, (text or "").split(",")):
+        try:
+            k = int(part)
+        except ValueError:
+            k = 0
+        if k < 1:
+            raise UsageError(f"--recall-ks takes integers >= 1, got {part.strip()!r}")
+        ks.append(k)
+    return ks
+
+
 def cmd_eval(args) -> int:
+    recall_ks = _recall_ks(args.recall_ks)
     header, rows = read_traces(args.traces)
     if not rows:
         print("error: no traces found", file=sys.stderr)
@@ -382,9 +399,6 @@ def cmd_eval(args) -> int:
     refs_list = _align_refs(rows, examples)
     traces = [trace for _, trace in rows]
 
-    recall_ks = []
-    if args.recall_ks:
-        recall_ks = [int(part) for part in args.recall_ks.split(",") if part.strip()]
     text_lookup = None
     if recall_ks:
         if index is None:

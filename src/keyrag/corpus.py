@@ -35,6 +35,17 @@ class QaExample:
     answers: tuple[str, ...]
 
 
+def _check_utf8(line_no: int, values) -> None:
+    """Refuse a lone surrogate (a JSON escape such as \\ud800): UTF-8 cannot hold it."""
+    for value in values:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CorpusFormatError(
+                f"line {line_no}: lone surrogate {value[exc.start]!r} is not valid text"
+            ) from None
+
+
 def load_corpus(path, limit: int | None = None) -> Iterator[Document]:
     """Stream documents from a JSONL file of {"id", "title", "text"} records."""
     seen: dict[str, int] = {}
@@ -60,6 +71,7 @@ def load_corpus(path, limit: int | None = None) -> Iterator[Document]:
                 raise CorpusFormatError(f"line {line_no}: missing or empty 'text'")
             if not isinstance(title, str):
                 raise CorpusFormatError(f"line {line_no}: non-string 'title'")
+            _check_utf8(line_no, (doc_id, title, text))
             if doc_id in seen:
                 raise CorpusFormatError(
                     f"line {line_no}: duplicate document id {doc_id!r}"
@@ -93,6 +105,7 @@ def load_qa(path, limit: int | None = None) -> list[QaExample]:
                 or not all(isinstance(a, str) for a in answers)
             ):
                 raise CorpusFormatError(f"line {line_no}: 'answers' must be a non-empty string list")
+            _check_utf8(line_no, [question, *answers])
             examples.append(QaExample(question=question, answers=tuple(answers)))
     return examples
 

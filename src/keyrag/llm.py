@@ -52,18 +52,6 @@ class ChatMessage:
 
 
 @dataclass(frozen=True)
-class GenParams:
-    max_tokens: int
-    temperature: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.max_tokens < 1:
-            raise ValueError(f"max_tokens must be positive, got {self.max_tokens}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-
-
-@dataclass(frozen=True)
 class BinaryVerdict:
     choice: bool
     p_true: float | None
@@ -75,16 +63,17 @@ class BinaryVerdict:
 class LlmBackend:
     """Interface shared by the live client and the mock."""
 
-    def complete(self, messages: list[ChatMessage], params: GenParams) -> str:
+    def complete(self, messages: list[ChatMessage], max_tokens: int) -> str:
+        """Greedy (temperature 0) generation of at most max_tokens tokens."""
         raise NotImplementedError
 
-    def complete_many(self, batch: list[list[ChatMessage]], params: GenParams) -> list[str]:
+    def complete_many(self, batch: list[list[ChatMessage]], max_tokens: int) -> list[str]:
         """complete() for each message list of a batch; replies in input order.
 
         Calls are made one after another, so a scripted backend sees them in
         batch order. Backends that can overlap independent calls override this.
         """
-        return [self.complete(messages, params) for messages in batch]
+        return [self.complete(messages, max_tokens) for messages in batch]
 
     def choice_probs(self, messages: list[ChatMessage]) -> tuple[float, float] | None:
         """(p_true, p_false) from a probability probe, or None if unsupported."""
@@ -97,23 +86,17 @@ class LlmBackend:
         """
 
 
-FORCED_OPTIONS = ("True", "False")
-
-
 def forced_choice(
     backend: LlmBackend,
     messages: list[ChatMessage],
-    options: tuple[str, str] = FORCED_OPTIONS,
-    params: GenParams | None = None,
+    max_tokens: int,
 ) -> BinaryVerdict:
     """Binary decision between "True" and "False".
 
     Probability probe first: the option with the higher probability wins, ties
-    going to False. Without probabilities, generate up to params.max_tokens and
-    scan the text; a text that contains neither word yields a flagged False.
+    going to False. Without probabilities, generate up to max_tokens and scan
+    the text; a text that contains neither word yields a flagged False.
     """
-    if tuple(options) != FORCED_OPTIONS:
-        raise ValueError(f"options are fixed to {FORCED_OPTIONS}")
     if not messages:
         raise ValueError("messages must not be empty")
     probs = backend.choice_probs(messages)
@@ -122,7 +105,7 @@ def forced_choice(
         return BinaryVerdict(
             choice=p_true > p_false, p_true=p_true, p_false=p_false, method="logprob"
         )
-    text = backend.complete(messages, params or GenParams(max_tokens=30))
+    text = backend.complete(messages, max_tokens)
     return verdict_from_text(text)
 
 
@@ -192,7 +175,6 @@ class MockBackend(LlmBackend):
         self._entries = list(entries)
         self._consumed = [False] * len(self._entries)
         self._lock = threading.Lock()
-        self.n_calls = 0
         self.calls: list[str] = []
 
     @classmethod
@@ -229,7 +211,7 @@ class MockBackend(LlmBackend):
             return ScriptError(f"mock script exhausted; prompt was: {prompt[:80]!r}")
         return ScriptError(f"no script entry matches prompt: {prompt[:80]!r}")
 
-    def complete(self, messages: list[ChatMessage], params: GenParams) -> str:
+    def complete(self, messages: list[ChatMessage], max_tokens: int) -> str:
         if not messages:
             raise ValueError("messages must not be empty")
         prompt = _user_text(messages)
@@ -238,7 +220,6 @@ class MockBackend(LlmBackend):
             if i is None:
                 raise self._no_match_error(prompt)
             self._consumed[i] = True
-            self.n_calls += 1
             self.calls.append(prompt)
             return self._entries[i].response
 
@@ -252,7 +233,6 @@ class MockBackend(LlmBackend):
             if not entry.has_probs:
                 return None  # left unconsumed for the text-fallback complete()
             self._consumed[i] = True
-            self.n_calls += 1
             self.calls.append(prompt)
             return (entry.p_true or 0.0, entry.p_false or 0.0)
 
@@ -283,7 +263,6 @@ class HttpBackend(LlmBackend):
         api_key: str | None = None,
         *,
         supports_logprobs: bool = True,
-        top_logprobs: int = 5,
         max_retries: int = 3,
         backoff: float = 0.5,
         timeout: float = 60.0,
@@ -306,7 +285,6 @@ class HttpBackend(LlmBackend):
         self.model = model
         self.api_key = api_key
         self.supports_logprobs = supports_logprobs
-        self.top_logprobs = max(5, top_logprobs)
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
@@ -402,7 +380,7 @@ class HttpBackend(LlmBackend):
         assert last_err is not None
         raise last_err
 
-    def complete_many(self, batch: list[list[ChatMessage]], params: GenParams) -> list[str]:
+    def complete_many(self, batch: list[list[ChatMessage]], max_tokens: int) -> list[str]:
         """All calls of the batch at once; replies in input order.
 
         The calling thread makes the first call itself, the backend's helper
@@ -410,10 +388,10 @@ class HttpBackend(LlmBackend):
         raises the error of the first failed call in batch order.
         """
         if len(batch) < 2:
-            return super().complete_many(batch, params)
-        futures = [self._pool.submit(self.complete, messages, params) for messages in batch[1:]]
+            return super().complete_many(batch, max_tokens)
+        futures = [self._pool.submit(self.complete, messages, max_tokens) for messages in batch[1:]]
         try:
-            first = self.complete(batch[0], params)
+            first = self.complete(batch[0], max_tokens)
         finally:
             wait(futures)
         return [first] + [future.result() for future in futures]
@@ -429,12 +407,12 @@ class HttpBackend(LlmBackend):
             "messages": [{"role": m.role, "content": m.content} for m in messages],
         }
 
-    def complete(self, messages: list[ChatMessage], params: GenParams) -> str:
+    def complete(self, messages: list[ChatMessage], max_tokens: int) -> str:
         if not messages:
             raise ValueError("messages must not be empty")
         payload = self._payload(messages)
-        payload["max_tokens"] = params.max_tokens
-        payload["temperature"] = params.temperature
+        payload["max_tokens"] = max_tokens
+        payload["temperature"] = 0.0
         data = self._post(payload)
         try:
             text = data["choices"][0]["message"]["content"]
@@ -451,7 +429,7 @@ class HttpBackend(LlmBackend):
         payload["max_tokens"] = 1
         payload["temperature"] = 0.0
         payload["logprobs"] = True
-        payload["top_logprobs"] = self.top_logprobs
+        payload["top_logprobs"] = 5
         data = self._post(payload)
         try:
             alts = data["choices"][0]["logprobs"]["content"][0]["top_logprobs"]

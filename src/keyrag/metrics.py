@@ -52,34 +52,22 @@ def exact_match(pred: str, refs: Sequence[str]) -> bool:
     return any(normalized == normalize_answer(ref) for ref in refs)
 
 
-def doc_contains_answer(chunk_text: str, refs: Sequence[str]) -> bool:
-    """True iff some normalized reference occurs in the normalized text on word boundaries."""
-    if not refs:
-        raise ValueError("refs must be non-empty")
-    return _contains(_haystack(chunk_text), _needles(refs))
-
-
-def _haystack(chunk_text: str) -> str:
-    return f" {normalize_answer(chunk_text)} "
-
-
-def _needles(refs: Sequence[str]) -> list[str]:
-    return [f" {needle} " for needle in map(normalize_answer, refs) if needle]
-
-
-def _contains(haystack: str, needles: list[str]) -> bool:
-    return any(needle in haystack for needle in needles)
-
-
 # --- recall ------------------------------------------------------------------
 
 
 def _hit_horizons(trace: RunTrace, refs, k: int, haystack) -> int | None:
-    """First 1-based iteration horizon at which a top-k doc contains an answer."""
-    needles = _needles(refs)
+    """First 1-based iteration horizon at which a top-k doc contains an answer.
+
+    A doc contains an answer when some normalized reference occurs in its
+    normalized text on word boundaries.
+    """
+    if not refs:
+        raise ValueError("refs must be non-empty")
+    needles = [f" {needle} " for needle in map(normalize_answer, refs) if needle]
     for h, rec in enumerate(trace.iterations, 1):
         for doc in rec.retrieved[:k]:
-            if _contains(haystack(doc.chunk_id), needles):
+            text = haystack(doc.chunk_id)
+            if any(needle in text for needle in needles):
                 return h
     return None
 
@@ -105,7 +93,7 @@ def recall_curve(
     def haystack(chunk_id: str) -> str:
         text = cache.get(chunk_id)
         if text is None:
-            text = cache[chunk_id] = _haystack(text_lookup(chunk_id))
+            text = cache[chunk_id] = f" {normalize_answer(text_lookup(chunk_id))} "
         return text
 
     firsts = [_hit_horizons(t, refs, k, haystack) for t, refs in zip(traces, refs_list)]
@@ -113,17 +101,6 @@ def recall_curve(
         sum(1 for first in firsts if first is not None and first <= h) / len(traces)
         for h in range(1, horizon + 1)
     ]
-
-
-def recall_at_k(
-    traces: Sequence[RunTrace],
-    refs_list: Sequence[Sequence[str]],
-    k: int,
-    text_lookup: Callable[[str], str],
-) -> float:
-    """Fraction of questions with an answer-bearing doc in any iteration's top-k."""
-    curve = recall_curve(traces, refs_list, k, text_lookup)
-    return curve[-1] if curve else 0.0
 
 
 # --- scoring modes -----------------------------------------------------------

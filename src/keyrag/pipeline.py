@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .bm25 import Index, ScoredDoc, retrieve_top_k
-from .llm import BinaryVerdict, GenParams, LlmBackend, forced_choice
+from .llm import BinaryVerdict, LlmBackend, forced_choice
 from .prompts import (
     KeywordParseError,
     PromptTemplate,
@@ -43,6 +43,11 @@ METHOD_ITERATIVE = "iterative"
 METHOD_RAG = "rag"
 METHOD_VANILLA = "vanilla"
 METHODS = (METHOD_VANILLA, METHOD_RAG, METHOD_ITERATIVE)
+
+# Generation budgets in tokens; every call is greedy (temperature 0).
+KEYWORD_MAX_TOKENS = 50
+ANSWER_MAX_TOKENS = 50
+VALIDATION_MAX_TOKENS = 30
 
 
 @dataclass
@@ -73,9 +78,6 @@ class RunConfig:
     # instead of only the current iteration's.
     accumulate_validation_docs: bool = False
     save_raw: bool = False
-    keyword_params: GenParams = field(default_factory=lambda: GenParams(max_tokens=50))
-    answer_params: GenParams = field(default_factory=lambda: GenParams(max_tokens=50))
-    validation_params: GenParams = field(default_factory=lambda: GenParams(max_tokens=30))
     templates: dict[str, PromptTemplate] | None = None
 
     def __post_init__(self) -> None:
@@ -163,7 +165,7 @@ def _keywords(question, prev_keywords, backends, config, flags, raws) -> list[st
         )
         step, failed_flag = "keyword_regeneration", "keyword_parse_failed_reused_previous"
     for attempt in (0, 1):
-        reply = backends.keyword_gen.complete(messages, config.keyword_params)
+        reply = backends.keyword_gen.complete(messages, KEYWORD_MAX_TOKENS)
         _record_raw(raws, step, messages, reply)
         try:
             return parse_keyword_list(reply)
@@ -191,7 +193,7 @@ def _keywords_regen_docwise(
         )
         for doc_text in prev_doc_texts
     ]
-    replies = backends.keyword_gen.complete_many(batch, config.keyword_params)
+    replies = backends.keyword_gen.complete_many(batch, KEYWORD_MAX_TOKENS)
     merged: list[str] = []
     for messages, reply in zip(batch, replies):
         _record_raw(raws, "keyword_regeneration_docwise", messages, reply)
@@ -210,11 +212,11 @@ def _validate(question, answer, doc_texts, backends, config, raws) -> BinaryVerd
     bindings = {"q": question, "a": answer, "Docs": format_documents(doc_texts)}
     if config.validation_mode == "cot":
         messages = render("step3_validate_cot", bindings, config.templates)
-        reply = backends.validate.complete(messages, config.validation_params)
+        reply = backends.validate.complete(messages, VALIDATION_MAX_TOKENS)
         _record_raw(raws, "answer_validation", messages, reply)
         return parse_cot_verdict(reply)
     messages = render("step3_validate", bindings, config.templates)
-    verdict = forced_choice(backends.validate, messages, params=config.validation_params)
+    verdict = forced_choice(backends.validate, messages, VALIDATION_MAX_TOKENS)
     _record_raw(raws, "answer_validation", messages, f"verdict={verdict.choice}")
     return verdict
 
@@ -282,7 +284,7 @@ def _run(
                 messages = render("step2_answer", bindings, config.templates)
             else:
                 messages = render("vanilla_answer", {"q": question}, config.templates)
-            answer = backends.answer_gen.complete(messages, config.answer_params).strip()
+            answer = backends.answer_gen.complete(messages, ANSWER_MAX_TOKENS).strip()
             _record_raw(raws, STEP_ANSWER, messages, answer)
 
         verdict = None
@@ -357,31 +359,6 @@ def run_iterative(
     max_iterations. The final answer is always the last iteration's answer.
     """
     return _run(METHOD_ITERATIVE, question, index, backends, config or RunConfig())
-
-
-def run_vanilla(
-    question: str,
-    backend: LlmBackend,
-    params: GenParams | None = None,
-    *,
-    save_raw: bool = False,
-    templates: dict[str, PromptTemplate] | None = None,
-) -> RunTrace:
-    """Answer with a single LLM call and no retrieval at all."""
-    config = RunConfig(
-        answer_params=params or GenParams(max_tokens=50), save_raw=save_raw, templates=templates
-    )
-    return _run(METHOD_VANILLA, question, None, StepBackends.shared(backend), config)
-
-
-def run_rag_once(
-    question: str,
-    index: Index,
-    backend: LlmBackend,
-    config: RunConfig | None = None,
-) -> RunTrace:
-    """Single retrieval with the raw question, one answer call, no validation."""
-    return _run(METHOD_RAG, question, index, StepBackends.shared(backend), config or RunConfig())
 
 
 # --- trace (de)serialization -------------------------------------------------

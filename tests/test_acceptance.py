@@ -12,15 +12,15 @@ import pytest
 from keyrag.bm25 import build_index, retrieve_top_k
 from keyrag.cli import main
 from keyrag.corpus import Document, chunk_corpus, chunk_document
-from keyrag.llm import ChatMessage, GenParams, HttpBackend, MockBackend, ScriptEntry, forced_choice
+from keyrag.llm import ChatMessage, HttpBackend, MockBackend, ScriptEntry, forced_choice
 from keyrag.metrics import (
     avg_iteration_count,
     delta_stats,
     exact_match,
-    recall_at_k,
+    recall_curve,
     score_mode,
 )
-from keyrag.pipeline import RunConfig, StepBackends, run_iterative, run_rag_once
+from keyrag.pipeline import RunConfig, StepBackends, run, run_iterative
 
 from . import helpers
 from .helpers import (
@@ -83,7 +83,7 @@ def test_acceptance_02_walkthrough_golden_trace():
         len(trace.iterations) == 2
         and trace.stop_reason == "validated_true"
         and trace.final_answer == "Eagle"
-        and mock.n_calls == 6
+        and len(mock.calls) == 6
         and trace.iterations[0].keywords == ["Moon landing", "Spacecraft", "First humans"]
         and trace.iterations[1].keywords == ["Apollo 11", "Lunar module name"]
     )
@@ -204,11 +204,11 @@ def test_acceptance_06_keyword_unlocks_recall():
         ScriptEntry("Is the following answer correct", p_true=0.9, p_false=0.1),
     ])
     trace = run_iterative(question, idx, StepBackends.shared(mock), RunConfig(top_k=3))
-    loop_recall = recall_at_k([trace], refs, 3, idx.text_of)
+    loop_recall = recall_curve([trace], refs, 3, idx.text_of)[-1]
 
     rag_mock = MockBackend([ScriptEntry("Here is a question", "no idea")])
-    rag_trace = run_rag_once(question, idx, rag_mock, RunConfig(top_k=3))
-    rag_recall = recall_at_k([rag_trace], refs, 3, idx.text_of)
+    rag_trace = run("rag", question, idx, StepBackends.shared(rag_mock), RunConfig(top_k=3))
+    rag_recall = recall_curve([rag_trace], refs, 3, idx.text_of)[-1]
 
     ok = ok and loop_recall == 1.0 and rag_recall == 0.0
     _report(6, "generated keyword lifts recall@3 to 1.0 where the raw query scores 0.0", ok)
@@ -260,7 +260,7 @@ def test_acceptance_08_call_count_and_avg_iterations():
     idx = index_from_texts(["moon landing eagle", "challenger shuttle", "unrelated text"])
     mock = MockBackend(_script_iterations(5, final_true=False))
     trace = run_iterative("moon landing?", idx, StepBackends.shared(mock))
-    ok = mock.n_calls == 15 and len(trace.iterations) == 5
+    ok = len(mock.calls) == 15 and len(trace.iterations) == 5
     ok = ok and trace.stop_reason == "budget_exhausted"
 
     traces = [trace]
@@ -369,7 +369,7 @@ def test_acceptance_10_wire_protocol_conformance(tmp_path):
         verdict = forced_choice(
             backend,
             [ChatMessage("system", "s"), ChatMessage("user", "Is it correct?")],
-            params=GenParams(max_tokens=30),
+            30,
         )
         ok = ok and verdict.method == "text-fallback" and verdict.choice is False
         ok = ok and server.requests[-1]["max_tokens"] == 30

@@ -101,6 +101,16 @@ def test_index_missing_corpus(tmp_path):
     assert code == 1
 
 
+def test_index_names_the_line_of_a_lone_surrogate(capsys, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a", "text": "fine"}\n{"id": "b", "text": "bad \\ud800"}\n',
+                      encoding="utf-8")
+    out = tmp_path / "x.idx"
+    assert main(["index", "--corpus", str(corpus), "--out", str(out)]) == 1
+    assert "line 2: lone surrogate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- run -----------------------------------------------------------------------
 
 
@@ -161,6 +171,41 @@ def test_run_vanilla_three_questions(tmp_path):
     assert all(trace.iterations[0].retrieved == [] for _, trace in rows)
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_run_refuses_workers_below_one_and_keeps_the_output_file(
+    capsys, tmp_path, dataset_path, index_path, script_path, monkeypatch, source
+):
+    out = tmp_path / "existing.jsonl"
+    out.write_bytes(b"earlier traces\n")
+    monkeypatch.setattr(cli, "_build_backends", lambda *args: pytest.fail("backend made"))
+    argv = ["run", "--dataset", str(dataset_path), "--index", str(index_path),
+            "--mock-script", str(script_path), "--out", str(out)]
+    if source == "flag":
+        argv += ["--workers", "0"]
+    else:
+        config = tmp_path / "keyrag.conf"
+        config.write_text("workers = -1\n", encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier traces\n"
+
+
+def test_run_refuses_a_lone_surrogate_question_and_keeps_the_output_file(
+    capsys, tmp_path, index_path, script_path
+):
+    dataset = tmp_path / "qa.jsonl"
+    dataset.write_text('{"question": "Q1?", "answers": ["a"]}\n'
+                       '{"question": "Q2 \\ud800?", "answers": ["a"]}\n', encoding="utf-8")
+    out = tmp_path / "existing.jsonl"
+    out.write_bytes(b"earlier traces\n")
+    code = main(["run", "--dataset", str(dataset), "--index", str(index_path),
+                 "--mock-script", str(script_path), "--out", str(out)])
+    assert code == 1
+    assert "line 2: lone surrogate" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier traces\n"
+
+
 def test_run_requires_index_for_rag(tmp_path, dataset_path, script_path):
     code = main(["run", "--dataset", str(dataset_path), "--method", "rag",
                  "--mock-script", str(script_path), "--out", str(tmp_path / "t.jsonl")])
@@ -208,13 +253,13 @@ class _AnswerFailsInIterationTwo(MockBackend):
 
     moon_answers = 0
 
-    def complete(self, messages, params):
+    def complete(self, messages, max_tokens):
         prompt = messages[-1].content
         if prompt.startswith("Here is a question") and "Moon" in prompt:
             self.moon_answers += 1
             if self.moon_answers == 2:
                 raise RuntimeError("answer step broke")
-        return super().complete(messages, params)
+        return super().complete(messages, max_tokens)
 
 
 def test_run_worker_exception_is_a_question_error(capsys, tmp_path, index_path, monkeypatch):
@@ -554,6 +599,20 @@ def test_eval_recall_requires_index(tmp_path, dataset_path, index_path, script_p
     code = main(["eval", "--traces", str(traces), "--dataset", str(dataset_path),
                  "--recall-ks", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("ks", ["1,-1,0", "0", "1,x", "2.5"])
+def test_eval_refuses_recall_ks_that_are_not_positive_integers(
+    capsys, tmp_path, dataset_path, index_path, script_path, ks
+):
+    traces = _run_traces(tmp_path, dataset_path, index_path, script_path)
+    capsys.readouterr()
+    code = main(["eval", "--traces", str(traces), "--dataset", str(dataset_path),
+                 "--recall-ks", ks, "--index", str(index_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--recall-ks takes integers >= 1" in captured.err
+    assert "recall@" not in captured.out
 
 
 def test_eval_refuses_an_index_other_than_the_runs(tmp_path, dataset_path, corpus_path,

@@ -89,6 +89,39 @@ def test_load_qa_requires_answers(tmp_path):
         load_qa(path)
 
 
+def test_load_corpus_lone_surrogate_cites_line(tmp_path):
+    # A JSON escape of half a surrogate pair decodes to a str that UTF-8 cannot hold.
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(
+        '{"id": "a", "title": "", "text": "fine"}\n'
+        '{"id": "b", "title": "", "text": "bad \\ud800 text"}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(CorpusFormatError, match=r"line 2: lone surrogate '\\ud800'"):
+        list(load_corpus(path))
+
+
+def test_load_corpus_keeps_escaped_surrogate_pairs(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "title": "\\ud83d\\ude00", "text": "x"}\n', encoding="utf-8")
+    assert next(load_corpus(path)).title == "\U0001F600"
+
+
+def test_load_qa_lone_surrogate_cites_line(tmp_path):
+    path = tmp_path / "qa.jsonl"
+    path.write_text(
+        '{"question": "Q1?", "answers": ["a"]}\n'
+        '{"question": "Q2?", "answers": ["a"]}\n'
+        '{"question": "Q3 \\udfff?", "answers": ["a"]}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(CorpusFormatError, match="line 3: lone surrogate"):
+        load_qa(path)
+    path.write_text('{"question": "Q1?", "answers": ["a", "\\ud800"]}\n', encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="line 1: lone surrogate"):
+        load_qa(path)
+
+
 # --- chunking -----------------------------------------------------------------
 
 

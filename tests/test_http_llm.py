@@ -10,7 +10,6 @@ import pytest
 from keyrag.llm import (
     BackendError,
     ChatMessage,
-    GenParams,
     HttpBackend,
     LlmError,
     TransportError,
@@ -55,9 +54,10 @@ def _backend(server, **kwargs) -> HttpBackend:
 def test_complete_request_shape_and_response():
     with StubLlmServer() as server:
         backend = _backend(server)
-        text = backend.complete(_msgs("ping"), GenParams(max_tokens=50, temperature=0.0))
+        text = backend.complete(_msgs("ping"), 50)
         assert text == "ok"
         payload = server.requests[0]
+        assert list(payload) == ["model", "messages", "max_tokens", "temperature"]
         assert payload["model"] == "test-model"
         assert payload["messages"] == [
             {"role": "system", "content": "sys"},
@@ -70,14 +70,14 @@ def test_complete_request_shape_and_response():
 
 def test_complete_strips_trailing_whitespace_only():
     with StubLlmServer(lambda p, i: {"status": 200, "body": completion_body("  Eagle \n")}) as server:
-        assert _backend(server).complete(_msgs(), GenParams(max_tokens=10)) == "  Eagle"
+        assert _backend(server).complete(_msgs(), 10) == "  Eagle"
 
 
 def test_sequential_calls_reuse_one_kept_alive_connection():
     with StubLlmServer() as server:
         backend = _backend(server)  # max_in_flight=4
         for _ in range(5):
-            backend.complete(_msgs(), GenParams(max_tokens=10))
+            backend.complete(_msgs(), 10)
         backend.close()
     assert len(server.client_ports) == 5
     assert len(set(server.client_ports)) == 1
@@ -86,7 +86,7 @@ def test_sequential_calls_reuse_one_kept_alive_connection():
 def test_2xx_is_never_retried():
     with StubLlmServer() as server:
         backend = _backend(server)
-        backend.complete(_msgs(), GenParams(max_tokens=10))
+        backend.complete(_msgs(), 10)
         assert len(server.requests) == 1
 
 
@@ -98,7 +98,7 @@ def test_5xx_retried_then_succeeds():
 
     with StubLlmServer(respond) as server:
         backend = _backend(server)
-        assert backend.complete(_msgs(), GenParams(max_tokens=10)) == "recovered"
+        assert backend.complete(_msgs(), 10) == "recovered"
         assert len(server.requests) == 2
 
 
@@ -106,7 +106,7 @@ def test_5xx_exhausts_retries():
     with StubLlmServer(lambda p, i: {"status": 503, "body": "down"}) as server:
         backend = _backend(server, max_retries=2)
         with pytest.raises(BackendError, match="503"):
-            backend.complete(_msgs(), GenParams(max_tokens=10))
+            backend.complete(_msgs(), 10)
         assert len(server.requests) == 3  # initial call + 2 retries
 
 
@@ -114,20 +114,20 @@ def test_4xx_not_retried_and_reports_body():
     with StubLlmServer(lambda p, i: {"status": 404, "body": "no such model"}) as server:
         backend = _backend(server)
         with pytest.raises(BackendError, match="404.*no such model"):
-            backend.complete(_msgs(), GenParams(max_tokens=10))
+            backend.complete(_msgs(), 10)
         assert len(server.requests) == 1
 
 
 def test_unreachable_endpoint_transport_error():
     backend = HttpBackend("http://127.0.0.1:9/v1", "m", backoff=0.01, max_retries=1, timeout=0.2)
     with pytest.raises(TransportError):
-        backend.complete(_msgs(), GenParams(max_tokens=10))
+        backend.complete(_msgs(), 10)
 
 
 def test_empty_messages_rejected():
     backend = HttpBackend("http://127.0.0.1:9/v1", "m")
     with pytest.raises(ValueError):
-        backend.complete([], GenParams(max_tokens=10))
+        backend.complete([], 10)
 
 
 # --- forced choice over the wire ------------------------------------------------
@@ -138,21 +138,25 @@ def test_forced_choice_logprob_probe():
         lambda p, i: {"status": 200, "body": logprob_body([("True", 0.7), ("False", 0.3)])}
     ) as server:
         backend = _backend(server)
-        verdict = forced_choice(backend, _msgs("Is it correct?"))
+        verdict = forced_choice(backend, _msgs("Is it correct?"), 30)
         assert verdict.choice is True
         assert verdict.method == "logprob"
         assert verdict.p_true == pytest.approx(0.7, rel=1e-9)
         assert verdict.p_false == pytest.approx(0.3, rel=1e-9)
         payload = server.requests[0]
         assert payload["logprobs"] is True
-        assert payload["top_logprobs"] >= 5
+        assert list(payload) == [
+            "model", "messages", "max_tokens", "temperature", "logprobs", "top_logprobs"
+        ]
+        assert payload["top_logprobs"] == 5
         assert payload["max_tokens"] == 1
+        assert payload["temperature"] == 0.0
 
 
 def test_forced_choice_probe_matches_tokens_loosely():
     body = logprob_body([(" false", 0.8), ("True", 0.2)])
     with StubLlmServer(lambda p, i: {"status": 200, "body": body}) as server:
-        verdict = forced_choice(_backend(server), _msgs())
+        verdict = forced_choice(_backend(server), _msgs(), 30)
         assert verdict.choice is False
 
 
@@ -164,7 +168,7 @@ def test_forced_choice_text_fallback_when_no_logprobs():
 
     with StubLlmServer(respond) as server:
         backend = _backend(server)
-        verdict = forced_choice(backend, _msgs(), params=GenParams(max_tokens=30))
+        verdict = forced_choice(backend, _msgs(), 30)
         assert verdict.choice is False
         assert verdict.method == "text-fallback"
         # probe first, then the generation request with the validation budget
@@ -176,7 +180,7 @@ def test_forced_choice_text_fallback_when_no_logprobs():
 def test_forced_choice_skips_probe_when_disabled():
     with StubLlmServer(lambda p, i: {"status": 200, "body": completion_body("True")}) as server:
         backend = _backend(server, supports_logprobs=False)
-        verdict = forced_choice(backend, _msgs())
+        verdict = forced_choice(backend, _msgs(), 30)
         assert verdict.choice is True
         assert verdict.method == "text-fallback"
         assert len(server.requests) == 1
@@ -186,7 +190,7 @@ def test_forced_choice_skips_probe_when_disabled():
 def test_malformed_completion_body_raises_backend_error():
     with StubLlmServer(lambda p, i: {"status": 200, "body": {"choices": []}}) as server:
         with pytest.raises(BackendError, match="malformed"):
-            _backend(server).complete(_msgs(), GenParams(max_tokens=10))
+            _backend(server).complete(_msgs(), 10)
 
 
 # --- transport errors, 429 -------------------------------------------------------
@@ -205,7 +209,7 @@ def test_broken_response_is_a_retried_transport_error(reply, delay, error):
     with FaultServer(reply, delay) as server:
         backend = _backend(server, backoff=0.0, max_retries=2, timeout=0.2)
         with pytest.raises(TransportError, match=error):
-            backend.complete(_msgs(), GenParams(max_tokens=10))
+            backend.complete(_msgs(), 10)
         assert len(server.requests) == 3  # initial call + 2 retries
 
 
@@ -215,7 +219,7 @@ def test_idle_connection_closed_by_the_server_is_replaced_not_retried():
     with FaultServer(http_response(completion_body("ok"))) as server:
         backend = _backend(server, max_retries=0, max_in_flight=1)
         for _ in range(5):
-            assert backend.complete(_msgs(), GenParams(max_tokens=10)) == "ok"
+            assert backend.complete(_msgs(), 10) == "ok"
             time.sleep(0.05)  # idle: the server's close arrives
         assert len(server.requests) == 5
 
@@ -225,9 +229,9 @@ def test_no_requests_package_needed():
         code = (
             "import sys\n"
             "sys.modules['requests'] = None  # any import of requests fails\n"
-            "from keyrag.llm import ChatMessage, GenParams, HttpBackend\n"
+            "from keyrag.llm import ChatMessage, HttpBackend\n"
             f"backend = HttpBackend({server.url!r}, 'm')\n"
-            "print(backend.complete([ChatMessage('user', 'hi')], GenParams(max_tokens=5)))\n"
+            "print(backend.complete([ChatMessage('user', 'hi')], 5))\n"
         )
         done = subprocess.run([sys.executable, "-c", code], env=keyrag_env(NO_PROXY="127.0.0.1"),
                               capture_output=True, text=True, timeout=60)
@@ -246,7 +250,7 @@ def test_429_waits_for_retry_after_then_succeeds():
         # The backoff would wait 15-30 s: Retry-After: 0 must replace it.
         backend = _backend(server, backoff=30.0)
         t0 = time.monotonic()
-        assert backend.complete(_msgs(), GenParams(max_tokens=10)) == "recovered"
+        assert backend.complete(_msgs(), 10) == "recovered"
         assert time.monotonic() - t0 < 10.0
         assert len(server.requests) == 2
 
@@ -259,7 +263,7 @@ def test_429_without_delta_seconds_uses_backoff(headers):
         return {"status": 200, "body": completion_body("recovered")}
 
     with StubLlmServer(respond) as server:
-        assert _backend(server).complete(_msgs(), GenParams(max_tokens=10)) == "recovered"
+        assert _backend(server).complete(_msgs(), 10) == "recovered"
         assert len(server.requests) == 2
 
 
@@ -268,7 +272,7 @@ def test_429_forever_exhausts_retries():
     with StubLlmServer(lambda p, i: reply) as server:
         backend = _backend(server, max_retries=2)
         with pytest.raises(BackendError, match="429") as info:
-            backend.complete(_msgs(), GenParams(max_tokens=10))
+            backend.complete(_msgs(), 10)
         assert info.value.status == 429
         assert len(server.requests) == 3  # initial call + 2 retries
 
@@ -306,7 +310,7 @@ def test_complete_many_overlaps_calls_and_keeps_input_order():
     with StubLlmServer(respond) as server:
         backend = _backend(server)
         batch = [_msgs(f"doc {j}") for j in range(4)]
-        replies = backend.complete_many(batch, GenParams(max_tokens=10))
+        replies = backend.complete_many(batch, 10)
     assert replies == [f"reply to doc {j}" for j in range(4)]
     assert seen.peak == 4
 
@@ -321,7 +325,7 @@ def test_connection_pool_bounds_requests_in_flight():
 
     with StubLlmServer(respond) as server:
         backend = _backend(server, max_in_flight=2)
-        replies = backend.complete_many([_msgs()] * 6, GenParams(max_tokens=10))
+        replies = backend.complete_many([_msgs()] * 6, 10)
     assert replies == ["ok"] * 6
     assert seen.peak == 2
 
@@ -339,7 +343,7 @@ def test_complete_many_raises_first_error_in_input_order():
     with StubLlmServer(respond) as server:
         backend = _backend(server)
         with pytest.raises(BackendError, match="bad doc 1"):
-            backend.complete_many([_msgs(f"doc {j}") for j in range(4)], GenParams(max_tokens=10))
+            backend.complete_many([_msgs(f"doc {j}") for j in range(4)], 10)
         assert len(server.requests) == 4
 
 
@@ -349,13 +353,13 @@ def test_complete_many_reuses_its_helper_threads_and_close_stops_them():
         callers: list[threading.Thread] = []
         complete = backend.complete
 
-        def recording_complete(messages, params):
+        def recording_complete(messages, max_tokens):
             callers.append(threading.current_thread())
-            return complete(messages, params)
+            return complete(messages, max_tokens)
 
         backend.complete = recording_complete
         for _ in range(10):
-            assert backend.complete_many([_msgs()] * 3, GenParams(max_tokens=10)) == ["ok"] * 3
+            assert backend.complete_many([_msgs()] * 3, 10) == ["ok"] * 3
         helpers = {t for t in callers if t is not threading.current_thread()}
         # 10 batches make 20 calls off the calling thread; a thread per call would be 20.
         assert 2 <= len(helpers) <= 4
@@ -370,7 +374,7 @@ def test_proxy_from_the_environment_is_used(monkeypatch):
         monkeypatch.setenv("HTTP_PROXY", proxy.url.removesuffix("/v1"))
         # Nothing listens on port 9: the reply can only come through the proxy.
         backend = HttpBackend("http://127.0.0.1:9/v1", "m", backoff=0.0)
-        assert backend.complete(_msgs(), GenParams(max_tokens=10)) == "ok"
+        assert backend.complete(_msgs(), 10) == "ok"
         assert len(proxy.requests) == 1
 
 
@@ -398,7 +402,7 @@ def test_proxy_gets_the_request_target_and_credentials(no_proxy_env, endpoint, r
         no_proxy_env.setenv("ALL_PROXY", f"http://user:p%20w@{address}")
         backend = HttpBackend(endpoint, "m", max_retries=0)
         with pytest.raises(LlmError):
-            backend.complete(_msgs(), GenParams(max_tokens=10))
+            backend.complete(_msgs(), 10)
     head = proxy.requests[0].split(b"\r\n")
     assert head[0].startswith(request_line)
     assert b"Proxy-Authorization: Basic dXNlcjpwIHc=" in head  # base64 of "user:p w"
@@ -408,7 +412,7 @@ def test_endpoint_query_string_stays_after_the_chat_completions_path(no_proxy_en
     with StubLlmServer() as server:
         endpoint = server.url.removesuffix("/v1") + "/openai/deployments/d?api-version=2024-02-01"
         backend = HttpBackend(endpoint, "m", max_retries=0)
-        assert backend.complete(_msgs(), GenParams(max_tokens=10)) == "ok"
+        assert backend.complete(_msgs(), 10) == "ok"
     assert backend.url == server.url.removesuffix("/v1") + (
         "/openai/deployments/d/chat/completions?api-version=2024-02-01"
     )
@@ -419,7 +423,7 @@ def test_no_proxy_from_the_environment_is_honoured(no_proxy_env):
     no_proxy_env.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens there
     no_proxy_env.setenv("NO_PROXY", "localhost,127.0.0.1")
     with StubLlmServer() as server:
-        assert _backend(server, max_retries=0).complete(_msgs(), GenParams(max_tokens=10)) == "ok"
+        assert _backend(server, max_retries=0).complete(_msgs(), 10) == "ok"
         assert len(server.requests) == 1
 
 

@@ -7,7 +7,6 @@ import pytest
 from keyrag.llm import (
     BinaryVerdict,
     ChatMessage,
-    GenParams,
     MockBackend,
     ScriptEntry,
     ScriptError,
@@ -20,10 +19,7 @@ def _msgs(user: str) -> list[ChatMessage]:
     return [ChatMessage("system", "sys"), ChatMessage("user", user)]
 
 
-PARAMS = GenParams(max_tokens=30)
-
-
-# --- message / params validation ---------------------------------------------
+# --- message validation ---------------------------------------------
 
 
 def test_chat_message_requires_content():
@@ -36,13 +32,6 @@ def test_chat_message_role_restricted():
         ChatMessage("assistant", "hi")
 
 
-def test_gen_params_validation():
-    with pytest.raises(ValueError):
-        GenParams(max_tokens=0)
-    with pytest.raises(ValueError):
-        GenParams(max_tokens=10, temperature=-1)
-
-
 # --- mock ----------------------------------------------------------------------
 
 
@@ -51,27 +40,27 @@ def test_mock_first_match_consumed_in_order():
         ScriptEntry("Generate a list", '["Moon landing"]'),
         ScriptEntry("Generate a list", '["Second call"]'),
     ])
-    assert mock.complete(_msgs("Generate a list of keywords"), PARAMS) == '["Moon landing"]'
-    assert mock.complete(_msgs("Generate a list of keywords"), PARAMS) == '["Second call"]'
+    assert mock.complete(_msgs("Generate a list of keywords"), 30) == '["Moon landing"]'
+    assert mock.complete(_msgs("Generate a list of keywords"), 30) == '["Second call"]'
 
 
 def test_mock_exhaustion_error():
     mock = MockBackend([ScriptEntry("Generate a list", "x")])
-    mock.complete(_msgs("Generate a list"), PARAMS)
+    mock.complete(_msgs("Generate a list"), 30)
     with pytest.raises(ScriptError, match="exhausted"):
-        mock.complete(_msgs("Generate a list"), PARAMS)
+        mock.complete(_msgs("Generate a list"), 30)
 
 
 def test_mock_no_match_names_prompt():
     mock = MockBackend([ScriptEntry("something else", "x")])
     with pytest.raises(ScriptError, match="some unmatched prompt"):
-        mock.complete(_msgs("some unmatched prompt text"), PARAMS)
+        mock.complete(_msgs("some unmatched prompt text"), 30)
 
 
 def test_mock_empty_messages_rejected():
     mock = MockBackend([ScriptEntry("", "x")])
     with pytest.raises(ValueError):
-        mock.complete([], PARAMS)
+        mock.complete([], 30)
 
 
 def test_mock_determinism():
@@ -84,9 +73,9 @@ def test_mock_determinism():
     for _ in range(2):
         mock = MockBackend(script)
         outputs.append([
-            mock.complete(_msgs("alpha prompt"), PARAMS),
-            mock.complete(_msgs("beta prompt"), PARAMS),
-            mock.complete(_msgs("alpha prompt"), PARAMS),
+            mock.complete(_msgs("alpha prompt"), 30),
+            mock.complete(_msgs("beta prompt"), 30),
+            mock.complete(_msgs("alpha prompt"), 30),
         ])
     assert outputs[0] == outputs[1] == ["one", "two", "three"]
 
@@ -99,7 +88,7 @@ def test_mock_thread_safety_total_consumption():
 
     def worker():
         for _ in range(10):
-            out = mock.complete(_msgs("go now"), PARAMS)
+            out = mock.complete(_msgs("go now"), 30)
             with lock:
                 results.append(out)
 
@@ -109,7 +98,7 @@ def test_mock_thread_safety_total_consumption():
     for t in threads:
         t.join()
     assert sorted(results) == sorted(f"r{i}" for i in range(50))
-    assert mock.n_calls == 50
+    assert len(mock.calls) == 50
 
 
 def test_mock_script_file_round_trip(tmp_path):
@@ -120,8 +109,8 @@ def test_mock_script_file_round_trip(tmp_path):
         encoding="utf-8",
     )
     mock = MockBackend.from_script_file(path)
-    assert mock.complete(_msgs("give me keywords"), PARAMS) == '["a"]'
-    verdict = forced_choice(mock, _msgs("is it correct?"))
+    assert mock.complete(_msgs("give me keywords"), 30) == '["a"]'
+    verdict = forced_choice(mock, _msgs("is it correct?"), 30)
     assert verdict.choice is True and verdict.method == "logprob"
 
 
@@ -130,18 +119,18 @@ def test_mock_script_file_round_trip(tmp_path):
 
 def test_forced_choice_logprob_argmax():
     mock = MockBackend([ScriptEntry("correct", p_true=0.7, p_false=0.3)])
-    verdict = forced_choice(mock, _msgs("is it correct?"))
+    verdict = forced_choice(mock, _msgs("is it correct?"), 30)
     assert verdict == BinaryVerdict(True, 0.7, 0.3, "logprob")
 
 
 def test_forced_choice_tie_goes_false():
     mock = MockBackend([ScriptEntry("correct", p_true=0.5, p_false=0.5)])
-    assert forced_choice(mock, _msgs("is it correct?")).choice is False
+    assert forced_choice(mock, _msgs("is it correct?"), 30).choice is False
 
 
 def test_forced_choice_text_fallback():
     mock = MockBackend([ScriptEntry("correct", " False.")])
-    verdict = forced_choice(mock, _msgs("is it correct?"))
+    verdict = forced_choice(mock, _msgs("is it correct?"), 30)
     assert verdict.choice is False
     assert verdict.method == "text-fallback"
     assert not verdict.flagged
@@ -149,7 +138,7 @@ def test_forced_choice_text_fallback():
 
 def test_forced_choice_unparseable_text_flags_false():
     mock = MockBackend([ScriptEntry("correct", "I cannot say")])
-    verdict = forced_choice(mock, _msgs("is it correct?"))
+    verdict = forced_choice(mock, _msgs("is it correct?"), 30)
     assert verdict.choice is False
     assert verdict.method == "text-fallback"
     assert verdict.flagged
@@ -157,23 +146,17 @@ def test_forced_choice_unparseable_text_flags_false():
 
 def test_forced_choice_counts_one_call_either_path():
     probed = MockBackend([ScriptEntry("correct", p_true=0.9, p_false=0.1)])
-    forced_choice(probed, _msgs("is it correct?"))
-    assert probed.n_calls == 1
+    forced_choice(probed, _msgs("is it correct?"), 30)
+    assert len(probed.calls) == 1
     texty = MockBackend([ScriptEntry("correct", "True")])
-    forced_choice(texty, _msgs("is it correct?"))
-    assert texty.n_calls == 1
-
-
-def test_forced_choice_options_fixed():
-    mock = MockBackend([ScriptEntry("correct", "True")])
-    with pytest.raises(ValueError):
-        forced_choice(mock, _msgs("is it correct?"), options=("Yes", "No"))
+    forced_choice(texty, _msgs("is it correct?"), 30)
+    assert len(texty.calls) == 1
 
 
 def test_forced_choice_empty_messages():
     mock = MockBackend([ScriptEntry("", "True")])
     with pytest.raises(ValueError):
-        forced_choice(mock, [])
+        forced_choice(mock, [], 30)
 
 
 def test_forced_choice_probe_symmetric():
@@ -181,7 +164,7 @@ def test_forced_choice_probe_symmetric():
     # the verdict depends only on the (p_true, p_false) pair.
     for p_true, p_false, expected in [(0.9, 0.1, True), (0.1, 0.9, False)]:
         mock = MockBackend([ScriptEntry("correct", p_true=p_true, p_false=p_false)])
-        verdict = forced_choice(mock, _msgs("is it correct?"))
+        verdict = forced_choice(mock, _msgs("is it correct?"), 30)
         assert verdict.choice is expected
         assert verdict.p_true == p_true and verdict.p_false == p_false
 

@@ -9,13 +9,11 @@ from keyrag.llm import BinaryVerdict
 from keyrag.metrics import (
     avg_iteration_count,
     delta_stats,
-    doc_contains_answer,
     em_accuracy,
     evaluate,
     exact_match,
     latency_report,
     normalize_answer,
-    recall_at_k,
     recall_curve,
     score_mode,
 )
@@ -133,22 +131,28 @@ def test_exact_match_invariant_under_prenormalization():
 # --- containment --------------------------------------------------------------------
 
 
+def _doc_hit(text: str, refs) -> bool:
+    """Whether recall counts a one-document trace as a hit: refs occur in text."""
+    trace = _trace([("a", False, (), ("d",))])
+    return recall_curve([trace], [refs], 1, {"d": text}.__getitem__) == [1.0]
+
+
 def test_doc_contains_answer_substring():
-    assert doc_contains_answer("…the lunar module Eagle landed…", ["Eagle"]) is True
+    assert _doc_hit("…the lunar module Eagle landed…", ["Eagle"]) is True
 
 
 def test_doc_contains_answer_word_boundaries():
-    assert doc_contains_answer("we attended a party", ["art"]) is False
-    assert doc_contains_answer("modern art gallery", ["art"]) is True
+    assert _doc_hit("we attended a party", ["art"]) is False
+    assert _doc_hit("modern art gallery", ["art"]) is True
 
 
 def test_doc_contains_answer_multiword():
-    assert doc_contains_answer("stops at Newark Penn Station daily", ["Newark Penn Station"]) is True
+    assert _doc_hit("stops at Newark Penn Station daily", ["Newark Penn Station"]) is True
 
 
 def test_doc_contains_answer_requires_refs():
     with pytest.raises(ValueError):
-        doc_contains_answer("text", [])
+        _doc_hit("text", [])
 
 
 # --- recall --------------------------------------------------------------------------
@@ -170,21 +174,21 @@ def test_recall_union_over_iterations():
     ])
     refs = [["Eagle"]]
     assert recall_curve([trace], refs, 3, texts.__getitem__) == [0.0, 1.0]
-    assert recall_at_k([trace], refs, 3, texts.__getitem__) == 1.0
+    assert recall_curve([trace], refs, 3, texts.__getitem__)[-1] == 1.0
 
 
 def test_recall_all_misses():
     texts = _texts()
     trace = _trace([("a", False, (), ("miss1",)), ("b", False, (), ("miss2",))])
-    assert recall_at_k([trace], [["Eagle"]], 3, texts.__getitem__) == 0.0
+    assert recall_curve([trace], [["Eagle"]], 3, texts.__getitem__)[-1] == 0.0
 
 
 def test_recall_monotone_in_k():
     texts = _texts()
     trace = _trace([("a", False, (), ("miss1", "miss2", "hit"))])
     refs = [["Eagle"]]
-    r1 = recall_at_k([trace], refs, 1, texts.__getitem__)
-    r3 = recall_at_k([trace], refs, 3, texts.__getitem__)
+    r1 = recall_curve([trace], refs, 1, texts.__getitem__)[-1]
+    r3 = recall_curve([trace], refs, 3, texts.__getitem__)[-1]
     assert r1 <= r3
     assert (r1, r3) == (0.0, 1.0)
 
@@ -408,7 +412,7 @@ def test_evaluate_with_recall():
 
 
 def test_evaluate_recall_ks_1_3_5_report_unchanged():
-    # Reference: the recall report computed doc by doc with doc_contains_answer,
+    # Reference: the recall report computed doc by doc with _doc_hit,
     # for each k, iteration and question, as evaluate did before it cached texts.
     rng = random.Random(5)
     texts = {f"d{i}": rng.choice(["the Eagle landed", "nothing here", "Apollo, the 11th!",
@@ -423,7 +427,7 @@ def test_evaluate_recall_ks_1_3_5_report_unchanged():
     def reference_curve(k):
         horizon = max(len(t.iterations) for t in traces)
         firsts = [next((h for h, rec in enumerate(t.iterations, 1)
-                        if any(doc_contains_answer(texts[d.chunk_id], r) for d in rec.retrieved[:k])),
+                        if any(_doc_hit(texts[d.chunk_id], r) for d in rec.retrieved[:k])),
                        None) for t, r in zip(traces, refs)]
         return [sum(f is not None and f <= h for f in firsts) / len(traces)
                 for h in range(1, horizon + 1)]

@@ -14,7 +14,6 @@ from keyrag.bm25 import ScoredDoc, build_index, retrieve_top_k
 from keyrag.corpus import chunk_corpus
 from keyrag.llm import (
     BinaryVerdict,
-    GenParams,
     HttpBackend,
     MockBackend,
     ScriptEntry,
@@ -30,13 +29,18 @@ from keyrag.pipeline import (
     expand_query,
     run,
     run_iterative,
-    run_rag_once,
-    run_vanilla,
     trace_from_dict,
     trace_to_dict,
 )
 
-from .helpers import MOON_DOCS, MOON_QUESTION, walkthrough_script, index_from_texts
+from .helpers import (
+    MOON_DOCS,
+    MOON_QUESTION,
+    StubLlmServer,
+    completion_body,
+    index_from_texts,
+    walkthrough_script,
+)
 
 
 @pytest.fixture()
@@ -83,7 +87,7 @@ def test_two_round_walkthrough(moon_index):
     assert len(trace.iterations) == 2
     assert trace.stop_reason == STOP_VALIDATED
     assert trace.final_answer == "Eagle"
-    assert mock.n_calls == 6
+    assert len(mock.calls) == 6
     assert trace.iterations[0].keywords == ["Moon landing", "Spacecraft", "First humans"]
     assert trace.iterations[0].answer == "Space Shuttle Challenger"
     assert trace.iterations[0].verdict.choice is False
@@ -97,7 +101,7 @@ def test_budget_exhausted_runs_n_iterations(moon_index):
     assert len(trace.iterations) == 5
     assert trace.stop_reason == STOP_BUDGET
     assert trace.final_answer == "answer 4"
-    assert mock.n_calls == 15  # 3 calls per iteration
+    assert len(mock.calls) == 15  # 3 calls per iteration
 
 
 def test_immediate_true_single_iteration(moon_index):
@@ -108,7 +112,7 @@ def test_immediate_true_single_iteration(moon_index):
     ])
     trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock))
     assert len(trace.iterations) == 1
-    assert mock.n_calls == 3
+    assert len(mock.calls) == 3
     assert trace.stop_reason == STOP_VALIDATED
 
 
@@ -143,7 +147,7 @@ def test_keyword_parse_retry_then_empty(moon_index):
     assert rec.keywords == []
     assert rec.expanded_query == MOON_QUESTION
     assert "keyword_parse_failed" in rec.flags
-    assert mock.n_calls == 4  # one extra call for the retry
+    assert len(mock.calls) == 4  # one extra call for the retry
 
 
 def test_regen_parse_failure_reuses_previous(moon_index):
@@ -220,7 +224,7 @@ def test_early_exit_implies_true_at_final_record(moon_index):
 
 def test_pipeline_never_sees_reference_answers():
     # Isolation by construction: no run entry point accepts gold answers.
-    for fn in (run_iterative, run_vanilla, run_rag_once):
+    for fn in (run, run_iterative):
         names = set(inspect.signature(fn).parameters)
         assert not names & {"refs", "answers", "gold", "references"}
 
@@ -265,7 +269,7 @@ def test_docwise_one_render_per_document():
     trace = run_iterative("what landed on the moon?", idx, StepBackends.shared(mock), config)
     assert len(trace.iterations) == 2
     # iteration 0: 3 calls; iteration 1: 3 docwise keyword calls + answer + validation
-    assert mock.n_calls == 8
+    assert len(mock.calls) == 8
     assert trace.iterations[1].keywords == ["a", "b", "c"]
 
 
@@ -298,7 +302,7 @@ class _DocwiseModel(HttpBackend):
         self.order = order
         self.on_docwise = on_docwise
 
-    def complete(self, messages, params):
+    def complete(self, messages, max_tokens):
         user = messages[-1].content
         if "Please refine the keyword selection" in user:
             doc = re.search(r"\bdoc_(\w+)", user).group(1)
@@ -373,9 +377,10 @@ def test_docwise_failed_call_raises_after_its_siblings_return():
 
 def test_vanilla_single_call_no_retrieval():
     mock = MockBackend([ScriptEntry("Here is a question", "Paris")])
-    trace = run_vanilla("What is the capital of France?", mock)
+    question = "What is the capital of France?"
+    trace = run("vanilla", question, None, StepBackends.shared(mock), RunConfig())
     assert trace.final_answer == "Paris"
-    assert mock.n_calls == 1
+    assert len(mock.calls) == 1
     assert trace.method == "vanilla"
     rec = trace.iterations[0]
     assert rec.retrieved == []
@@ -387,9 +392,9 @@ def test_vanilla_single_call_no_retrieval():
 
 def test_rag_once_single_retrieval_single_call(moon_index):
     mock = MockBackend([ScriptEntry("Here is a question", "Eagle")])
-    trace = run_rag_once(MOON_QUESTION, moon_index, mock)
+    trace = run("rag", MOON_QUESTION, moon_index, StepBackends.shared(mock), RunConfig())
     assert trace.final_answer == "Eagle"
-    assert mock.n_calls == 1
+    assert len(mock.calls) == 1
     assert len(trace.iterations[0].retrieved) >= 1
     assert trace.iterations[0].verdict is None
     assert "Document 1:" in mock.calls[0]
@@ -402,14 +407,14 @@ def test_rag_once_retrieves_expected_doc():
         "moonbeam crater dust",
     ])
     mock = MockBackend([ScriptEntry("Here is a question", "whatever")])
-    trace = run_rag_once("moonbeam crater", idx, mock, RunConfig(top_k=1))
+    trace = run("rag", "moonbeam crater", idx, StepBackends.shared(mock), RunConfig(top_k=1))
     assert [d.chunk_id for d in trace.iterations[0].retrieved] == ["c2"]
 
 
 def test_rag_once_empty_retrieval_flagged():
     idx = index_from_texts(["alpha beta", "gamma delta"])
     mock = MockBackend([ScriptEntry("Here is a question", "no idea")])
-    trace = run_rag_once("zzz qqq", idx, mock)
+    trace = run("rag", "zzz qqq", idx, StepBackends.shared(mock), RunConfig())
     assert trace.iterations[0].retrieved == []
     assert "empty_retrieval" in trace.iterations[0].flags
     assert trace.final_answer == "no idea"
@@ -426,7 +431,8 @@ ANSWER_SYSTEM = "You are an assistant that generates answers based on retrieved 
 
 def test_rag_trace_golden(moon_index):
     mock = MockBackend([ScriptEntry("Here is a question", " Eagle ")])
-    trace = run_rag_once(MOON_QUESTION, moon_index, mock, RunConfig(top_k=1, save_raw=True))
+    config = RunConfig(top_k=1, save_raw=True)
+    trace = run("rag", MOON_QUESTION, moon_index, StepBackends.shared(mock), config)
     assert _zeroed_timings(trace_to_dict(trace, qid=4)) == {
         "v": 1,
         "qid": 4,
@@ -468,7 +474,8 @@ def test_rag_trace_golden(moon_index):
 
 def test_vanilla_trace_golden():
     mock = MockBackend([ScriptEntry("Here is a question", "Shakespeare ")])
-    trace = run_vanilla("Who wrote Hamlet?", mock, save_raw=True)
+    config = RunConfig(save_raw=True)
+    trace = run("vanilla", "Who wrote Hamlet?", None, StepBackends.shared(mock), config)
     assert _zeroed_timings(trace_to_dict(trace)) == {
         "v": 1,
         "question": "Who wrote Hamlet?",
@@ -508,9 +515,8 @@ def test_run_by_method_name(moon_index):
             run(method, MOON_QUESTION, moon_index, StepBackends.shared(mock), RunConfig())
         ))
 
-    assert trace("rag") == _zeroed_timings(trace_to_dict(run_rag_once(
-        MOON_QUESTION, moon_index, MockBackend([ScriptEntry("Here is a question", "Eagle")])
-    )))
+    rag = trace("rag")
+    assert rag["method"] == "rag" and rag["iterations"][0]["retrieved"] != []
     assert trace("vanilla")["iterations"][0]["retrieved"] == []  # the index is not used
     with pytest.raises(ValueError, match="method must be one of"):
         trace("bm25")
@@ -531,10 +537,31 @@ def test_run_config_validation():
 
 
 def test_default_step_budgets():
-    config = RunConfig()
-    assert config.keyword_params == GenParams(max_tokens=50)
-    assert config.answer_params == GenParams(max_tokens=50)
-    assert config.validation_params == GenParams(max_tokens=30)
+    """Each step's requests carry its token budget (keywords 50, answer 50, validation 30)."""
+
+    def step(payload):
+        system = payload["messages"][0]["content"]
+        if "keywords" in system:
+            return "keywords"
+        return "answer" if "generates answers" in system else "validation"
+
+    replies = {"keywords": '["moon"]', "answer": "an answer", "validation": "Conclusion: False"}
+    for regen_mode, validation_mode in (("keywords_only", "plain"), ("docwise", "cot")):
+        with StubLlmServer(lambda payload, i: {
+            "status": 200, "body": completion_body(replies[step(payload)]),
+        }) as server:
+            backend = HttpBackend(server.url, "m", supports_logprobs=False)
+            config = RunConfig(
+                max_iterations=2, regen_mode=regen_mode, validation_mode=validation_mode
+            )
+            try:
+                run_iterative(_FANOUT_QUESTION, index_from_texts(_FANOUT_TEXTS),
+                              StepBackends.shared(backend), config)
+            finally:
+                backend.close()
+        budgets = {(step(payload), payload["max_tokens"]) for payload in server.requests}
+        assert budgets == {("keywords", 50), ("answer", 50), ("validation", 30)}
+        assert {payload["temperature"] for payload in server.requests} == {0.0}
 
 
 def test_trace_round_trip_serde(moon_index):
