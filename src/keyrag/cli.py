@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -89,10 +90,16 @@ def _merged(flag_value, file_values: dict, key: str, env_var: str | None = None,
     return default
 
 
+def _check_limit(limit: int | None) -> None:
+    if limit is not None and limit < 1:
+        raise UsageError(f"--limit must be >= 1, got {limit}")
+
+
 # --- index -------------------------------------------------------------------
 
 
 def cmd_index(args) -> int:
+    _check_limit(args.limit)
     if args.chunk_size <= 0 or not 0 <= args.overlap < args.chunk_size:
         print(
             f"usage error: need 0 <= overlap < chunk_size,"
@@ -142,7 +149,27 @@ def cmd_index(args) -> int:
 # --- run ---------------------------------------------------------------------
 
 
-def _build_backends(args, file_values, max_in_flight: int) -> StepBackends:
+def _run_setting(args, file_values: dict, key: str, kind, default):
+    """A run setting as a positive int or float: its flag, else the config file, else default.
+
+    A bad value is a usage error that names the setting, and the config file
+    when the value came from there.
+    """
+    flag_value = getattr(args, key, None)
+    value = _merged(flag_value, file_values, key, default=default)
+    where = f" (in {args.config})" if flag_value is None and key in file_values else ""
+    try:
+        number = kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise UsageError(f"{key} must be {noun}, got {value!r}{where}") from None
+    if not 0 < number < math.inf:
+        least = ">= 1" if kind is int else "finite and > 0"
+        raise UsageError(f"{key} must be {least}, got {value!r}{where}")
+    return number
+
+
+def _build_backends(args, file_values, timeout: float, max_in_flight: int) -> StepBackends:
     if args.mock_script:
         return StepBackends.shared(MockBackend.from_script_file(args.mock_script))
     endpoint = _merged(args.endpoint, file_values, "endpoint", ENV_ENDPOINT)
@@ -152,7 +179,6 @@ def _build_backends(args, file_values, max_in_flight: int) -> StepBackends:
     model = _merged(args.model, file_values, "model", ENV_MODEL)
     if not model:
         raise UsageError("no model id: pass --model (or set KEYRAG_MODEL)")
-    timeout = float(_merged(None, file_values, "timeout", default=60.0))
 
     def backend(step_model: str) -> HttpBackend:
         return HttpBackend(
@@ -188,10 +214,12 @@ def _strip_timings(trace: pipeline.RunTrace) -> None:
 
 
 def cmd_run(args) -> int:
+    _check_limit(args.limit)
     file_values = _load_config_file(args.config) if args.config else {}
-    workers = int(_merged(args.workers, file_values, "workers", default=4))
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
+    workers = _run_setting(args, file_values, "workers", int, 4)
+    max_iterations = _run_setting(args, file_values, "max_iterations", int, 5)
+    top_k = _run_setting(args, file_values, "top_k", int, 3)
+    timeout = _run_setting(args, file_values, "timeout", float, 60.0)
     examples = corpus.load_qa(args.dataset, limit=args.limit)
 
     index = None
@@ -202,8 +230,8 @@ def cmd_run(args) -> int:
 
     templates = load_templates(args.templates) if args.templates else None
     config = RunConfig(
-        max_iterations=int(_merged(args.max_iterations, file_values, "max_iterations", default=5)),
-        top_k=int(_merged(args.top_k, file_values, "top_k", default=3)),
+        max_iterations=max_iterations,
+        top_k=top_k,
         regen_mode="docwise" if args.regen_mode == "docwise" else "keywords_only",
         validation_mode="cot" if args.cot else "plain",
         early_stop=not args.no_early_stop,
@@ -249,8 +277,12 @@ def cmd_run(args) -> int:
         done_qids = {qid for qid, trace in rows if not trace.error}
 
     # Each worker runs one question; a docwise round sends top_k calls at once.
-    max_in_flight = workers * config.top_k if config.regen_mode == "docwise" else workers
-    backends = _build_backends(args, file_values, max_in_flight)
+    # Without early stop, answer → validate halves overlap the keyword rounds;
+    # a question can have two running, each making one call at a time.
+    max_in_flight = workers * (config.top_k if config.regen_mode == "docwise" else 1)
+    if not config.early_stop:
+        max_in_flight += 2 * workers
+    backends = _build_backends(args, file_values, timeout, max_in_flight)
     sink = open(out, "a" if resume else "w", encoding="utf-8")
 
     todo = [(qid, ex.question) for qid, ex in enumerate(examples) if qid not in done_qids]

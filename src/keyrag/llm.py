@@ -15,7 +15,7 @@ import re
 import select
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 
@@ -74,6 +74,19 @@ class LlmBackend:
         batch order. Backends that can overlap independent calls override this.
         """
         return [self.complete(messages, max_tokens) for messages in batch]
+
+    def submit(self, fn, *args) -> Future:
+        """Start fn(*args), a task that calls this backend; a Future of its result.
+
+        This runs the task at once in the calling thread, and its exception
+        propagates from submit itself, so a scripted backend sees calls in
+        program order. Backends that can overlap independent calls override
+        this. A task calls complete() and forced_choice() only, never
+        complete_many(), whose batch could wait for the thread the task holds.
+        """
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
 
     def choice_probs(self, messages: list[ChatMessage]) -> tuple[float, float] | None:
         """(p_true, p_false) from a probability probe, or None if unsupported."""
@@ -329,8 +342,8 @@ class HttpBackend(LlmBackend):
             if tunnel:
                 conn.set_tunnel(*tunnel)
             self._idle.put(conn)
-        # complete_many's helper threads: started on first use and kept until
-        # close(), so a batch does not pay for starting and joining threads.
+        # Helper threads for complete_many and submit: started on first use and
+        # kept until close(), so a batch does not pay for starting and joining threads.
         self._pool = ThreadPoolExecutor(max_in_flight, thread_name_prefix="keyrag-llm")
 
     def _send(self, body: bytes) -> tuple[int, str | None, bytes]:
@@ -395,6 +408,10 @@ class HttpBackend(LlmBackend):
         finally:
             wait(futures)
         return [first] + [future.result() for future in futures]
+
+    def submit(self, fn, *args) -> Future:
+        """Run fn(*args) on one of complete_many's helper threads."""
+        return self._pool.submit(fn, *args)
 
     def close(self) -> None:
         self._pool.shutdown()

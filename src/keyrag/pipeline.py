@@ -4,14 +4,19 @@
 IterationRecord and RunTrace: iterative repeats keywords → retrieve → answer →
 validate; rag is one iteration with no keyword step and no validation, the
 question itself being the query; vanilla is one answer call with no retrieval.
-One trace is strictly sequential; traces for different questions may run
-concurrently (records are immutable once emitted, and backends handle their
-own synchronization). The pipeline never sees reference answers: nothing in
-this module takes them as input, so leakage is impossible by construction.
+Within one trace, calls follow program order, except that without early stop
+each iteration's answer → validate runs beside the next iteration's keyword
+round, which needs neither its answer nor its verdict; the records and the
+trace are the same as a sequential run's. Traces for different questions may
+run concurrently (records are immutable once emitted, and backends handle
+their own synchronization). The pipeline never sees reference answers:
+nothing in this module takes them as input, so leakage is impossible by
+construction.
 """
 from __future__ import annotations
 
 import time
+from concurrent.futures import wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -243,41 +248,23 @@ def _run(
 
     Only the keyword loop has keyword steps, validation and more than one
     iteration; only vanilla skips retrieval and answers from the bare question.
+    Each iteration has a front half (keywords → retrieve), run here, and a back
+    half (answer → validate). Without early stop no keyword round needs an
+    answer or a verdict, so each back half goes to backends.answer_gen.submit
+    and the next front starts at once. Records are built in iteration order
+    once every back half has returned; the first failure in sequential order
+    is raised, only after every call of the question has returned.
     """
     refine = method == METHOD_ITERATIVE
     retrieve = method != METHOD_VANILLA
-    records: list[IterationRecord] = []
+    overlap = refine and not config.early_stop
+    fronts: list[tuple] = []
+    backs: list = []  # per iteration: (answer, verdict), or a Future of it when overlapped
     prev_keywords: list[str] | None = None
     prev_doc_texts: list[str] = []
     all_doc_texts: list[str] = []
 
-    for i in range(config.max_iterations if refine else 1):
-        ms: dict[str, float] = {}
-        flags: list[str] = []
-        raws: list[dict] | None = [] if config.save_raw else None
-
-        keywords: list[str] = []
-        if refine:
-            with _timed(ms, STEP_QUERY_EXPANSION):
-                if prev_keywords is not None and config.regen_mode == "docwise":
-                    keywords = _keywords_regen_docwise(
-                        question, prev_keywords, prev_doc_texts, backends, config, flags, raws
-                    )
-                else:
-                    keywords = _keywords(question, prev_keywords, backends, config, flags, raws)
-
-        expanded = expand_query(question, keywords)
-        retrieved: list[ScoredDoc] = []
-        if retrieve:
-            with _timed(ms, STEP_RETRIEVAL):
-                retrieved = retrieve_top_k(index, expanded, config.top_k)
-            if not retrieved and not refine:  # rag answers from no document at all
-                flags.append("empty_retrieval")
-        doc_texts = [index.text_of(doc.chunk_id) for doc in retrieved]
-        for text in doc_texts:
-            if text not in all_doc_texts:
-                all_doc_texts.append(text)
-
+    def answer_and_validate(doc_texts, validation_docs, ms, flags, raws):
         with _timed(ms, STEP_ANSWER):
             if retrieve:
                 bindings = {"q": question, "D": format_documents(doc_texts)}
@@ -286,15 +273,70 @@ def _run(
                 messages = render("vanilla_answer", {"q": question}, config.templates)
             answer = backends.answer_gen.complete(messages, ANSWER_MAX_TOKENS).strip()
             _record_raw(raws, STEP_ANSWER, messages, answer)
-
         verdict = None
         if refine:
-            validation_docs = all_doc_texts if config.accumulate_validation_docs else doc_texts
             with _timed(ms, STEP_VALIDATION):
                 verdict = _validate(question, answer, validation_docs, backends, config, raws)
             if verdict.flagged:
                 flags.append("verdict_unparsed")
+        return answer, verdict
 
+    try:
+        for _ in range(config.max_iterations if refine else 1):
+            ms: dict[str, float] = {}
+            flags: list[str] = []
+            raws: list[dict] | None = [] if config.save_raw else None
+
+            keywords: list[str] = []
+            if refine:
+                with _timed(ms, STEP_QUERY_EXPANSION):
+                    if prev_keywords is not None and config.regen_mode == "docwise":
+                        keywords = _keywords_regen_docwise(
+                            question, prev_keywords, prev_doc_texts, backends, config, flags, raws
+                        )
+                    else:
+                        keywords = _keywords(question, prev_keywords, backends, config, flags, raws)
+
+            expanded = expand_query(question, keywords)
+            retrieved: list[ScoredDoc] = []
+            if retrieve:
+                with _timed(ms, STEP_RETRIEVAL):
+                    retrieved = retrieve_top_k(index, expanded, config.top_k)
+                if not retrieved and not refine:  # rag answers from no document at all
+                    flags.append("empty_retrieval")
+            doc_texts = [index.text_of(doc.chunk_id) for doc in retrieved]
+            for text in doc_texts:
+                if text not in all_doc_texts:
+                    all_doc_texts.append(text)
+            if overlap and any(back.done() and back.exception() for back in backs):
+                break  # an earlier back half failed: its error is raised below
+            fronts.append((keywords, expanded, retrieved, ms, flags, raws))
+
+            # A copy: later fronts go on appending to all_doc_texts.
+            validation_docs = (
+                list(all_doc_texts) if config.accumulate_validation_docs else doc_texts
+            )
+            back_args = (doc_texts, validation_docs, ms, flags, raws)
+            if overlap:
+                backs.append(backends.answer_gen.submit(answer_and_validate, *back_args))
+            else:
+                backs.append(answer_and_validate(*back_args))
+                verdict = backs[-1][1]
+                if verdict and verdict.choice and config.early_stop:
+                    break
+            prev_keywords = keywords
+            prev_doc_texts = doc_texts
+    finally:
+        if overlap:
+            # Every call returns before the question ends. A failed back half
+            # is raised in place of a later front's error, as a sequential run would.
+            wait(backs)
+            backs = [back.result() for back in backs]
+
+    records: list[IterationRecord] = []
+    for i, ((keywords, expanded, retrieved, ms, flags, raws), (answer, verdict)) in enumerate(
+        zip(fronts, backs)
+    ):
         new_keywords, new_docs = novelty(records, keywords, retrieved)
         records.append(
             IterationRecord(
@@ -311,11 +353,6 @@ def _run(
                 raw=raws,
             )
         )
-
-        if verdict and verdict.choice and config.early_stop:
-            break
-        prev_keywords = keywords
-        prev_doc_texts = doc_texts
 
     last = records[-1]
     stop_reason = None

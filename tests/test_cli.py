@@ -191,6 +191,47 @@ def test_run_refuses_workers_below_one_and_keeps_the_output_file(
     assert out.read_bytes() == b"earlier traces\n"
 
 
+@pytest.mark.parametrize("flags, config_text, message", [
+    pytest.param(["--top-k", "0"], None, "top_k must be >= 1, got 0", id="top-k"),
+    pytest.param(["--max-iterations", "0"], None, "max_iterations must be >= 1, got 0",
+                 id="max-iterations"),
+    pytest.param([], "workers = two\n", "workers must be an integer, got 'two' (in {config})",
+                 id="config-workers"),
+    pytest.param([], "top_k = 2.5\n", "top_k must be an integer, got '2.5' (in {config})",
+                 id="config-top_k"),
+    pytest.param([], "timeout = 0\n", "timeout must be finite and > 0, got '0' (in {config})",
+                 id="config-timeout"),
+    pytest.param(["--limit", "-1"], None, "--limit must be >= 1, got -1", id="limit-negative"),
+    pytest.param(["--limit", "0"], None, "--limit must be >= 1, got 0", id="limit-zero"),
+])
+def test_run_refuses_a_bad_setting_naming_it_and_keeps_the_output_file(
+    capsys, tmp_path, dataset_path, index_path, script_path, monkeypatch,
+    flags, config_text, message,
+):
+    out = tmp_path / "existing.jsonl"
+    out.write_bytes(b"earlier traces\n")
+    monkeypatch.setattr(cli, "_build_backends", lambda *args: pytest.fail("backend made"))
+    argv = ["run", "--dataset", str(dataset_path), "--index", str(index_path),
+            "--mock-script", str(script_path), "--out", str(out), *flags]
+    config = tmp_path / "keyrag.conf"
+    if config_text is not None:
+        config.write_text(config_text, encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    assert f"usage error: {message.format(config=config)}\n" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier traces\n"
+
+
+def test_index_refuses_a_limit_below_one_and_keeps_the_index(capsys, tmp_path, corpus_path,
+                                                            index_path):
+    before = index_path.read_bytes()
+    code = main(["index", "--corpus", str(corpus_path), "--out", str(index_path),
+                 "--force", "--limit", "0"])
+    assert code == 2
+    assert "--limit must be >= 1, got 0" in capsys.readouterr().err
+    assert index_path.read_bytes() == before
+
+
 def test_run_refuses_a_lone_surrogate_question_and_keeps_the_output_file(
     capsys, tmp_path, index_path, script_path
 ):

@@ -3,8 +3,10 @@ from __future__ import annotations
 import inspect
 import json
 import re
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -13,8 +15,10 @@ from hypothesis import strategies as st
 from keyrag.bm25 import ScoredDoc, build_index, retrieve_top_k
 from keyrag.corpus import chunk_corpus
 from keyrag.llm import (
+    BackendError,
     BinaryVerdict,
     HttpBackend,
+    LlmBackend,
     MockBackend,
     ScriptEntry,
     TransportError,
@@ -39,6 +43,7 @@ from .helpers import (
     StubLlmServer,
     completion_body,
     index_from_texts,
+    logprob_body,
     walkthrough_script,
 )
 
@@ -370,6 +375,194 @@ def test_docwise_failed_call_raises_after_its_siblings_return():
     with pytest.raises(TransportError, match="doc 0 failed"):
         _docwise_round(on_docwise)
     assert sorted(finished) == [1, 2]
+
+
+# --- overlapped iterations (no early stop) ----------------------------------------
+
+# Iteration i's keywords name kw{i}, which ranks doc{i} first.
+_STAIR_TEXTS = [f"moon landing history kw{i} doc{i}" for i in range(1, 7)]
+
+
+def _step(payload) -> str:
+    system = payload["messages"][0]["content"]
+    if "generates keywords" in system:
+        return "keywords"
+    if "efine" in system:
+        return "regen"
+    return "answer" if "generates answers" in system else "validation"
+
+
+def _stair_reply(payload) -> dict:
+    """A model that answers from the request alone, whatever order requests arrive in.
+
+    Keywords are one past the highest kw{n} in the prompt, the answer names
+    the top document, and an even answer is judged True.
+    """
+    user = payload["messages"][-1]["content"]
+    step = _step(payload)
+    if step in ("keywords", "regen"):
+        n = max(map(int, re.findall(r"\bkw(\d+)", user)), default=0)
+        return completion_body(f'["kw{n + 1}"]')
+    if step == "answer":
+        return completion_body("answer " + re.search(r"\bdoc(\d+)", user).group(1))
+    n = int(re.search(r"Answer: answer (\d+)", user).group(1))
+    if payload.get("logprobs"):
+        p_true = 0.8 if n % 2 == 0 else 0.2
+        return logprob_body([("True", p_true), ("False", 1 - p_true)])
+    return completion_body(f"Conclusion: {n % 2 == 0}")
+
+
+class _SequentialHttp(HttpBackend):
+    """The reference: a back half runs inline, as LlmBackend runs it."""
+
+    submit = LlmBackend.submit
+
+
+def _within(seconds: float, fn, *args):
+    """fn(*args) on another thread; fails the test if it takes longer than seconds."""
+    pool = ThreadPoolExecutor(1)
+    try:
+        return pool.submit(fn, *args).result(timeout=seconds)
+    finally:
+        pool.shutdown(wait=False)
+
+
+def _stair_run(backend_class, stub, **config):
+    """run_iterative of the stair question against a stub.
+
+    Returns the trace (or the BackendError raised), the requests the stub got,
+    and the steps it was still serving when run_iterative returned or raised.
+    """
+    config = RunConfig(**{"max_iterations": 4, "top_k": 2, "early_stop": False, "save_raw": True,
+                          **config})
+    with StubLlmServer(stub) as server:
+        backend = backend_class(server.url, "m", max_in_flight=6)
+        try:
+            trace = _within(30, run_iterative, _FANOUT_QUESTION, index_from_texts(_STAIR_TEXTS),
+                            StepBackends.shared(backend), config)
+        except BackendError as exc:
+            trace = exc
+        finally:
+            left = list(stub.now)  # before close(), which waits for its helper threads
+            backend.close()
+    return trace, server.requests, left
+
+
+class _StairStub:
+    """The stair model's replies, and which steps the stub is serving at once.
+
+    Each reply waits `seconds`. `replies` maps (step, its n-th request) to the
+    (seconds, status) of a reply that waits otherwise or fails instead.
+    """
+
+    def __init__(self, seconds: float, replies: dict | None = None):
+        self.seconds = seconds
+        self.replies = replies or {}
+        self.counts: dict[str, int] = {}
+        self.now: list[str] = []
+        self.seen: list[set[str]] = []  # the steps in flight at each arrival
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, payload, i):
+        step = _step(payload)
+        with self._lock:
+            n = self.counts[step] = self.counts.get(step, 0) + 1
+            self.now.append(step)
+            self.seen.append(set(self.now))
+            self.peak = max(self.peak, len(self.now))
+        seconds, status = self.replies.get((step, n), (self.seconds, 200))
+        try:
+            time.sleep(seconds)
+            if status != 200:
+                return {"status": status, "body": f"{step} {n} refused"}
+            return {"status": 200, "body": _stair_reply(payload)}
+        finally:
+            with self._lock:
+                self.now.remove(step)
+
+
+@pytest.mark.parametrize("accumulate", [False, True])
+@pytest.mark.parametrize("validation_mode", ["plain", "cot"])
+@pytest.mark.parametrize("regen_mode", ["keywords_only", "docwise"])
+def test_overlapped_traces_are_byte_identical_to_sequential(regen_mode, validation_mode,
+                                                            accumulate):
+    # Slow answers: the next round's documents arrive before this validation is rendered.
+    slow_answers = {("answer", n): (0.02, 200) for n in range(1, 5)}
+    lines = []
+    for backend_class in (_SequentialHttp, HttpBackend):
+        stub = _StairStub(0.0, slow_answers)
+        trace, requests, _ = _stair_run(backend_class, stub, regen_mode=regen_mode,
+                                        validation_mode=validation_mode,
+                                        accumulate_validation_docs=accumulate)
+        lines.append(json.dumps(_zeroed_timings(trace_to_dict(trace))))
+        per_round = 2 if regen_mode == "docwise" else 1
+        assert len(requests) == 3 + 3 * (2 + per_round)
+    assert lines[0] == lines[1]
+    assert len({rec.answer for rec in trace.iterations}) == 4
+
+
+@pytest.mark.parametrize("early_stop", [False, True])
+def test_answers_overlap_the_next_keyword_round_only_without_early_stop(early_stop):
+    stub = _StairStub(0.03)
+    trace, _, _ = _stair_run(HttpBackend, stub, regen_mode="docwise", early_stop=early_stop)
+    overlapped = any({"answer", "regen"} <= steps for steps in stub.seen)
+    assert overlapped is not early_stop
+    if early_stop:
+        assert len(trace.iterations) == 2  # answer 2 is judged True
+        assert stub.peak <= 2  # top_k
+    else:
+        assert len(trace.iterations) == 4
+
+
+def test_concurrent_questions_overlap_on_a_small_backend_as_sequential_runs_would():
+    """More questions than helper threads or connections, and frequent thread switches."""
+    config = RunConfig(max_iterations=4, top_k=2, regen_mode="docwise", early_stop=False,
+                       save_raw=True)
+    index = index_from_texts(_STAIR_TEXTS)
+    questions = [f"{_FANOUT_QUESTION} q{i}" for i in range(8)]
+
+    def run_all(url, backend_class):
+        backend = backend_class(url, "m", max_in_flight=2)
+        pool = ThreadPoolExecutor(4)
+        try:
+            futures = [pool.submit(run_iterative, q, index, StepBackends.shared(backend), config)
+                       for q in questions]
+            return [json.dumps(_zeroed_timings(trace_to_dict(f.result()))) for f in futures]
+        finally:
+            pool.shutdown()
+            backend.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with StubLlmServer(_StairStub(0.001)) as server:
+            sequential = _within(60, run_all, server.url, _SequentialHttp)
+            overlapped = _within(60, run_all, server.url, HttpBackend)
+    finally:
+        sys.setswitchinterval(interval)
+    assert overlapped == sequential
+
+
+@pytest.mark.parametrize("replies, error", [
+    pytest.param({("answer", 2): (0.0, 400)}, "answer 2", id="answer-2"),
+    pytest.param({("regen", 2): (0.0, 400), ("validation", 2): (0.2, 200)}, "regen 2",
+                 id="regen-3-beside-validation-2"),
+    pytest.param({("answer", 2): (0.2, 400), ("regen", 2): (0.0, 400)}, "answer 2",
+                 id="slow-answer-2-and-regen-3"),
+])
+def test_a_failed_call_ends_the_question_as_a_sequential_run_would(replies, error):
+    """The n-th regen request is iteration n + 1's keyword round."""
+    errors, sent = [], []
+    for backend_class in (_SequentialHttp, HttpBackend):
+        raised, requests, left = _stair_run(backend_class, _StairStub(0.03, replies))
+        assert isinstance(raised, BackendError)
+        assert left == []  # no call outlived the question
+        errors.append(str(raised))
+        sent.append(len(requests))
+    assert errors == [f"HTTP 400: {error} refused"] * 2
+    # At most the keyword round beside the failed call is sent past a sequential run's end.
+    assert sent[0] <= sent[1] <= sent[0] + 1
 
 
 # --- baselines ----------------------------------------------------------------------
