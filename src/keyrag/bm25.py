@@ -13,7 +13,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, pairwise
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 MAGIC = b"ITKIDX1"
 VERSION = 3
@@ -24,6 +24,10 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # The file is little-endian with u32 refs/lengths, u64 offsets and f64 impacts.
 assert [array(t).itemsize for t in "IQd"] == [4, 8, 8], "array typecodes I/Q/d must be 4/8/8 bytes"
 _SWAP = sys.byteorder == "big"
+
+# Items per slice of a column check in load_index: one C call over 1.1M
+# posting refs holds the GIL for about 50 ms, one over a slice about 3 ms.
+_SLICE = 1 << 16
 
 
 class IndexFormatError(ValueError):
@@ -338,14 +342,41 @@ def _checked_offsets(offsets: Sequence[int], end: int, what: str) -> Sequence[in
     return offsets
 
 
-def load_index(path) -> Index:
-    """Load and validate an index file; any defect raises IndexFormatError.
+def open_index(path) -> BinaryIO:
+    """Open an index file for load_index once its magic and version are checked.
 
+    A file that is not an index, or is one of another version, is refused
+    here, from its first bytes, before a caller starts work that needs the
+    index. The file is returned at its start.
+    """
+    f = open(path, "rb")
+    try:
+        _check_head(f.read(len(MAGIC) + 1))
+        f.seek(0)
+    except BaseException:
+        f.close()
+        raise
+    return f
+
+
+def load_index(source) -> Index:
+    """Load and validate an index; any defect raises IndexFormatError.
+
+    source is a path, or a file from open_index, read to its end and left open.
     The file is read once. A helper thread hashes those bytes while they are
     checked (hashlib releases the GIL), and the digest is Index.sha256.
+
+    The load may run beside threads that wait for its result only when they
+    need the index: `keyrag run` starts its questions, then loads the index
+    while their first keyword calls are in flight, and pipeline._run waits
+    for it at its first retrieval. So the longest check runs over slices of
+    the column, between which those threads can take the GIL.
     """
-    with open(path, "rb") as f:
-        data = f.read()
+    if isinstance(source, (str, bytes, os.PathLike)):
+        with open(source, "rb") as f:
+            data = f.read()
+    else:
+        data = source.read()
     digest = hashlib.sha256()
     hasher = threading.Thread(target=digest.update, args=(data,))
     hasher.start()
@@ -357,7 +388,8 @@ def load_index(path) -> Index:
     return index
 
 
-def _parse(data: bytes) -> Index:
+def _check_head(data: bytes) -> None:
+    """The magic and the version, the first len(MAGIC) + 1 bytes of an index file."""
     if len(data) <= len(MAGIC) or data[: len(MAGIC)] != MAGIC:
         raise IndexFormatError("bad magic: not a recognized index file")
     version = data[len(MAGIC)]
@@ -366,6 +398,10 @@ def _parse(data: bytes) -> Index:
             f"unsupported index version {version} (this keyrag reads version {VERSION});"
             " rebuild the index with `keyrag index`"
         )
+
+
+def _parse(data: bytes) -> Index:
+    _check_head(data)
     r = _Reader(data)
     r.take(len(MAGIC) + 1)
     (k1, b, n_docs, n_terms, n_stopwords, n_postings,
@@ -386,7 +422,7 @@ def _parse(data: bytes) -> Index:
     impacts = r.take_column("d", n_postings)
     if r.pos != len(data):
         raise IndexFormatError("trailing data after index payload")
-    if n_postings and max(refs) >= n_docs:
+    if any(max(refs[i:i + _SLICE]) >= n_docs for i in range(0, n_postings, _SLICE)):
         raise IndexFormatError("corrupt index file: posting refers past the last chunk")
     terms = dict(zip(term_list, range(n_terms)))
     if len(terms) != n_terms:

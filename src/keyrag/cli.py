@@ -10,9 +10,12 @@ import argparse
 import json
 import math
 import os
+import queue
+import signal
 import sys
 import traceback
-from concurrent.futures import Future, ThreadPoolExecutor, as_completed
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import bm25, corpus, metrics, pipeline
@@ -221,12 +224,8 @@ def cmd_run(args) -> int:
     top_k = _run_setting(args, file_values, "top_k", int, 3)
     timeout = _run_setting(args, file_values, "timeout", float, 60.0)
     examples = corpus.load_qa(args.dataset, limit=args.limit)
-
-    index = None
-    if args.method != "vanilla":
-        if not args.index:
-            raise UsageError(f"--index is required for method {args.method!r}")
-        index = bm25.load_index(args.index)
+    if args.method != "vanilla" and not args.index:
+        raise UsageError(f"--index is required for method {args.method!r}")
 
     templates = load_templates(args.templates) if args.templates else None
     config = RunConfig(
@@ -243,7 +242,7 @@ def cmd_run(args) -> int:
         "method": args.method,
         "dataset": str(args.dataset),
         "index": str(args.index) if args.index else None,
-        "index_sha256": index.sha256 if index else None,
+        "index_sha256": None,  # set once the index has loaded
         "max_iterations": config.max_iterations,
         "top_k": config.top_k,
         "regen_mode": config.regen_mode,
@@ -260,95 +259,148 @@ def cmd_run(args) -> int:
     }
 
     out = Path(args.out)
-    done_qids: set[int] = set()
-    write_header = True
     resume = args.skip_completed and out.exists()
-    if resume:
-        header, rows = read_traces(out)
-        written_with = (header or {}).get("config", {})
-        for key in _RESUME_KEYS:
-            if key in written_with and written_with[key] != effective[key]:
-                raise UsageError(
-                    f"cannot resume {out}: it was written with {key}={written_with[key]!r},"
-                    f" this run has {key}={effective[key]!r}"
-                )
-        write_header = header is None
-        # A question whose last trace records an error is run again.
-        done_qids = {qid for qid, trace in rows if not trace.error}
+    with ExitStack() as cleanup:
+        index = index_file = None
+        if args.method != "vanilla":
+            # Only the magic and the version are read here. A file that is not
+            # an index of this version fails before any request; the rest loads
+            # while the first keyword calls are in flight.
+            index_file = cleanup.enter_context(bm25.open_index(args.index))
+        done_qids: set[int] = set()
+        write_header = True
+        if resume:
+            if index_file:
+                # The header check needs the index's digest, so a resumed run
+                # loads the index before any question starts.
+                index = bm25.load_index(index_file)
+                effective["index_sha256"] = index.sha256
+            header, rows = read_traces(out)
+            written_with = (header or {}).get("config", {})
+            for key in _RESUME_KEYS:
+                if key in written_with and written_with[key] != effective[key]:
+                    raise UsageError(
+                        f"cannot resume {out}: it was written with {key}={written_with[key]!r},"
+                        f" this run has {key}={effective[key]!r}"
+                    )
+            write_header = header is None
+            # A question whose last trace records an error is run again.
+            done_qids = {qid for qid, trace in rows if not trace.error}
+        # An --out that cannot be written fails before any request. The file is
+        # opened for the traces only once the index has loaded, so this probe
+        # leaves it as it was.
+        existed = out.exists()
+        open(out, "a", encoding="utf-8").close()
+        if not existed:
+            out.unlink()
 
-    # Each worker runs one question; a docwise round sends top_k calls at once.
-    # Without early stop, answer → validate halves overlap the keyword rounds;
-    # a question can have two running, each making one call at a time.
-    max_in_flight = workers * (config.top_k if config.regen_mode == "docwise" else 1)
-    if not config.early_stop:
-        max_in_flight += 2 * workers
-    backends = _build_backends(args, file_values, timeout, max_in_flight)
-    sink = open(out, "a" if resume else "w", encoding="utf-8")
+        # Each worker runs one question; a docwise round sends top_k calls at once.
+        # Without early stop, answer → validate halves overlap the keyword rounds;
+        # a question can have two running, each making one call at a time.
+        max_in_flight = workers * (config.top_k if config.regen_mode == "docwise" else 1)
+        if not config.early_stop:
+            max_in_flight += 2 * workers
+        backends = _build_backends(args, file_values, timeout, max_in_flight)
+        cleanup.callback(backends.close)
+        pool = ThreadPoolExecutor(max_workers=workers)
+        cleanup.callback(pool.shutdown, cancel_futures=True)
 
-    todo = [(qid, ex.question) for qid, ex in enumerate(examples) if qid not in done_qids]
-    errored = 0
-    written: set[Future] = set()  # futures whose trace is in the file
+        # Ctrl-C only counts: the loop below acts on it between whole trace
+        # lines. The first drops the queued questions and lets the running ones
+        # finish; the second writes no more traces. Installed before the
+        # questions start, restored before the wait for the running ones to end.
+        # A run started with SIGINT ignored, as a shell starts a background
+        # job, keeps ignoring it.
+        interrupts = 0
 
-    def work(qid: int, question: str):
-        try:
-            return qid, pipeline.run(args.method, question, index, backends, config)
-        except LlmError as exc:
-            error = str(exc)
-        except Exception as exc:  # a bug, or an OSError from a template: this question fails
-            traceback.print_exc()
-            error = f"{type(exc).__name__}: {exc}"
-        trace = pipeline.RunTrace(
-            question=question,
-            method=args.method,
-            iterations=[],
-            stop_reason=None,
-            final_answer="",
-            early_stop=config.early_stop,
-            error=error,
-        )
-        return qid, trace
+        def on_sigint(signum, frame):
+            nonlocal interrupts
+            interrupts += 1
 
-    def write(future: Future) -> None:
-        nonlocal errored
-        qid, trace = future.result()
-        if trace.error:
-            errored += 1
-            print(f"question {qid} failed: {trace.error}", file=sys.stderr)
-        if args.no_timings:
-            _strip_timings(trace)
-        sink.write(_json_line(pipeline.trace_to_dict(trace, qid=qid)) + "\n")
-        sink.flush()
-        written.add(future)
-        if len(written) % 25 == 0:
-            print(f"{len(written)}/{len(todo)} traces written", file=sys.stderr)
+        previous = signal.getsignal(signal.SIGINT)
+        if previous is not signal.SIG_IGN:
+            signal.signal(signal.SIGINT, on_sigint)
+            cleanup.callback(signal.signal, signal.SIGINT, previous)
 
-    pool = ThreadPoolExecutor(max_workers=workers)
-    futures: list[Future] = []
-    try:
+        # Without an index yet, the questions start with a pending one.
+        pending = Future() if index_file and index is None else None
+        todo = [(qid, ex.question) for qid, ex in enumerate(examples) if qid not in done_qids]
+        errored = 0
+        written = 0
+
+        def work(qid: int, question: str):
+            try:
+                return qid, pipeline.run(args.method, question, pending or index, backends, config)
+            except LlmError as exc:
+                error = str(exc)
+            except Exception as exc:  # a bug, or an OSError from a template: this question fails
+                if pending and pending.done() and exc is pending.exception():
+                    raise  # the index did not load: the run fails, reported once below
+                traceback.print_exc()
+                error = f"{type(exc).__name__}: {exc}"
+            trace = pipeline.RunTrace(
+                question=question,
+                method=args.method,
+                iterations=[],
+                stop_reason=None,
+                final_answer="",
+                early_stop=config.early_stop,
+                error=error,
+            )
+            return qid, trace
+
+        finished: queue.SimpleQueue[Future] = queue.SimpleQueue()  # in the order they finish
+        for qid, question in todo:
+            pool.submit(work, qid, question).add_done_callback(finished.put)
+        if pending:
+            try:
+                index = bm25.load_index(index_file)
+            except BaseException as exc:
+                # No queued question may start: cancel them before the running
+                # ones see the error.
+                pool.shutdown(wait=False, cancel_futures=True)
+                pending.set_exception(exc)
+                raise
+            pending.set_result(index)
+            effective["index_sha256"] = index.sha256
+
+        sink = cleanup.enter_context(open(out, "a" if resume else "w", encoding="utf-8"))
         if write_header:
             sink.write(_json_line({"v": 1, "kind": "header", "config": effective}) + "\n")
             sink.flush()
-        futures = [pool.submit(work, qid, q) for qid, q in todo]
-        for future in as_completed(futures):
-            write(future)
-    except KeyboardInterrupt:
-        # Drop the queued questions; the running ones finish and are kept.
-        pool.shutdown(cancel_futures=True)
-        for future in futures:
-            if future not in written and not future.cancelled():
-                write(future)
-        print(
-            f"interrupted: {len(written)}/{len(todo)} traces preserved in {out}"
-            " (resume with --skip-completed)",
-            file=sys.stderr,
-        )
-        return 1
-    finally:
-        pool.shutdown()
-        sink.close()
-        backends.close()
+        left = len(todo)
+        while left:
+            if interrupts:
+                pool.shutdown(wait=False, cancel_futures=True)  # drop the queued questions
+            try:
+                future = finished.get(timeout=0.1)
+            except queue.Empty:
+                if interrupts > 1:
+                    break  # the traces of finished questions are written: stop waiting
+                continue
+            left -= 1
+            if future.cancelled():
+                continue
+            qid, trace = future.result()
+            if trace.error:
+                errored += 1
+                print(f"question {qid} failed: {trace.error}", file=sys.stderr)
+            if args.no_timings:
+                _strip_timings(trace)
+            sink.write(_json_line(pipeline.trace_to_dict(trace, qid=qid)) + "\n")
+            sink.flush()
+            written += 1
+            if written % 25 == 0:
+                print(f"{written}/{len(todo)} traces written", file=sys.stderr)
+        if interrupts:
+            print(
+                f"interrupted: {written}/{len(todo)} traces preserved in {out}"
+                " (resume with --skip-completed)",
+                file=sys.stderr,
+            )
+            return 1
 
-    print(f"wrote {len(written)} traces to {out} ({errored} errored)", file=sys.stderr)
+    print(f"wrote {written} traces to {out} ({errored} errored)", file=sys.stderr)
     if todo and errored > 0.10 * len(todo):
         print(f"error: {errored}/{len(todo)} questions failed (>10%)", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ construction.
 from __future__ import annotations
 
 import time
-from concurrent.futures import wait
+from concurrent.futures import Future, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -242,9 +242,18 @@ def novelty(
 
 
 def _run(
-    method: str, question: str, index: Index | None, backends: StepBackends, config: RunConfig
+    method: str,
+    question: str,
+    index: Index | Future | None,
+    backends: StepBackends,
+    config: RunConfig,
 ) -> RunTrace:
     """Answer one question by any method: the one place its records and trace are built.
+
+    index may be pending: a Future of the Index, waited on just before the
+    first retrieval, so a question's first keyword round can run while the
+    index loads. A failed load raises its exception there; vanilla never
+    waits. The wait is in no step's wall time.
 
     Only the keyword loop has keyword steps, validation and more than one
     iteration; only vanilla skips retrieval and answers from the bare question.
@@ -300,6 +309,8 @@ def _run(
             expanded = expand_query(question, keywords)
             retrieved: list[ScoredDoc] = []
             if retrieve:
+                if isinstance(index, Future):
+                    index = index.result()
                 with _timed(ms, STEP_RETRIEVAL):
                     retrieved = retrieve_top_k(index, expanded, config.top_k)
                 if not retrieved and not refine:  # rag answers from no document at all
@@ -369,11 +380,16 @@ def _run(
 
 
 def run(
-    method: str, question: str, index: Index | None, backends: StepBackends, config: RunConfig
+    method: str,
+    question: str,
+    index: Index | Future | None,
+    backends: StepBackends,
+    config: RunConfig,
 ) -> RunTrace:
     """Answer one question by the named method (one of METHODS).
 
-    The baselines answer with backends.answer_gen; vanilla does not use the index.
+    The baselines answer with backends.answer_gen; vanilla does not use the
+    index. index may be a Future of the Index, as _run describes.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -386,7 +402,7 @@ def run(
 
 def run_iterative(
     question: str,
-    index: Index,
+    index: Index | Future,
     backends: StepBackends,
     config: RunConfig | None = None,
 ) -> RunTrace:

@@ -334,7 +334,10 @@ def test_acceptance_10_wire_protocol_conformance(tmp_path):
     ok = True
     with StubLlmServer(respond) as server:
         backend = HttpBackend(server.url, "stub-model", backoff=0.01)
-        trace = run_iterative("what landed on the moon?", idx, StepBackends.shared(backend))
+        try:
+            trace = run_iterative("what landed on the moon?", idx, StepBackends.shared(backend))
+        finally:
+            backend.close()
         ok = ok and trace.stop_reason == "validated_true"
         verdict = trace.iterations[0].verdict
         ok = ok and verdict.method == "logprob" and verdict.choice is True
@@ -366,11 +369,14 @@ def test_acceptance_10_wire_protocol_conformance(tmp_path):
 
     with StubLlmServer(respond_plain) as server:
         backend = HttpBackend(server.url, "stub-model", backoff=0.01)
-        verdict = forced_choice(
-            backend,
-            [ChatMessage("system", "s"), ChatMessage("user", "Is it correct?")],
-            30,
-        )
+        try:
+            verdict = forced_choice(
+                backend,
+                [ChatMessage("system", "s"), ChatMessage("user", "Is it correct?")],
+                30,
+            )
+        finally:
+            backend.close()
         ok = ok and verdict.method == "text-fallback" and verdict.choice is False
         ok = ok and server.requests[-1]["max_tokens"] == 30
     _report(10, "chat-completions shape (50/50, 1-token logprob probe, 30-token fallback)", ok)

@@ -462,6 +462,22 @@ def test_load_every_truncation_is_a_format_error(tmp_path):
             load_index(path)
 
 
+def test_load_refuses_a_posting_past_the_last_chunk_in_any_slice_of_refs(tmp_path):
+    # Three chunks share 44,000 terms: 132,000 postings, more than two slices of refs.
+    path = tmp_path / "wide.idx"
+    save_index(index_from_texts([" ".join(f"t{i}" for i in range(44_000))] * 3), path)
+    data = path.read_bytes()
+    n_postings = len(load_index(path).refs)
+    assert n_postings > 2 * bm25._SLICE
+    refs_at = len(data) - 12 * n_postings  # refs (u32) and then impacts (f64) end the file
+    for i in (0, bm25._SLICE - 1, bm25._SLICE, 2 * bm25._SLICE, n_postings - 1):
+        bad = bytearray(data)
+        bad[refs_at + 4 * i:refs_at + 4 * i + 4] = (3).to_bytes(4, "little")
+        path.write_bytes(bad)
+        with pytest.raises(IndexFormatError, match="posting refers past the last chunk"):
+            load_index(path)
+
+
 def test_load_refuses_bad_bm25_params(tmp_path):
     path = tmp_path / "params.idx"
     save_index(index_from_texts(["moon base"]), path)

@@ -6,21 +6,24 @@ import json
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
-from keyrag import cli
+from keyrag import bm25, cli
 from keyrag.bm25 import load_index
 from keyrag.cli import main, read_traces
 from keyrag.llm import HttpBackend, MockBackend
 
 from .helpers import (
+    MOON_QUESTION,
     FaultServer,
     StubLlmServer,
     completion_body,
     http_response,
     keyrag_env,
+    logprob_body,
     write_jsonl,
 )
 
@@ -415,6 +418,265 @@ def test_run_ctrl_c_cancels_queued_questions_and_keeps_finished_ones(tmp_path):
     # Every question that reached the server finished and was written, once.
     assert len({t["qid"] for t in traces}) == len(traces) == asked
     assert all(t["final_answer"] == "ok" and not t.get("error") for t in traces)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="SIGINT cannot be sent to a child")
+def test_run_started_with_sigint_ignored_keeps_ignoring_it(tmp_path):
+    n = 6
+    dataset = tmp_path / "qa.jsonl"
+    write_jsonl(dataset, [{"question": f"Question {i}?", "answers": ["ok"]} for i in range(n)])
+    out = tmp_path / "traces.jsonl"
+
+    def slow(payload, i):
+        time.sleep(0.1)
+        return {"status": 200, "body": completion_body("ok")}
+
+    with StubLlmServer(slow) as server:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "keyrag.cli", "run", "--method", "vanilla",
+             "--dataset", str(dataset), "--endpoint", server.url, "--model", "m",
+             "--workers", "2", "--out", str(out)],
+            env=keyrag_env(NO_PROXY="127.0.0.1"), stderr=subprocess.PIPE, text=True,
+            preexec_fn=functools.partial(signal.signal, signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not server.requests and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.requests, "the run never got going"
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0, stderr
+    assert "interrupted" not in stderr
+    _, rows = read_traces(out)
+    assert [qid for qid, _ in rows] == list(range(n))
+
+
+@pytest.fixture()
+def sigint_default():
+    """SIGINT handled as in a foreground run, also where pytest runs with it ignored."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
+
+
+class _InterruptingFile:
+    """A trace file that sends this process SIGINT `times` times from its second flush.
+
+    The first flush follows the header, the second the first trace line: the
+    point where a KeyboardInterrupt once made the run write that trace twice.
+    """
+
+    def __init__(self, f, times: int):
+        self._f = f
+        self._times = times
+        self._flushes = 0
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._f.close()
+
+    def flush(self):
+        self._f.flush()
+        self._flushes += 1
+        if self._flushes == 2:
+            for _ in range(self._times):
+                signal.raise_signal(signal.SIGINT)
+
+
+@pytest.mark.parametrize("times", [1, 2])
+def test_run_ctrl_c_as_a_trace_is_written_keeps_every_line_whole_and_once(
+        capsys, monkeypatch, tmp_path, sigint_default, times):
+    n = 6
+    dataset = tmp_path / "qa.jsonl"
+    write_jsonl(dataset, [{"question": f"Question {i}?", "answers": ["ok"]} for i in range(n)])
+    script = tmp_path / "script.jsonl"
+    write_jsonl(script, [{"match": "Here is a question", "response": "ok"}] * n)
+    out = tmp_path / "traces.jsonl"
+
+    def open_interrupting(file, mode="r", *args, **kwargs):
+        f = open(file, mode, *args, **kwargs)
+        return _InterruptingFile(f, times) if file == out and mode in ("w", "a") else f
+
+    monkeypatch.setattr(cli, "open", open_interrupting, raising=False)
+    code = main(["run", "--method", "vanilla", "--dataset", str(dataset), "--mock-script",
+                 str(script), "--workers", "1", "--out", str(out)])
+    assert code == 1
+    assert "interrupted" in capsys.readouterr().err
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    lines = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert lines[0]["kind"] == "header"
+    qids = [t["qid"] for t in lines[1:]]
+    assert qids == list(range(len(qids))) and 1 <= len(qids) <= n
+
+
+def _moon_stub(payload, i):
+    """A stub model that answers the Moon question in one iteration."""
+    user = payload["messages"][-1]["content"]
+    if payload.get("logprobs"):
+        return {"status": 200, "body": logprob_body([("True", 0.9), ("False", 0.1)])}
+    if "Generate a list of important keywords" in user:
+        return {"status": 200, "body": completion_body('["Apollo 11", "lunar module"]')}
+    return {"status": 200, "body": completion_body("Eagle")}
+
+
+def _moon_dataset(tmp_path, n: int):
+    dataset = tmp_path / "moon.jsonl"
+    write_jsonl(dataset, [{"question": f"{MOON_QUESTION} ({i})", "answers": ["Eagle"]}
+                          for i in range(n)])
+    return dataset
+
+
+def test_run_loads_the_index_while_the_first_keyword_calls_are_in_flight(
+        monkeypatch, tmp_path, index_path):
+    asked = threading.Event()
+
+    def respond(payload, i):
+        if "Generate a list of important keywords" in payload["messages"][-1]["content"]:
+            asked.set()
+        return _moon_stub(payload, i)
+
+    real_load, waited = bm25.load_index, []
+
+    def load_once_a_keyword_call_is_in(source):
+        waited.append(asked.wait(timeout=10))
+        return real_load(source)
+
+    monkeypatch.setattr(bm25, "load_index", load_once_a_keyword_call_is_in)
+    out = tmp_path / "traces.jsonl"
+    with StubLlmServer(respond) as server:
+        code = main(["run", "--dataset", str(_moon_dataset(tmp_path, 3)), "--index",
+                     str(index_path), "--endpoint", server.url, "--model", "m", "--workers", "2",
+                     "--out", str(out)])
+    assert waited == [True]
+    assert code == 0
+    header, rows = read_traces(out)
+    assert header["config"]["index_sha256"] == hashlib.sha256(index_path.read_bytes()).hexdigest()
+    assert [(qid, trace.final_answer, trace.error) for qid, trace in sorted(rows)] == [
+        (0, "Eagle", None), (1, "Eagle", None), (2, "Eagle", None)]
+
+
+def test_run_ctrl_c_while_the_index_loads_ends_the_run_as_an_interrupt(
+        capsys, monkeypatch, tmp_path, index_path, sigint_default):
+    script = tmp_path / "script.jsonl"
+    write_jsonl(script, [
+        {"match": "Generate a list of important keywords", "response": '["Apollo 11"]'},
+        {"match": "Here is a question", "response": "Eagle"},
+        {"match": "Is the following answer correct", "p_true": 0.9, "p_false": 0.1},
+    ] * 4)
+    real_load, escaped = bm25.load_index, []
+
+    def load_then_interrupt(source):
+        index = real_load(source)
+        try:
+            signal.raise_signal(signal.SIGINT)
+        except KeyboardInterrupt:
+            escaped.append(True)
+        return index
+
+    monkeypatch.setattr(bm25, "load_index", load_then_interrupt)
+    out = tmp_path / "traces.jsonl"
+    code = main(["run", "--dataset", str(_moon_dataset(tmp_path, 4)), "--index",
+                 str(index_path), "--mock-script", str(script), "--workers", "1",
+                 "--out", str(out)])
+    assert escaped == []
+    assert code == 1
+    assert "interrupted" in capsys.readouterr().err
+    header, rows = read_traces(out)
+    assert header["config"]["index_sha256"]
+    assert [qid for qid, _ in rows] == list(range(len(rows)))
+    assert all(trace.final_answer == "Eagle" for _, trace in rows)
+
+
+def _wrong_version(index_path, tmp_path):
+    path = tmp_path / "v2.idx"
+    data = bytearray(index_path.read_bytes())
+    data[len(bm25.MAGIC)] = 2
+    path.write_bytes(data)
+    return path
+
+
+def _not_an_index(index_path, tmp_path):
+    path = tmp_path / "notes.idx"
+    path.write_text("these are notes, not an index\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("make_bad, message", [
+    (lambda index_path, tmp_path: tmp_path / "missing.idx", "No such file or directory"),
+    (_not_an_index, "error: bad magic: not a recognized index file"),
+    (_wrong_version, "error: unsupported index version 2 (this keyrag reads version 3)"),
+])
+def test_run_refuses_a_file_that_is_no_index_of_this_version_before_any_request(
+        capsys, tmp_path, index_path, make_bad, message):
+    bad = make_bad(index_path, tmp_path)
+    out = tmp_path / "traces.jsonl"
+    out.write_text("earlier traces\n", encoding="utf-8")
+    with StubLlmServer(_moon_stub) as server:
+        code = main(["run", "--dataset", str(_moon_dataset(tmp_path, 3)), "--index", str(bad),
+                     "--endpoint", server.url, "--model", "m", "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert server.requests == []
+    assert out.read_text(encoding="utf-8") == "earlier traces\n"
+
+
+def test_run_refuses_an_out_path_it_cannot_write_before_any_request(capsys, tmp_path,
+                                                                    index_path):
+    out = tmp_path / "missing" / "traces.jsonl"
+    with StubLlmServer(_moon_stub) as server:
+        code = main(["run", "--dataset", str(_moon_dataset(tmp_path, 3)), "--index",
+                     str(index_path), "--endpoint", server.url, "--model", "m", "--out", str(out)])
+    assert code == 1
+    assert "No such file or directory" in capsys.readouterr().err
+    assert server.requests == []
+
+
+def test_run_with_an_index_whose_postings_are_corrupt_fails_as_load_index_does(
+        capsys, tmp_path, index_path):
+    index = load_index(index_path)
+    data = bytearray(index_path.read_bytes())
+    # The refs column (u32 each) and then the impacts column (f64 each) end the file.
+    refs_at = len(data) - 12 * len(index.refs)
+    data[refs_at:refs_at + 4] = index.n_docs.to_bytes(4, "little")
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(data)
+    out = tmp_path / "traces.jsonl"
+    out.write_text("earlier traces\n", encoding="utf-8")
+    with StubLlmServer(_moon_stub) as server:
+        code = main(["run", "--dataset", str(_moon_dataset(tmp_path, 6)), "--index", str(bad),
+                     "--endpoint", server.url, "--model", "m", "--workers", "2",
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: corrupt index file: posting refers past the last chunk" in err
+    assert "Traceback" not in err
+    assert len(server.requests) <= 2
+    assert out.read_text(encoding="utf-8") == "earlier traces\n"
+
+
+def test_run_skip_completed_refuses_a_file_written_with_another_index_before_any_request(
+        capsys, tmp_path, corpus_path, dataset_path, index_path):
+    other = tmp_path / "other.idx"
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(other), "--no-titles"]) == 0
+    out = tmp_path / "traces.jsonl"
+    with StubLlmServer(_moon_stub) as server:
+        argv = ["run", "--dataset", str(dataset_path), "--endpoint", server.url, "--model", "m",
+                "--out", str(out)]
+        assert main(argv + ["--index", str(index_path)]) == 0
+        before, asked = out.read_bytes(), len(server.requests)
+        assert main(argv + ["--index", str(other), "--skip-completed"]) == 2
+        assert len(server.requests) == asked
+    assert "it was written with index_sha256=" in capsys.readouterr().err
+    assert out.read_bytes() == before
 
 
 def test_run_deterministic_outputs(tmp_path, dataset_path, index_path, script_path):

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from keyrag.bm25 import token_spans, tokenize
 from keyrag.corpus import (
@@ -195,6 +197,18 @@ def test_chunk_coverage_and_overlap_random_docs(chunk_size, overlap):
         total = rng.randint(1, 1500)
         chunks = chunk_document(_doc(total), chunk_size, overlap)
         _assert_chunk_invariants(chunks, total, chunk_size, overlap)
+
+
+@given(st.data())
+def test_chunk_coverage_and_overlap_any_setting(data):
+    chunk_size = data.draw(st.integers(1, 64), label="chunk_size")
+    overlap = data.draw(st.integers(0, chunk_size - 1), label="overlap")
+    total = data.draw(st.integers(1, 400), label="tokens")
+    chunks = chunk_document(_doc(total), chunk_size, overlap)
+    _assert_chunk_invariants(chunks, total, chunk_size, overlap)
+    assert [tokenize(c.text) for c in chunks] == [
+        [f"t{i}" for i in range(*c.token_span)] for c in chunks
+    ]
 
 
 def test_chunk_corpus_prepends_titles():
