@@ -286,13 +286,6 @@ def cmd_run(args) -> int:
             write_header = header is None
             # A question whose last trace records an error is run again.
             done_qids = {qid for qid, trace in rows if not trace.error}
-        # An --out that cannot be written fails before any request. The file is
-        # opened for the traces only once the index has loaded, so this probe
-        # leaves it as it was.
-        existed = out.exists()
-        open(out, "a", encoding="utf-8").close()
-        if not existed:
-            out.unlink()
 
         # Each worker runs one question; a docwise round sends top_k calls at once.
         # Without early stop, answer → validate halves overlap the keyword rounds;
@@ -302,20 +295,27 @@ def cmd_run(args) -> int:
             max_in_flight += 2 * workers
         backends = _build_backends(args, file_values, timeout, max_in_flight)
         cleanup.callback(backends.close)
+        # An --out that cannot be written fails here, before any request. The
+        # file is opened to append, so it is left as it was until the index
+        # has loaded.
+        created = not os.path.lexists(out)
+        sink = cleanup.enter_context(open(out, "a", encoding="utf-8"))
         pool = ThreadPoolExecutor(max_workers=workers)
         cleanup.callback(pool.shutdown, cancel_futures=True)
 
-        # Ctrl-C only counts: the loop below acts on it between whole trace
-        # lines. The first drops the queued questions and lets the running ones
-        # finish; the second writes no more traces. Installed before the
-        # questions start, restored before the wait for the running ones to end.
-        # A run started with SIGINT ignored, as a shell starts a background
-        # job, keeps ignoring it.
+        # Ctrl-C only counts and wakes the loop below, which acts on it between
+        # whole trace lines. The first drops the queued questions and lets the
+        # running ones finish; the second writes no more traces. Installed
+        # before the questions start, restored before the wait for the running
+        # ones to end. A run started with SIGINT ignored, as a shell starts a
+        # background job, keeps ignoring it.
+        finished: queue.SimpleQueue[Future | None] = queue.SimpleQueue()
         interrupts = 0
 
         def on_sigint(signum, frame):
             nonlocal interrupts
             interrupts += 1
+            finished.put(None)  # SimpleQueue.put is safe in a signal handler
 
         previous = signal.getsignal(signal.SIGINT)
         if previous is not signal.SIG_IGN:
@@ -349,8 +349,7 @@ def cmd_run(args) -> int:
             )
             return qid, trace
 
-        finished: queue.SimpleQueue[Future] = queue.SimpleQueue()  # in the order they finish
-        for qid, question in todo:
+        for qid, question in todo:  # each lands in `finished` as it finishes
             pool.submit(work, qid, question).add_done_callback(finished.put)
         if pending:
             try:
@@ -360,23 +359,25 @@ def cmd_run(args) -> int:
                 # ones see the error.
                 pool.shutdown(wait=False, cancel_futures=True)
                 pending.set_exception(exc)
+                if created:
+                    sink.close()
+                    out.unlink()
                 raise
             pending.set_result(index)
             effective["index_sha256"] = index.sha256
 
-        sink = cleanup.enter_context(open(out, "a" if resume else "w", encoding="utf-8"))
+        if not resume:
+            sink.truncate(0)
         if write_header:
             sink.write(_json_line({"v": 1, "kind": "header", "config": effective}) + "\n")
             sink.flush()
         left = len(todo)
         while left:
-            if interrupts:
-                pool.shutdown(wait=False, cancel_futures=True)  # drop the queued questions
-            try:
-                future = finished.get(timeout=0.1)
-            except queue.Empty:
+            future = finished.get()
+            if future is None:  # Ctrl-C
                 if interrupts > 1:
                     break  # the traces of finished questions are written: stop waiting
+                pool.shutdown(wait=False, cancel_futures=True)  # drop the queued questions
                 continue
             left -= 1
             if future.cancelled():

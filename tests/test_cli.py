@@ -640,8 +640,9 @@ def test_run_refuses_an_out_path_it_cannot_write_before_any_request(capsys, tmp_
     assert server.requests == []
 
 
+@pytest.mark.parametrize("earlier", ["earlier traces\n", None])
 def test_run_with_an_index_whose_postings_are_corrupt_fails_as_load_index_does(
-        capsys, tmp_path, index_path):
+        capsys, tmp_path, index_path, earlier):
     index = load_index(index_path)
     data = bytearray(index_path.read_bytes())
     # The refs column (u32 each) and then the impacts column (f64 each) end the file.
@@ -650,7 +651,8 @@ def test_run_with_an_index_whose_postings_are_corrupt_fails_as_load_index_does(
     bad = tmp_path / "bad.idx"
     bad.write_bytes(data)
     out = tmp_path / "traces.jsonl"
-    out.write_text("earlier traces\n", encoding="utf-8")
+    if earlier is not None:
+        out.write_text(earlier, encoding="utf-8")
     with StubLlmServer(_moon_stub) as server:
         code = main(["run", "--dataset", str(_moon_dataset(tmp_path, 6)), "--index", str(bad),
                      "--endpoint", server.url, "--model", "m", "--workers", "2",
@@ -660,7 +662,24 @@ def test_run_with_an_index_whose_postings_are_corrupt_fails_as_load_index_does(
     assert "error: corrupt index file: posting refers past the last chunk" in err
     assert "Traceback" not in err
     assert len(server.requests) <= 2
-    assert out.read_text(encoding="utf-8") == "earlier traces\n"
+    if earlier is None:
+        assert not out.exists()
+    else:
+        assert out.read_text(encoding="utf-8") == earlier
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="symlinks need privileges")
+def test_run_writes_through_an_out_symlink_whose_target_does_not_exist_yet(tmp_path,
+                                                                           index_path):
+    target, out = tmp_path / "target.jsonl", tmp_path / "traces.jsonl"
+    out.symlink_to(target)
+    with StubLlmServer(_moon_stub) as server:
+        code = main(["run", "--dataset", str(_moon_dataset(tmp_path, 3)), "--index",
+                     str(index_path), "--endpoint", server.url, "--model", "m", "--out", str(out)])
+    assert code == 0
+    assert out.is_symlink()
+    header, rows = read_traces(target)
+    assert header["config"]["index_sha256"] and [qid for qid, _ in rows] == [0, 1, 2]
 
 
 def test_run_skip_completed_refuses_a_file_written_with_another_index_before_any_request(
