@@ -184,14 +184,8 @@ def build_index(
 
 
 def _idf(df: int, n_docs: int) -> float:
-    return math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
-
-
-def idf(term: str, index: Index) -> float:
     """Smoothed inverse document frequency; strictly positive for any df in [0, N]."""
-    t = index.terms.get(term)
-    df = 0 if t is None else index.offsets[t + 1] - index.offsets[t]
-    return _idf(df, index.n_docs)
+    return math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
 
 def _norm(doc_len: int, avg_doc_len: float, b: float) -> float:

@@ -104,43 +104,35 @@ def _check_limit(limit: int | None) -> None:
 def cmd_index(args) -> int:
     _check_limit(args.limit)
     if args.chunk_size <= 0 or not 0 <= args.overlap < args.chunk_size:
-        print(
-            f"usage error: need 0 <= overlap < chunk_size,"
-            f" got overlap={args.overlap} chunk_size={args.chunk_size}",
-            file=sys.stderr,
+        raise UsageError(
+            f"need 0 <= overlap < chunk_size,"
+            f" got overlap={args.overlap} chunk_size={args.chunk_size}"
         )
-        return 2
     try:
         params = bm25.Bm25Params(k1=args.k1, b=args.b)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     out = Path(args.out)
     if out.exists() and not args.force:
-        print(f"error: {out} already exists (use --force to overwrite)", file=sys.stderr)
-        return 1
-    try:
-        stopwords = frozenset()
-        if args.stopwords:
-            words = Path(args.stopwords).read_text(encoding="utf-8").split()
-            stopwords = frozenset(w.lower() for w in words)
-        docs = corpus.load_corpus(args.corpus, limit=args.limit)
-        n_docs = 0
+        raise FileExistsError(f"{out} already exists (use --force to overwrite)")
+    stopwords = frozenset()
+    if args.stopwords:
+        words = Path(args.stopwords).read_text(encoding="utf-8").split()
+        stopwords = frozenset(w.lower() for w in words)
+    docs = corpus.load_corpus(args.corpus, limit=args.limit)
+    n_docs = 0
 
-        def counted(stream):
-            nonlocal n_docs
-            for doc in stream:
-                n_docs += 1
-                yield doc
+    def counted(stream):
+        nonlocal n_docs
+        for doc in stream:
+            n_docs += 1
+            yield doc
 
-        chunks = corpus.chunk_corpus(
-            counted(docs), args.chunk_size, args.overlap, prepend_titles=not args.no_titles
-        )
-        index = bm25.build_index(chunks, params=params, stopwords=stopwords)
-        bm25.save_index(index, out)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    chunks = corpus.chunk_corpus(
+        counted(docs), args.chunk_size, args.overlap, prepend_titles=not args.no_titles
+    )
+    index = bm25.build_index(chunks, params=params, stopwords=stopwords)
+    bm25.save_index(index, out)
     print(
         f"indexed {n_docs} documents into {index.n_docs} chunks"
         f" (vocab {index.vocab_size}, avg chunk length {index.avg_doc_len:.2f} tokens)"
@@ -216,6 +208,16 @@ def _strip_timings(trace: pipeline.RunTrace) -> None:
             rec.wall_time_ms[step] = 0.0
 
 
+def _block_sigint() -> None:
+    """Block SIGINT in this thread and in the threads it starts (POSIX only).
+
+    Python runs signal handlers in the main thread, and a main thread waiting
+    on a queue does not wake for a signal that another thread took.
+    """
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+
+
 def cmd_run(args) -> int:
     _check_limit(args.limit)
     file_values = _load_config_file(args.config) if args.config else {}
@@ -287,12 +289,8 @@ def cmd_run(args) -> int:
             # A question whose last trace records an error is run again.
             done_qids = {qid for qid, trace in rows if not trace.error}
 
-        # Each worker runs one question; a docwise round sends top_k calls at once.
-        # Without early stop, answer → validate halves overlap the keyword rounds;
-        # a question can have two running, each making one call at a time.
-        max_in_flight = workers * (config.top_k if config.regen_mode == "docwise" else 1)
-        if not config.early_stop:
-            max_in_flight += 2 * workers
+        # Each worker runs one question.
+        max_in_flight = workers * config.calls_in_flight
         backends = _build_backends(args, file_values, timeout, max_in_flight)
         cleanup.callback(backends.close)
         # An --out that cannot be written fails here, before any request. The
@@ -300,12 +298,13 @@ def cmd_run(args) -> int:
         # has loaded.
         created = not os.path.lexists(out)
         sink = cleanup.enter_context(open(out, "a", encoding="utf-8"))
-        pool = ThreadPoolExecutor(max_workers=workers)
+        pool = ThreadPoolExecutor(max_workers=workers, initializer=_block_sigint)
         cleanup.callback(pool.shutdown, cancel_futures=True)
 
         # Ctrl-C only counts and wakes the loop below, which acts on it between
         # whole trace lines. The first drops the queued questions and lets the
-        # running ones finish; the second writes no more traces. Installed
+        # running ones finish; the second writes no more traces and closes the
+        # backends, which ends the running questions' calls at once. Installed
         # before the questions start, restored before the wait for the running
         # ones to end. A run started with SIGINT ignored, as a shell starts a
         # background job, keeps ignoring it.
@@ -334,6 +333,8 @@ def cmd_run(args) -> int:
             except LlmError as exc:
                 error = str(exc)
             except Exception as exc:  # a bug, or an OSError from a template: this question fails
+                if interrupts > 1:
+                    raise  # its backends were closed: no trace of it is written
                 if pending and pending.done() and exc is pending.exception():
                     raise  # the index did not load: the run fails, reported once below
                 traceback.print_exc()
@@ -376,7 +377,8 @@ def cmd_run(args) -> int:
             future = finished.get()
             if future is None:  # Ctrl-C
                 if interrupts > 1:
-                    break  # the traces of finished questions are written: stop waiting
+                    backends.close()  # the running questions' calls end now
+                    break  # the traces of finished questions are written
                 pool.shutdown(wait=False, cancel_futures=True)  # drop the queued questions
                 continue
             left -= 1

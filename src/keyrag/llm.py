@@ -14,8 +14,7 @@ import random
 import re
 import select
 import threading
-import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 
@@ -67,22 +66,12 @@ class LlmBackend:
         """Greedy (temperature 0) generation of at most max_tokens tokens."""
         raise NotImplementedError
 
-    def complete_many(self, batch: list[list[ChatMessage]], max_tokens: int) -> list[str]:
-        """complete() for each message list of a batch; replies in input order.
-
-        Calls are made one after another, so a scripted backend sees them in
-        batch order. Backends that can overlap independent calls override this.
-        """
-        return [self.complete(messages, max_tokens) for messages in batch]
-
     def submit(self, fn, *args) -> Future:
         """Start fn(*args), a task that calls this backend; a Future of its result.
 
         This runs the task at once in the calling thread, and its exception
         propagates from submit itself, so a scripted backend sees calls in
-        program order. Backends that can overlap independent calls override
-        this. A task calls complete() and forced_choice() only, never
-        complete_many(), whose batch could wait for the thread the task holds.
+        program order. Backends that can overlap independent calls override this.
         """
         future: Future = Future()
         future.set_result(fn(*args))
@@ -93,7 +82,7 @@ class LlmBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release threads and connections; the backend is not used afterwards.
+        """Release threads and connections; calls still in flight may fail.
 
         Safe to call more than once.
         """
@@ -261,8 +250,9 @@ class HttpBackend(LlmBackend):
 
     The backend holds at most max_in_flight keep-alive connections, and a
     request waits for a free one, so shared backends stay polite under
-    concurrent pipelines. An idle connection the server has closed is replaced
-    before it is used, not retried. Proxies come from the environment
+    concurrent pipelines; submit runs tasks on as many helper threads. An idle
+    connection the server has closed is replaced before it is used, not
+    retried. Proxies come from the environment
     (`HTTP_PROXY`, `HTTPS_PROXY`, `ALL_PROXY`, `NO_PROXY`), read once when the
     backend is made; an https endpoint behind a proxy is reached through a
     CONNECT tunnel. TLS is verified against the default trust store
@@ -342,9 +332,10 @@ class HttpBackend(LlmBackend):
             if tunnel:
                 conn.set_tunnel(*tunnel)
             self._idle.put(conn)
-        # Helper threads for complete_many and submit: started on first use and
-        # kept until close(), so a batch does not pay for starting and joining threads.
+        # Helper threads for submit: started on first use and kept until close(),
+        # so a task does not pay for starting and joining a thread.
         self._pool = ThreadPoolExecutor(max_in_flight, thread_name_prefix="keyrag-llm")
+        self._closed = threading.Event()
 
     def _send(self, body: bytes) -> tuple[int, str | None, bytes]:
         """POST body on a free connection; (status, Retry-After header, response body)."""
@@ -352,6 +343,10 @@ class HttpBackend(LlmBackend):
         try:
             if conn.sock is not None and _readable(conn.sock):
                 conn.close()  # closed by the server while idle: reconnect, do not retry
+            if conn.sock is None:
+                conn.connect()
+            if self._closed.is_set():  # close() may have missed a socket still connecting
+                raise ConnectionAbortedError("the backend is closed")
             conn.request("POST", self._target, body, self._headers)
             resp = conn.getresponse()
             return resp.status, resp.getheader("Retry-After"), resp.read()
@@ -371,8 +366,10 @@ class HttpBackend(LlmBackend):
             if attempt:
                 if delay is None:
                     delay = self.backoff * (2 ** (attempt - 1)) * random.uniform(0.5, 1.0)
-                time.sleep(delay)
+                self._closed.wait(delay)  # close() cuts the wait short
                 delay = None
+            if self._closed.is_set():
+                raise TransportError(f"request to {self.url} not sent: the backend is closed")
             try:
                 status, retry_after, data = self._send(body)
             except (OSError, http.client.HTTPException) as exc:
@@ -393,28 +390,26 @@ class HttpBackend(LlmBackend):
         assert last_err is not None
         raise last_err
 
-    def complete_many(self, batch: list[list[ChatMessage]], max_tokens: int) -> list[str]:
-        """All calls of the batch at once; replies in input order.
-
-        The calling thread makes the first call itself, the backend's helper
-        threads the others. If any call fails, waits for the others, then
-        raises the error of the first failed call in batch order.
-        """
-        if len(batch) < 2:
-            return super().complete_many(batch, max_tokens)
-        futures = [self._pool.submit(self.complete, messages, max_tokens) for messages in batch[1:]]
-        try:
-            first = self.complete(batch[0], max_tokens)
-        finally:
-            wait(futures)
-        return [first] + [future.result() for future in futures]
-
     def submit(self, fn, *args) -> Future:
-        """Run fn(*args) on one of complete_many's helper threads."""
+        """Run fn(*args) on one of the backend's helper threads."""
         return self._pool.submit(fn, *args)
 
     def close(self) -> None:
-        self._pool.shutdown()
+        """Cut the calls in flight short with a TransportError and drop queued tasks.
+
+        A closed backend makes no further attempt.
+        """
+        import socket
+
+        self._closed.set()
+        for conn in self._connections:
+            sock = conn.sock
+            if sock is not None:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # closed, or never connected
+        self._pool.shutdown(cancel_futures=True)
         for conn in self._connections:
             conn.close()
 

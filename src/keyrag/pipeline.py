@@ -4,14 +4,15 @@
 IterationRecord and RunTrace: iterative repeats keywords → retrieve → answer →
 validate; rag is one iteration with no keyword step and no validation, the
 question itself being the query; vanilla is one answer call with no retrieval.
-Within one trace, calls follow program order, except that without early stop
-each iteration's answer → validate runs beside the next iteration's keyword
-round, which needs neither its answer nor its verdict; the records and the
-trace are the same as a sequential run's. Traces for different questions may
-run concurrently (records are immutable once emitted, and backends handle
-their own synchronization). The pipeline never sees reference answers:
-nothing in this module takes them as input, so leakage is impossible by
-construction.
+Within one trace, calls follow program order except in two overlaps, both
+started with the backend's `submit`: a docwise round sends its per-document
+calls at once, and without early stop each iteration's answer → validate runs
+beside the next iteration's keyword round, which needs neither its answer nor
+its verdict. The records and the trace are the same as a sequential run's.
+Traces for different questions may run concurrently (records are immutable
+once emitted, and backends handle their own synchronization). The pipeline
+never sees reference answers: nothing in this module takes them as input, so
+leakage is impossible by construction.
 """
 from __future__ import annotations
 
@@ -96,6 +97,16 @@ class RunConfig:
             raise ValueError(
                 f"validation_mode must be one of {VALIDATION_MODES}, got {self.validation_mode!r}"
             )
+
+    @property
+    def calls_in_flight(self) -> int:
+        """The LLM calls one question keeps in flight, to size its backends by.
+
+        A docwise round sends top_k at once, any other keyword round one; without
+        early stop, two answer → validate halves run beside the rounds.
+        """
+        per_round = self.top_k if self.regen_mode == "docwise" else 1
+        return per_round if self.early_stop else per_round + 2
 
 
 @dataclass
@@ -184,8 +195,8 @@ def _keywords(question, prev_keywords, backends, config, flags, raws) -> list[st
 def _keywords_regen_docwise(
     question, prev_keywords, prev_doc_texts, backends, config, flags, raws
 ) -> list[str]:
-    # The per-document calls are independent: send them as one batch, then
-    # merge the replies in document order.
+    # The per-document calls are independent: submit them all, then merge the
+    # replies in document order once every call has returned.
     batch = [
         render(
             "step4_regen_docwise",
@@ -198,9 +209,12 @@ def _keywords_regen_docwise(
         )
         for doc_text in prev_doc_texts
     ]
-    replies = backends.keyword_gen.complete_many(batch, KEYWORD_MAX_TOKENS)
+    backend = backends.keyword_gen
+    calls = [backend.submit(backend.complete, messages, KEYWORD_MAX_TOKENS) for messages in batch]
+    wait(calls)
     merged: list[str] = []
-    for messages, reply in zip(batch, replies):
+    for messages, call in zip(batch, calls):
+        reply = call.result()
         _record_raw(raws, "keyword_regeneration_docwise", messages, reply)
         try:
             merged.extend(parse_keyword_list(reply))

@@ -16,8 +16,8 @@ from keyrag import bm25
 from keyrag.bm25 import (
     Bm25Params,
     IndexFormatError,
+    _idf,
     build_index,
-    idf,
     load_index,
     retrieve_top_k,
     save_index,
@@ -108,24 +108,20 @@ def test_postings_sorted_by_chunk_ref():
 
 
 def test_idf_three_docs_df_one():
-    idx = index_from_texts(["moon", "sun", "star"])
-    assert idf("moon", idx) == pytest.approx(math.log((2.5 / 1.5) + 1), abs=1e-12)
-    assert idf("moon", idx) == pytest.approx(0.9808, abs=1e-4)
+    assert _idf(1, 3) == pytest.approx(math.log((2.5 / 1.5) + 1), abs=1e-12)
+    assert _idf(1, 3) == pytest.approx(0.9808, abs=1e-4)
 
 
 def test_idf_term_in_every_doc():
-    idx = index_from_texts(["moon a", "moon b", "moon c"])
-    assert idf("moon", idx) == pytest.approx(math.log((0.5 / 3.5) + 1), abs=1e-12)
-    assert idf("moon", idx) == pytest.approx(0.1335, abs=1e-4)
+    assert _idf(3, 3) == pytest.approx(math.log((0.5 / 3.5) + 1), abs=1e-12)
+    assert _idf(3, 3) == pytest.approx(0.1335, abs=1e-4)
 
 
 def test_idf_positive_for_all_df():
     for n in (1, 2, 5, 50):
-        texts = [f"shared unique{i}" for i in range(n)]
-        idx = index_from_texts(texts)
-        assert idf("shared", idx) > 0  # df = N
-        assert idf("unique0", idx) > 0  # df = 1
-        assert idf("absent", idx) > 0  # df = 0
+        assert _idf(n, n) > 0  # a term in every chunk
+        assert _idf(1, n) > 0
+        assert _idf(0, n) > 0  # an absent term
 
 
 # --- score ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import CancelledError
 
 import pytest
 
@@ -112,6 +113,36 @@ def test_index_names_the_line_of_a_lone_surrogate(capsys, tmp_path):
     assert main(["index", "--corpus", str(corpus), "--out", str(out)]) == 1
     assert "line 2: lone surrogate" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["overlap", "k1", "out-exists", "corpus-json", "stopwords"])
+def test_index_failure_prints_its_message_and_exit_code(capsys, tmp_path, corpus_path, case):
+    out = tmp_path / "x.idx"
+    stopwords = tmp_path / "missing-stopwords.txt"
+    argv = ["index", "--corpus", str(corpus_path), "--out", str(out)]
+    if case == "overlap":
+        argv += ["--chunk-size", "50", "--overlap", "50"]
+        expected = 2, "usage error: need 0 <= overlap < chunk_size, got overlap=50 chunk_size=50"
+    elif case == "k1":
+        argv += ["--k1", "-1"]
+        expected = 2, "usage error: k1 must be nonnegative, got -1.0"
+    elif case == "out-exists":
+        out.write_text("an earlier index", encoding="utf-8")
+        expected = 1, f"error: {out} already exists (use --force to overwrite)"
+    elif case == "corpus-json":
+        corpus_path.write_text('{"id": "a", "text": "fine"}\nnot json\n', encoding="utf-8")
+        expected = 1, "error: line 2: invalid JSON (Expecting value)"
+    else:
+        argv += ["--stopwords", str(stopwords)]
+        expected = 1, f"error: [Errno 2] No such file or directory: '{stopwords}'"
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (expected[0], expected[1] + "\n")
+    assert captured.out == ""
+    if case == "out-exists":
+        assert out.read_text(encoding="utf-8") == "an earlier index"
+    else:
+        assert not out.exists()
 
 
 # --- run -----------------------------------------------------------------------
@@ -359,6 +390,51 @@ def test_run_closes_its_backends(tmp_path, dataset_path, index_path, monkeypatch
     assert {id(b) for b in closed} == {id(b) for b in made}
 
 
+@pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="POSIX signal masks")
+def test_run_leaves_sigint_to_the_main_thread(tmp_path, dataset_path, index_path, monkeypatch):
+    callers = []
+
+    class Recording(HttpBackend):
+        def complete(self, messages, max_tokens):
+            blocked = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+            callers.append((threading.current_thread().name, signal.SIGINT in blocked))
+            return super().complete(messages, max_tokens)
+
+    monkeypatch.setattr(cli, "HttpBackend", Recording)
+    with StubLlmServer(_moon_stub) as server:
+        code = main(["run", "--dataset", str(dataset_path), "--index", str(index_path),
+                     "--endpoint", server.url, "--model", "m", "--regen-mode", "docwise",
+                     "--no-early-stop", "--max-iterations", "2",
+                     "--out", str(tmp_path / "traces.jsonl")])
+    assert code == 0
+    assert any(name.startswith("keyrag-llm") for name, _ in callers)  # helper threads too
+    assert [blocked for _, blocked in callers] == [True] * len(callers)
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("flags, per_question", [
+    ([], 1),
+    (["--no-early-stop"], 3),
+    (["--regen-mode", "docwise"], 3),  # --top-k 3
+    (["--regen-mode", "docwise", "--no-early-stop"], 5),
+])
+def test_run_sizes_its_backends_by_workers_times_a_questions_calls_in_flight(
+        monkeypatch, tmp_path, dataset_path, index_path, flags, per_question, workers):
+    sized = []
+
+    def build_backends(args, file_values, timeout, max_in_flight):
+        sized.append(max_in_flight)
+        raise cli.UsageError("no backend needed")
+
+    monkeypatch.setattr(cli, "_build_backends", build_backends)
+    code = main(["run", "--dataset", str(dataset_path), "--index", str(index_path),
+                 "--endpoint", "http://127.0.0.1:9/v1", "--model", "m", "--top-k", "3",
+                 "--workers", str(workers), "--out", str(tmp_path / "traces.jsonl"), *flags])
+    assert code == 2
+    assert sized == [workers * per_question]
+
+
 def test_import_cli_leaves_requests_unloaded():
     # `keyrag index` and `keyrag eval` never make a request.
     code = "import sys, keyrag.cli; sys.exit('requests' in sys.modules)"
@@ -418,6 +494,58 @@ def test_run_ctrl_c_cancels_queued_questions_and_keeps_finished_ones(tmp_path):
     # Every question that reached the server finished and was written, once.
     assert len({t["qid"] for t in traces}) == len(traces) == asked
     assert all(t["final_answer"] == "ok" and not t.get("error") for t in traces)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="SIGINT cannot be sent to a child")
+@pytest.mark.parametrize("flags", [
+    ["--method", "vanilla"],
+    ["--regen-mode", "docwise", "--no-early-stop"],  # answers in flight on helper threads
+])
+def test_run_second_ctrl_c_ends_the_run_at_once(tmp_path, index_path, flags):
+    n = 6
+    dataset = tmp_path / "qa.jsonl"
+    write_jsonl(dataset, [{"question": f"Question {i}?", "answers": ["ok"]} for i in range(n)])
+    out = tmp_path / "traces.jsonl"
+    release = threading.Event()
+
+    def answers_held(payload, i):
+        user = payload["messages"][-1]["content"]
+        if payload.get("logprobs"):
+            return {"status": 200, "body": logprob_body([("True", 0.9), ("False", 0.1)])}
+        if "Here is a question" in user:
+            release.wait(timeout=20)
+            return {"status": 200, "body": completion_body("ok")}
+        return {"status": 200, "body": completion_body('["moon"]')}
+
+    with StubLlmServer(answers_held) as server:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "keyrag.cli", "run", "--dataset", str(dataset),
+             "--index", str(index_path), "--endpoint", server.url, "--model", "m",
+             "--workers", "2", "--out", str(out), *flags],
+            env=keyrag_env(NO_PROXY="127.0.0.1"), stderr=subprocess.PIPE, text=True,
+            preexec_fn=functools.partial(signal.signal, signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while (sum("logprobs" not in r and "Here is a question" in r["messages"][-1]["content"]
+                       for r in list(server.requests)) < 2 and time.monotonic() < deadline):
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            time.sleep(0.3)
+            proc.send_signal(signal.SIGINT)
+            t0 = time.monotonic()
+            _, stderr = proc.communicate(timeout=30)
+            elapsed = time.monotonic() - t0
+        finally:
+            release.set()
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 1, stderr
+    assert "interrupted" in stderr
+    assert "Traceback" not in stderr
+    assert elapsed < 5.0
+    lines = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert lines[0]["kind"] == "header"
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="SIGINT cannot be sent to a child")
@@ -516,6 +644,62 @@ def test_run_ctrl_c_as_a_trace_is_written_keeps_every_line_whole_and_once(
     assert lines[0]["kind"] == "header"
     qids = [t["qid"] for t in lines[1:]]
     assert qids == list(range(len(qids))) and 1 <= len(qids) <= n
+
+
+class _CutByClose(MockBackend):
+    """Question 0's answer waits until question 1's has started; question 1's
+    waits for close() and then raises `cut`, as a question whose backend was
+    closed under it can.
+    """
+
+    cut: Exception
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.cutting = threading.Event()
+        self.closed = threading.Event()
+
+    def complete(self, messages, max_tokens):
+        if "Question 1?" in messages[-1].content:
+            self.cutting.set()
+            assert self.closed.wait(timeout=10)
+            raise self.cut
+        assert self.cutting.wait(timeout=10)
+        return super().complete(messages, max_tokens)
+
+    def close(self):
+        self.closed.set()
+
+
+@pytest.mark.parametrize("cut", [
+    pytest.param(RuntimeError("cannot schedule new futures after shutdown"), id="late-submit"),
+    pytest.param(CancelledError(), id="cancelled"),
+])
+def test_run_second_ctrl_c_prints_no_traceback_for_the_questions_it_cuts(
+        capsys, monkeypatch, tmp_path, sigint_default, cut):
+    n = 4
+    dataset = tmp_path / "qa.jsonl"
+    write_jsonl(dataset, [{"question": f"Question {i}?", "answers": ["ok"]} for i in range(n)])
+    script = tmp_path / "script.jsonl"
+    write_jsonl(script, [{"match": "Here is a question", "response": "ok"}] * n)
+    out = tmp_path / "traces.jsonl"
+
+    def open_interrupting(file, mode="r", *args, **kwargs):
+        f = open(file, mode, *args, **kwargs)
+        return _InterruptingFile(f, 2) if file == out and mode in ("w", "a") else f
+
+    monkeypatch.setattr(cli, "open", open_interrupting, raising=False)
+    monkeypatch.setattr(_CutByClose, "cut", cut, raising=False)
+    monkeypatch.setattr(cli, "MockBackend", _CutByClose)
+    code = main(["run", "--method", "vanilla", "--dataset", str(dataset), "--mock-script",
+                 str(script), "--workers", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "interrupted" in err
+    assert "Traceback" not in err
+    _, rows = read_traces(out)
+    qids = [qid for qid, _ in rows]
+    assert 0 in qids and 1 not in qids
 
 
 def _moon_stub(payload, i):

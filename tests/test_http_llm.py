@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from keyrag.bm25 import retrieve_top_k
 from keyrag.llm import (
     BackendError,
     ChatMessage,
@@ -15,12 +18,14 @@ from keyrag.llm import (
     TransportError,
     forced_choice,
 )
+from keyrag.pipeline import RunConfig, StepBackends, expand_query, run_iterative
 
 from .helpers import (
     FaultServer,
     StubLlmServer,
     completion_body,
     http_response,
+    index_from_texts,
     keyrag_env,
     logprob_body,
 )
@@ -277,7 +282,7 @@ def test_429_forever_exhausts_retries():
         assert len(server.requests) == 3  # initial call + 2 retries
 
 
-# --- batches ---------------------------------------------------------------------
+# --- submit ----------------------------------------------------------------------
 
 
 class _Concurrency:
@@ -298,21 +303,75 @@ class _Concurrency:
             self.now -= 1
 
 
-def test_complete_many_overlaps_calls_and_keeps_input_order():
-    seen = _Concurrency()
+_DOCS = [f"moon landing doc{j}" for j in range(4)]
+_QUESTION = "what landed on the moon?"
+
+
+def _round_order() -> list[str]:
+    """The documents of _docwise_round's refinement round, in the round's order."""
+    index = index_from_texts(_DOCS)
+    hits = retrieve_top_k(index, expand_query(_QUESTION, ["moon"]), 4)
+    return [index.text_of(hit.chunk_id) for hit in hits]
+
+
+def _docwise_round(server):
+    """The trace of one docwise refinement round over 4 documents, through an HttpBackend.
+
+    The stub sees the keyword call, the answer, the validation, then the round's 4 calls.
+    """
+    config = RunConfig(regen_mode="docwise", top_k=4, max_iterations=2, save_raw=True)
+    backend = _backend(server, max_in_flight=config.calls_in_flight)
+    return run_iterative(_QUESTION, index_from_texts(_DOCS), StepBackends.shared(backend), config)
+
+
+def _docwise_stub(on_rank):
+    """Replies for _docwise_round; a docwise call returns on_rank(its document's rank)."""
+    order = _round_order()
 
     def respond(payload, i):
         user = payload["messages"][-1]["content"]
-        with seen:
-            time.sleep(0.05 * (4 - int(user[-1])))  # later inputs finish first
-        return {"status": 200, "body": completion_body(f"reply to {user}")}
+        if payload.get("logprobs"):
+            return {"status": 200, "body": logprob_body([("False", 0.9), ("True", 0.1)])}
+        if "Please refine the keyword selection" in user:
+            return on_rank(order.index(re.search(r"moon landing doc\d", user).group()))
+        if "Generate a list of important keywords" in user:
+            return {"status": 200, "body": completion_body('["moon"]')}
+        return {"status": 200, "body": completion_body("an answer")}
 
-    with StubLlmServer(respond) as server:
-        backend = _backend(server)
-        batch = [_msgs(f"doc {j}") for j in range(4)]
-        replies = backend.complete_many(batch, 10)
-    assert replies == [f"reply to doc {j}" for j in range(4)]
+    return respond
+
+
+def test_a_docwise_round_sends_its_calls_at_once_and_merges_replies_in_document_order():
+    seen = _Concurrency()
+
+    def on_rank(rank):
+        with seen:
+            time.sleep(0.05 * (4 - rank))  # later documents finish first
+        return {"status": 200, "body": completion_body(f'["kw{rank}"]')}
+
+    with StubLlmServer(_docwise_stub(on_rank)) as server:
+        trace = _within(10, _docwise_round, server)
+    second = trace.iterations[1]
+    assert second.keywords == ["kw0", "kw1", "kw2", "kw3"]
+    docwise = [r for r in second.raw if r["step"] == "keyword_regeneration_docwise"]
+    assert [r["user"].count(doc) for r, doc in zip(docwise, _round_order())] == [1] * 4
+    assert [r["completion"] for r in docwise] == [f'["kw{rank}"]' for rank in range(4)]
     assert seen.peak == 4
+
+
+def test_a_docwise_round_raises_its_first_failure_in_document_order_after_every_call():
+    def on_rank(rank):
+        if rank == 1:
+            time.sleep(0.1)
+            return {"status": 400, "body": "bad rank 1"}
+        if rank == 2:
+            return {"status": 404, "body": "bad rank 2"}
+        return {"status": 200, "body": completion_body('["ok"]')}
+
+    with StubLlmServer(_docwise_stub(on_rank)) as server:
+        with pytest.raises(BackendError, match="bad rank 1"):
+            _within(10, _docwise_round, server)
+        assert len(server.requests) == 3 + 4
 
 
 def test_connection_pool_bounds_requests_in_flight():
@@ -325,29 +384,12 @@ def test_connection_pool_bounds_requests_in_flight():
 
     with StubLlmServer(respond) as server:
         backend = _backend(server, max_in_flight=2)
-        replies = backend.complete_many([_msgs()] * 6, 10)
-    assert replies == ["ok"] * 6
+        calls = [backend.submit(backend.complete, _msgs(), 10) for _ in range(6)]
+        assert [call.result(timeout=10) for call in calls] == ["ok"] * 6
     assert seen.peak == 2
 
 
-def test_complete_many_raises_first_error_in_input_order():
-    def respond(payload, i):
-        user = payload["messages"][-1]["content"]
-        if user == "doc 1":
-            time.sleep(0.1)
-            return {"status": 400, "body": "bad doc 1"}
-        if user == "doc 2":
-            return {"status": 404, "body": "bad doc 2"}
-        return {"status": 200, "body": completion_body("ok")}
-
-    with StubLlmServer(respond) as server:
-        backend = _backend(server)
-        with pytest.raises(BackendError, match="bad doc 1"):
-            backend.complete_many([_msgs(f"doc {j}") for j in range(4)], 10)
-        assert len(server.requests) == 4
-
-
-def test_complete_many_reuses_its_helper_threads_and_close_stops_them():
+def test_submit_reuses_its_helper_threads_and_close_stops_them():
     with StubLlmServer() as server:
         backend = _backend(server)  # max_in_flight=4
         callers: list[threading.Thread] = []
@@ -357,14 +399,51 @@ def test_complete_many_reuses_its_helper_threads_and_close_stops_them():
             callers.append(threading.current_thread())
             return complete(messages, max_tokens)
 
-        backend.complete = recording_complete
         for _ in range(10):
-            assert backend.complete_many([_msgs()] * 3, 10) == ["ok"] * 3
-        helpers = {t for t in callers if t is not threading.current_thread()}
-        # 10 batches make 20 calls off the calling thread; a thread per call would be 20.
+            calls = [backend.submit(recording_complete, _msgs(), 10) for _ in range(3)]
+            assert [call.result(timeout=10) for call in calls] == ["ok"] * 3
+        helpers = set(callers)
+        assert threading.current_thread() not in helpers
+        # 30 calls; a thread per call would be 30.
         assert 2 <= len(helpers) <= 4
         backend.close()
     assert not any(t.is_alive() for t in helpers)
+
+
+def test_close_ends_the_calls_in_flight_and_makes_no_further_attempt():
+    release = threading.Event()
+
+    def held(payload, i):
+        release.wait(timeout=20)
+        return {"status": 200, "body": completion_body("too late")}
+
+    with StubLlmServer(held) as server:
+        try:
+            backend = _backend(server, max_retries=3)
+            calls = [backend.submit(backend.complete, _msgs(), 10) for _ in range(2)]
+            deadline = time.monotonic() + 10
+            while len(server.requests) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(server.requests) == 2
+            t0 = time.monotonic()
+            backend.close()
+            errors = [call.exception(timeout=5) for call in calls]
+            assert time.monotonic() - t0 < 2
+            assert all(isinstance(error, TransportError) for error in errors)
+            with pytest.raises(TransportError, match="closed"):
+                backend.complete(_msgs(), 10)
+            assert len(server.requests) == 2
+        finally:
+            release.set()
+
+
+def _within(seconds: float, fn, *args):
+    """fn(*args) on another thread; fails the test if it takes longer than seconds."""
+    pool = ThreadPoolExecutor(1)
+    try:
+        return pool.submit(fn, *args).result(timeout=seconds)
+    finally:
+        pool.shutdown(wait=False)
 
 
 def test_proxy_from_the_environment_is_used(monkeypatch):

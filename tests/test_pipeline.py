@@ -295,10 +295,10 @@ def test_docwise_parse_failure_contributes_nothing():
 
 
 class _DocwiseModel(HttpBackend):
-    """HttpBackend's batching in front of a model that needs no server.
+    """HttpBackend's helper threads in front of a model that needs no server.
 
     A docwise keyword call runs `on_docwise(rank)`, rank being its document's
-    place in the batch, and answers with that document's keyword; document
+    place in the round, and answers with that document's keyword; document
     "skip" gets an unparseable reply. Every answer is rejected.
     """
 
@@ -326,7 +326,7 @@ _FANOUT_QUESTION = "what landed on the moon?"
 
 
 def _docwise_round(on_docwise):
-    """One docwise refinement round; returns (documents in batch order, trace)."""
+    """One docwise refinement round; returns (documents in round order, trace)."""
     idx = index_from_texts(_FANOUT_TEXTS)
     first = retrieve_top_k(idx, expand_query(_FANOUT_QUESTION, ["moon"]), 3)
     order = [re.search(r"doc_(\w+)", idx.text_of(d.chunk_id)).group(1) for d in first]
@@ -513,6 +513,26 @@ def test_answers_overlap_the_next_keyword_round_only_without_early_stop(early_st
         assert stub.peak <= 2  # top_k
     else:
         assert len(trace.iterations) == 4
+
+
+@pytest.mark.parametrize("regen_mode, early_stop, bound", [
+    ("docwise", False, 5),  # top_k 3, and two answer → validate halves
+    ("keywords_only", True, 1),
+])
+def test_a_question_keeps_at_most_its_calls_in_flight_and_reaches_that_when_answers_are_slow(
+        regen_mode, early_stop, bound):
+    config = RunConfig(max_iterations=4, top_k=3, regen_mode=regen_mode, early_stop=early_stop)
+    assert config.calls_in_flight == bound
+    stub = _StairStub(0.01, {("answer", n): (0.3, 200) for n in range(1, 5)})
+    with StubLlmServer(stub) as server:
+        # Sized as `keyrag run --workers 1` sizes it.
+        backend = HttpBackend(server.url, "m", max_in_flight=config.calls_in_flight)
+        try:
+            _within(30, run_iterative, _FANOUT_QUESTION, index_from_texts(_STAIR_TEXTS),
+                    StepBackends.shared(backend), config)
+        finally:
+            backend.close()
+    assert stub.peak == bound
 
 
 def test_concurrent_questions_overlap_on_a_small_backend_as_sequential_runs_would():
