@@ -16,6 +16,7 @@ import sys
 import traceback
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
+from dataclasses import fields
 from pathlib import Path
 
 from . import bm25, corpus, metrics, pipeline
@@ -175,24 +176,19 @@ def _build_backends(args, file_values, timeout: float, max_in_flight: int) -> St
     if not model:
         raise UsageError("no model id: pass --model (or set KEYRAG_MODEL)")
 
-    def backend(step_model: str) -> HttpBackend:
-        return HttpBackend(
-            endpoint,
-            step_model,
-            api_key,
-            supports_logprobs=not args.no_logprobs,
-            timeout=timeout,
-            max_in_flight=max_in_flight,
-        )
-
-    default = backend(model)
-    by_model: dict[str, HttpBackend] = {model: default}
+    by_model: dict[str, HttpBackend] = {}  # one backend per model a step uses
 
     def for_step(step_model: str | None) -> HttpBackend:
-        if not step_model or step_model == model:
-            return default
+        step_model = step_model or model
         if step_model not in by_model:
-            by_model[step_model] = backend(step_model)
+            by_model[step_model] = HttpBackend(
+                endpoint,
+                step_model,
+                api_key,
+                supports_logprobs=not args.no_logprobs,
+                timeout=timeout,
+                max_in_flight=max_in_flight,
+            )
         return by_model[step_model]
 
     return StepBackends(
@@ -245,13 +241,7 @@ def cmd_run(args) -> int:
         "dataset": str(args.dataset),
         "index": str(args.index) if args.index else None,
         "index_sha256": None,  # set once the index has loaded
-        "max_iterations": config.max_iterations,
-        "top_k": config.top_k,
-        "regen_mode": config.regen_mode,
-        "validation_mode": config.validation_mode,
-        "early_stop": config.early_stop,
-        "accumulate_validation_docs": config.accumulate_validation_docs,
-        "save_raw": config.save_raw,
+        **{f.name: getattr(config, f.name) for f in fields(RunConfig) if f.name != "templates"},
         "mock_script": str(args.mock_script) if args.mock_script else None,
         "model": _merged(args.model, file_values, "model", ENV_MODEL),
         "endpoint": _merged(args.endpoint, file_values, "endpoint", ENV_ENDPOINT),
@@ -263,20 +253,21 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     resume = args.skip_completed and out.exists()
     with ExitStack() as cleanup:
-        index = index_file = None
+        index = None  # a Future of the Index: the questions start before it has loaded
         if args.method != "vanilla":
             # Only the magic and the version are read here. A file that is not
             # an index of this version fails before any request; the rest loads
             # while the first keyword calls are in flight.
             index_file = cleanup.enter_context(bm25.open_index(args.index))
+            index = Future()
         done_qids: set[int] = set()
         write_header = True
         if resume:
-            if index_file:
+            if index:
                 # The header check needs the index's digest, so a resumed run
                 # loads the index before any question starts.
-                index = bm25.load_index(index_file)
-                effective["index_sha256"] = index.sha256
+                index.set_result(bm25.load_index(index_file))
+                effective["index_sha256"] = index.result().sha256
             header, rows = read_traces(out)
             written_with = (header or {}).get("config", {})
             for key in _RESUME_KEYS:
@@ -321,21 +312,19 @@ def cmd_run(args) -> int:
             signal.signal(signal.SIGINT, on_sigint)
             cleanup.callback(signal.signal, signal.SIGINT, previous)
 
-        # Without an index yet, the questions start with a pending one.
-        pending = Future() if index_file and index is None else None
         todo = [(qid, ex.question) for qid, ex in enumerate(examples) if qid not in done_qids]
         errored = 0
         written = 0
 
         def work(qid: int, question: str):
             try:
-                return qid, pipeline.run(args.method, question, pending or index, backends, config)
+                return qid, pipeline.run(args.method, question, index, backends, config)
             except LlmError as exc:
                 error = str(exc)
             except Exception as exc:  # a bug, or an OSError from a template: this question fails
                 if interrupts > 1:
                     raise  # its backends were closed: no trace of it is written
-                if pending and pending.done() and exc is pending.exception():
+                if index and index.done() and exc is index.exception():
                     raise  # the index did not load: the run fails, reported once below
                 traceback.print_exc()
                 error = f"{type(exc).__name__}: {exc}"
@@ -352,20 +341,19 @@ def cmd_run(args) -> int:
 
         for qid, question in todo:  # each lands in `finished` as it finishes
             pool.submit(work, qid, question).add_done_callback(finished.put)
-        if pending:
+        if index and not index.done():
             try:
-                index = bm25.load_index(index_file)
+                index.set_result(bm25.load_index(index_file))
             except BaseException as exc:
                 # No queued question may start: cancel them before the running
                 # ones see the error.
                 pool.shutdown(wait=False, cancel_futures=True)
-                pending.set_exception(exc)
+                index.set_exception(exc)
                 if created:
                     sink.close()
                     out.unlink()
                 raise
-            pending.set_result(index)
-            effective["index_sha256"] = index.sha256
+            effective["index_sha256"] = index.result().sha256
 
         if not resume:
             sink.truncate(0)

@@ -1,18 +1,18 @@
 """The keyword loop and the two baselines it is compared with, run by one routine.
 
-`_run` answers a question by any of the three methods and builds every
-IterationRecord and RunTrace: iterative repeats keywords → retrieve → answer →
-validate; rag is one iteration with no keyword step and no validation, the
-question itself being the query; vanilla is one answer call with no retrieval.
-Within one trace, calls follow program order except in two overlaps, both
-started with the backend's `submit`: a docwise round sends its per-document
-calls at once, and without early stop each iteration's answer → validate runs
-beside the next iteration's keyword round, which needs neither its answer nor
-its verdict. The records and the trace are the same as a sequential run's.
-Traces for different questions may run concurrently (records are immutable
-once emitted, and backends handle their own synchronization). The pipeline
-never sees reference answers: nothing in this module takes them as input, so
-leakage is impossible by construction.
+`_run` answers a question by any of the three methods, building each
+IterationRecord in place as its iteration runs: iterative repeats keywords →
+retrieve → answer → validate; rag is one iteration with no keyword step and no
+validation, the question itself being the query; vanilla is one answer call with
+no retrieval. Within one trace, calls follow program order except in two
+overlaps, both started with the backend's `submit`: a docwise round sends its
+per-document calls at once, and without early stop each iteration's answer →
+validate runs beside the next iteration's keyword round, which needs neither its
+answer nor its verdict. The records and the trace are the same as a sequential
+run's. Questions may run concurrently (each writes only its own records;
+backends handle their own synchronization). The pipeline never sees reference
+answers: nothing in this module takes them as input, so leakage is impossible by
+construction.
 """
 from __future__ import annotations
 
@@ -143,19 +143,19 @@ def expand_query(question: str, keywords: list[str]) -> str:
 
 
 @contextmanager
-def _timed(ms: dict[str, float], step: str):
-    """Add the block's wall time, in milliseconds, to ms[step]."""
+def _timed(rec: IterationRecord, step: str):
+    """Record the block's wall time, in milliseconds, as the record's time for step."""
     t0 = time.perf_counter()
     try:
         yield
     finally:
-        ms[step] = ms.get(step, 0.0) + (time.perf_counter() - t0) * 1000.0
+        rec.wall_time_ms[step] = (time.perf_counter() - t0) * 1000.0
 
 
-def _record_raw(raws: list[dict] | None, step: str, messages, completion: str) -> None:
-    if raws is None:
+def _record_raw(rec: IterationRecord, step: str, messages, completion: str) -> None:
+    if rec.raw is None:
         return
-    raws.append(
+    rec.raw.append(
         {
             "step": step,
             "system": messages[0].content,
@@ -165,7 +165,7 @@ def _record_raw(raws: list[dict] | None, step: str, messages, completion: str) -
     )
 
 
-def _keywords(question, prev_keywords, backends, config, flags, raws) -> list[str]:
+def _keywords(question, prev_keywords, backends, config, rec) -> list[str]:
     """First-round keywords when prev_keywords is None, else a refinement of them.
 
     A reply that does not parse is asked for once more. If that fails too, the
@@ -182,18 +182,18 @@ def _keywords(question, prev_keywords, backends, config, flags, raws) -> list[st
         step, failed_flag = "keyword_regeneration", "keyword_parse_failed_reused_previous"
     for attempt in (0, 1):
         reply = backends.keyword_gen.complete(messages, KEYWORD_MAX_TOKENS)
-        _record_raw(raws, step, messages, reply)
+        _record_raw(rec, step, messages, reply)
         try:
             return parse_keyword_list(reply)
         except KeywordParseError:
             if attempt == 0:
-                flags.append("keyword_parse_retry")
-    flags.append(failed_flag)
+                rec.flags.append("keyword_parse_retry")
+    rec.flags.append(failed_flag)
     return list(prev_keywords or [])
 
 
 def _keywords_regen_docwise(
-    question, prev_keywords, prev_doc_texts, backends, config, flags, raws
+    question, prev_keywords, prev_doc_texts, backends, config, rec
 ) -> list[str]:
     # The per-document calls are independent: submit them all, then merge the
     # replies in document order once every call has returned.
@@ -215,28 +215,28 @@ def _keywords_regen_docwise(
     merged: list[str] = []
     for messages, call in zip(batch, calls):
         reply = call.result()
-        _record_raw(raws, "keyword_regeneration_docwise", messages, reply)
+        _record_raw(rec, "keyword_regeneration_docwise", messages, reply)
         try:
             merged.extend(parse_keyword_list(reply))
         except KeywordParseError:
-            flags.append("docwise_parse_failed")
+            rec.flags.append("docwise_parse_failed")
     keywords = dedupe_keywords(merged)
     if not keywords:
-        flags.append("keyword_parse_failed_reused_previous")
+        rec.flags.append("keyword_parse_failed_reused_previous")
         return list(prev_keywords)
     return keywords
 
 
-def _validate(question, answer, doc_texts, backends, config, raws) -> BinaryVerdict:
-    bindings = {"q": question, "a": answer, "Docs": format_documents(doc_texts)}
+def _validate(question, doc_texts, backends, config, rec) -> BinaryVerdict:
+    bindings = {"q": question, "a": rec.answer, "Docs": format_documents(doc_texts)}
     if config.validation_mode == "cot":
         messages = render("step3_validate_cot", bindings, config.templates)
         reply = backends.validate.complete(messages, VALIDATION_MAX_TOKENS)
-        _record_raw(raws, "answer_validation", messages, reply)
+        _record_raw(rec, "answer_validation", messages, reply)
         return parse_cot_verdict(reply)
     messages = render("step3_validate", bindings, config.templates)
     verdict = forced_choice(backends.validate, messages, VALIDATION_MAX_TOKENS)
-    _record_raw(raws, "answer_validation", messages, f"verdict={verdict.choice}")
+    _record_raw(rec, "answer_validation", messages, f"verdict={verdict.choice}")
     return verdict
 
 
@@ -271,113 +271,90 @@ def _run(
 
     Only the keyword loop has keyword steps, validation and more than one
     iteration; only vanilla skips retrieval and answers from the bare question.
-    Each iteration has a front half (keywords → retrieve), run here, and a back
-    half (answer → validate). Without early stop no keyword round needs an
-    answer or a verdict, so each back half goes to backends.answer_gen.submit
-    and the next front starts at once. Records are built in iteration order
-    once every back half has returned; the first failure in sequential order
-    is raised, only after every call of the question has returned.
+    An iteration's front half (keywords → retrieve) creates its record; its back
+    half (answer → validate) fills in the answer and verdict. Without early stop
+    no keyword round needs either, so each back half goes to
+    backends.answer_gen.submit and the next front starts at once; the first
+    failure in sequential order is raised after every call has returned.
     """
     refine = method == METHOD_ITERATIVE
     retrieve = method != METHOD_VANILLA
     overlap = refine and not config.early_stop
-    fronts: list[tuple] = []
-    backs: list = []  # per iteration: (answer, verdict), or a Future of it when overlapped
-    prev_keywords: list[str] | None = None
-    prev_doc_texts: list[str] = []
-    all_doc_texts: list[str] = []
+    records: list[IterationRecord] = []
+    backs: list[Future] = []  # the overlapped back halves
+    doc_texts: list[str] = []
+    all_texts: dict[str, None] = {}  # in retrieval order, each text once
 
-    def answer_and_validate(doc_texts, validation_docs, ms, flags, raws):
-        with _timed(ms, STEP_ANSWER):
+    def answer_and_validate(rec, doc_texts, validation_docs):
+        with _timed(rec, STEP_ANSWER):
             if retrieve:
                 bindings = {"q": question, "D": format_documents(doc_texts)}
                 messages = render("step2_answer", bindings, config.templates)
             else:
                 messages = render("vanilla_answer", {"q": question}, config.templates)
-            answer = backends.answer_gen.complete(messages, ANSWER_MAX_TOKENS).strip()
-            _record_raw(raws, STEP_ANSWER, messages, answer)
-        verdict = None
+            rec.answer = backends.answer_gen.complete(messages, ANSWER_MAX_TOKENS).strip()
+            _record_raw(rec, STEP_ANSWER, messages, rec.answer)
         if refine:
-            with _timed(ms, STEP_VALIDATION):
-                verdict = _validate(question, answer, validation_docs, backends, config, raws)
-            if verdict.flagged:
-                flags.append("verdict_unparsed")
-        return answer, verdict
+            with _timed(rec, STEP_VALIDATION):
+                rec.verdict = _validate(question, validation_docs, backends, config, rec)
+            if rec.verdict.flagged:
+                rec.flags.append("verdict_unparsed")
 
     try:
-        for _ in range(config.max_iterations if refine else 1):
-            ms: dict[str, float] = {}
-            flags: list[str] = []
-            raws: list[dict] | None = [] if config.save_raw else None
-
-            keywords: list[str] = []
+        for i in range(config.max_iterations if refine else 1):
+            rec = IterationRecord(
+                index=i,
+                keywords=[],
+                expanded_query=question,
+                retrieved=[],
+                answer="",
+                verdict=None,
+                new_keywords=0,
+                new_docs=0,
+                wall_time_ms={},
+                raw=[] if config.save_raw else None,
+            )
             if refine:
-                with _timed(ms, STEP_QUERY_EXPANSION):
-                    if prev_keywords is not None and config.regen_mode == "docwise":
-                        keywords = _keywords_regen_docwise(
-                            question, prev_keywords, prev_doc_texts, backends, config, flags, raws
+                prev_keywords = records[-1].keywords if records else None
+                with _timed(rec, STEP_QUERY_EXPANSION):
+                    # doc_texts still holds the previous iteration's documents.
+                    if doc_texts and config.regen_mode == "docwise":
+                        rec.keywords = _keywords_regen_docwise(
+                            question, prev_keywords, doc_texts, backends, config, rec
                         )
                     else:
-                        keywords = _keywords(question, prev_keywords, backends, config, flags, raws)
+                        rec.keywords = _keywords(question, prev_keywords, backends, config, rec)
 
-            expanded = expand_query(question, keywords)
-            retrieved: list[ScoredDoc] = []
+            rec.expanded_query = expand_query(question, rec.keywords)
             if retrieve:
                 if isinstance(index, Future):
                     index = index.result()
-                with _timed(ms, STEP_RETRIEVAL):
-                    retrieved = retrieve_top_k(index, expanded, config.top_k)
-                if not retrieved and not refine:  # rag answers from no document at all
-                    flags.append("empty_retrieval")
-            doc_texts = [index.text_of(doc.chunk_id) for doc in retrieved]
-            for text in doc_texts:
-                if text not in all_doc_texts:
-                    all_doc_texts.append(text)
-            if overlap and any(back.done() and back.exception() for back in backs):
+                with _timed(rec, STEP_RETRIEVAL):
+                    rec.retrieved = retrieve_top_k(index, rec.expanded_query, config.top_k)
+                if not rec.retrieved and not refine:  # rag answers from no document at all
+                    rec.flags.append("empty_retrieval")
+            rec.new_keywords, rec.new_docs = novelty(records, rec.keywords, rec.retrieved)
+            doc_texts = [index.text_of(doc.chunk_id) for doc in rec.retrieved]
+            all_texts.update(dict.fromkeys(doc_texts))
+            if any(back.done() and back.exception() for back in backs):
                 break  # an earlier back half failed: its error is raised below
-            fronts.append((keywords, expanded, retrieved, ms, flags, raws))
+            records.append(rec)
 
-            # A copy: later fronts go on appending to all_doc_texts.
-            validation_docs = (
-                list(all_doc_texts) if config.accumulate_validation_docs else doc_texts
-            )
-            back_args = (doc_texts, validation_docs, ms, flags, raws)
+            validation_docs = list(all_texts) if config.accumulate_validation_docs else doc_texts
             if overlap:
-                backs.append(backends.answer_gen.submit(answer_and_validate, *back_args))
-            else:
-                backs.append(answer_and_validate(*back_args))
-                verdict = backs[-1][1]
-                if verdict and verdict.choice and config.early_stop:
+                backs.append(
+                    backends.answer_gen.submit(answer_and_validate, rec, doc_texts, validation_docs)
+                )
+            else:  # early stop waits for the verdict: no thread hop for it
+                answer_and_validate(rec, doc_texts, validation_docs)
+                if rec.verdict and rec.verdict.choice:
                     break
-            prev_keywords = keywords
-            prev_doc_texts = doc_texts
     finally:
-        if overlap:
-            # Every call returns before the question ends. A failed back half
-            # is raised in place of a later front's error, as a sequential run would.
-            wait(backs)
-            backs = [back.result() for back in backs]
-
-    records: list[IterationRecord] = []
-    for i, ((keywords, expanded, retrieved, ms, flags, raws), (answer, verdict)) in enumerate(
-        zip(fronts, backs)
-    ):
-        new_keywords, new_docs = novelty(records, keywords, retrieved)
-        records.append(
-            IterationRecord(
-                index=i,
-                keywords=keywords,
-                expanded_query=expanded,
-                retrieved=retrieved,
-                answer=answer,
-                verdict=verdict,
-                new_keywords=new_keywords,
-                new_docs=new_docs,
-                wall_time_ms=ms,
-                flags=flags,
-                raw=raws,
-            )
-        )
+        # Every call returns before the question ends. A failed back half is
+        # raised in place of a later front's error, as a sequential run would.
+        wait(backs)
+        for back in backs:
+            back.result()
 
     last = records[-1]
     stop_reason = None

@@ -368,7 +368,8 @@ def test_run_worker_exception_is_a_question_error(capsys, tmp_path, index_path, 
     assert "Traceback" in err and "RuntimeError: answer step broke" in err
 
 
-def test_run_closes_its_backends(tmp_path, dataset_path, index_path, monkeypatch):
+def _record_backends(monkeypatch) -> tuple[list, list]:
+    """Lists of the HttpBackends that cmd_run makes and closes; retries do not wait."""
     made, closed = [], []
 
     class Recording(HttpBackend):
@@ -381,12 +382,29 @@ def test_run_closes_its_backends(tmp_path, dataset_path, index_path, monkeypatch
             super().close()
 
     monkeypatch.setattr(cli, "HttpBackend", functools.partial(Recording, backoff=0.0))
+    return made, closed
+
+
+def test_run_closes_its_backends(tmp_path, dataset_path, index_path, monkeypatch):
+    made, closed = _record_backends(monkeypatch)
     main([
         "run", "--dataset", str(dataset_path), "--index", str(index_path),
         "--endpoint", "http://127.0.0.1:9/v1", "--model", "m", "--answer-model", "m2",
         "--regen-mode", "docwise", "--out", str(tmp_path / "traces.jsonl"),
     ])
     assert len(made) == 2
+    assert {id(b) for b in closed} == {id(b) for b in made}
+
+
+def test_run_makes_one_backend_per_model_its_steps_use_and_closes_each(
+        tmp_path, dataset_path, index_path, monkeypatch):
+    made, closed = _record_backends(monkeypatch)
+    main([
+        "run", "--dataset", str(dataset_path), "--index", str(index_path),
+        "--endpoint", "http://127.0.0.1:9/v1", "--model", "m", "--keyword-model", "a",
+        "--answer-model", "b", "--validation-model", "c", "--out", str(tmp_path / "traces.jsonl"),
+    ])
+    assert sorted(backend.model for backend in made) == ["a", "b", "c"]
     assert {id(b) for b in closed} == {id(b) for b in made}
 
 

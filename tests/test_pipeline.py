@@ -294,6 +294,40 @@ def test_docwise_parse_failure_contributes_nothing():
     assert "docwise_parse_failed" in second.flags
 
 
+def _verdict(validation_mode: str, ok: bool) -> ScriptEntry:
+    if validation_mode == "cot":
+        return ScriptEntry("Chain of thought", f"Conclusion: {ok}")
+    p_true = 0.9 if ok else 0.1
+    return ScriptEntry("Is the following answer correct", p_true=p_true, p_false=1 - p_true)
+
+
+@pytest.mark.parametrize("validation_mode, refine_prompt", [
+    ("plain", "Refine the keyword selection"),
+    ("cot", "The previous keywords failed"),
+])
+def test_a_docwise_round_after_an_empty_retrieval_refines_as_keywords_mode_does(
+        validation_mode, refine_prompt):
+    # Nothing matches "zeta", so the docwise round has no document to refine from.
+    idx = index_from_texts(["alpha topic text", "beta topic text"])
+    mock = MockBackend([
+        ScriptEntry("Generate a list of important keywords", '["zeta"]'),
+        ScriptEntry("Here is a question", "unsure"),
+        _verdict(validation_mode, False),
+        ScriptEntry(refine_prompt, "[]"),  # asked once more, as any refinement is
+        ScriptEntry(refine_prompt, '["alpha"]'),
+        ScriptEntry("Here is a question", "alpha"),
+        _verdict(validation_mode, True),
+    ])
+    config = RunConfig(regen_mode="docwise", validation_mode=validation_mode, max_iterations=2)
+    trace = run_iterative("which word?", idx, StepBackends.shared(mock), config)
+    first, second = trace.iterations
+    assert first.retrieved == []
+    assert (second.keywords, second.flags) == (["alpha"], ["keyword_parse_retry"])
+    assert [doc.chunk_id for doc in second.retrieved] == ["c0"]
+    assert len(mock.calls) == 7
+    assert trace.stop_reason == STOP_VALIDATED
+
+
 class _DocwiseModel(HttpBackend):
     """HttpBackend's helper threads in front of a model that needs no server.
 
