@@ -193,30 +193,48 @@ def _norm(doc_len: int, avg_doc_len: float, b: float) -> float:
     return 1.0 - b + b * rel_len
 
 
-def retrieve_top_k(index: Index, query: str, k: int) -> list[ScoredDoc]:
-    """Exact top-k by BM25 score; zero-scoring chunks are never returned.
+def score_text(index: Index, text: str, scores: list[float] | None = None) -> list[float]:
+    """Each chunk's BM25 score for text, added to a copy of scores (to zeros when None).
 
-    Query-token multiplicity counts. Ties break by ascending chunk_ref, so
-    results are deterministic for a given index.
+    Text-token multiplicity counts, and each token's impacts are added in token
+    order. So when no token spans the cut, scoring a query's head and then its
+    tail from the head's scores gives the whole query's scores bit for bit.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    tokens = tokenize(query, index.stopwords)
-    if not tokens:
-        return []
-    n = index.n_docs
+    acc = [0.0] * index.n_docs if scores is None else scores.copy()
     terms, offsets, refs, impacts = index.terms, index.offsets, index.refs, index.impacts
-    acc = [0.0] * n
-    for tok in tokens:
+    for tok in tokenize(text, index.stopwords):
         t = terms.get(tok)
         if t is None:
             continue
         start, end = offsets[t], offsets[t + 1]
         for ref, impact in zip(refs[start:end], impacts[start:end]):
             acc[ref] += impact
-    # Negated refs make the larger key the smaller ref on equal scores.
-    top = heapq.nlargest(k, zip(acc, range(0, -n, -1)))
-    return [ScoredDoc(index.chunk_ids[-neg_ref], s) for s, neg_ref in top if s > 0.0]
+    return acc
+
+
+def retrieve_top_k(
+    index: Index, query: str, k: int, scores: list[float] | None = None
+) -> list[ScoredDoc]:
+    """Exact top-k by BM25 score; zero-scoring chunks are never returned.
+
+    Query-token multiplicity counts. Ties break by ascending chunk_ref, so
+    results are deterministic for a given index. With scores, the search
+    continues from them, as score_text(index, query, scores) describes: a
+    question's scores serve each of its keyword queries.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    scores = score_text(index, query, scores)
+    top: list[ScoredDoc] = []
+    ref = -1
+    for s in heapq.nlargest(k, scores):
+        if s <= 0.0:
+            break
+        # nlargest lists equal scores together: each one's chunk is the next
+        # ref holding that score, so ties go to the smaller ref.
+        ref = scores.index(s, ref + 1 if top and top[-1].score == s else 0)
+        top.append(ScoredDoc(index.chunk_ids[ref], s))
+    return top
 
 
 # ---------------------------------------------------------------------------

@@ -173,28 +173,28 @@ def _build_backends(args, file_values, timeout: float, max_in_flight: int) -> St
         raise UsageError("no backend: pass --mock-script or --endpoint (or set KEYRAG_ENDPOINT)")
     api_key = _merged(args.api_key, file_values, "api_key", ENV_API_KEY)
     model = _merged(args.model, file_values, "model", ENV_MODEL)
-    if not model:
-        raise UsageError("no model id: pass --model (or set KEYRAG_MODEL)")
-
-    by_model: dict[str, HttpBackend] = {}  # one backend per model a step uses
-
-    def for_step(step_model: str | None) -> HttpBackend:
-        step_model = step_model or model
-        if step_model not in by_model:
-            by_model[step_model] = HttpBackend(
-                endpoint,
-                step_model,
-                api_key,
-                supports_logprobs=not args.no_logprobs,
-                timeout=timeout,
-                max_in_flight=max_in_flight,
-            )
-        return by_model[step_model]
-
+    # Each step's model, checked before any backend is made.
+    models = {}
+    for key in ("keyword_model", "answer_model", "validation_model"):
+        models[key] = _merged(getattr(args, key), file_values, key) or model
+        if not models[key]:
+            flag = "--" + key.replace("_", "-")
+            raise UsageError(f"no model id: pass --model or {flag} (or set KEYRAG_MODEL)")
+    by_model = {  # one backend per model a step uses
+        step_model: HttpBackend(
+            endpoint,
+            step_model,
+            api_key,
+            supports_logprobs=not args.no_logprobs,
+            timeout=timeout,
+            max_in_flight=max_in_flight,
+        )
+        for step_model in dict.fromkeys(models.values())
+    }
     return StepBackends(
-        keyword_gen=for_step(_merged(args.keyword_model, file_values, "keyword_model")),
-        answer_gen=for_step(_merged(args.answer_model, file_values, "answer_model")),
-        validate=for_step(_merged(args.validation_model, file_values, "validation_model")),
+        keyword_gen=by_model[models["keyword_model"]],
+        answer_gen=by_model[models["answer_model"]],
+        validate=by_model[models["validation_model"]],
     )
 
 

@@ -453,16 +453,23 @@ class HttpBackend(LlmBackend):
         p_false = 0.0
         found = False
         for alt in alts:
-            token = str(alt.get("token", ""))
+            if not isinstance(alt, dict):
+                return None  # a malformed probe is a missing one: use the text path
             logprob = alt.get("logprob")
             if logprob is None:
                 continue
-            word = token.lstrip().lower()
+            if isinstance(logprob, bool) or not isinstance(logprob, (int, float)):
+                return None  # not a number
+            if not logprob <= 0:
+                return None  # not a log-probability; NaN fails the comparison too
+            # exp is 0.0 below about -745; the floor keeps a huge negative int from overflowing.
+            prob = math.exp(max(logprob, -1000.0))
+            word = str(alt.get("token", "")).lstrip().lower()
             if word == "true":
-                p_true += math.exp(logprob)
+                p_true += prob
                 found = True
             elif word == "false":
-                p_false += math.exp(logprob)
+                p_false += prob
                 found = True
         if not found:
             return None  # neither option among the alternatives; use the text path

@@ -21,7 +21,7 @@ from concurrent.futures import Future, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .bm25 import Index, ScoredDoc, retrieve_top_k
+from .bm25 import Index, ScoredDoc, retrieve_top_k, score_text
 from .llm import BinaryVerdict, LlmBackend, forced_choice
 from .prompts import (
     KeywordParseError,
@@ -267,7 +267,9 @@ def _run(
     index may be pending: a Future of the Index, waited on just before the
     first retrieval, so a question's first keyword round can run while the
     index loads. A failed load raises its exception there; vanilla never
-    waits. The wait is in no step's wall time.
+    waits. The wait is in no step's wall time. The question's own words are
+    scored once, in the first retrieval step, and each iteration's search adds
+    its keywords to those scores.
 
     Only the keyword loop has keyword steps, validation and more than one
     iteration; only vanilla skips retrieval and answers from the bare question.
@@ -284,6 +286,7 @@ def _run(
     backs: list[Future] = []  # the overlapped back halves
     doc_texts: list[str] = []
     all_texts: dict[str, None] = {}  # in retrieval order, each text once
+    question_scores: list[float] | None = None  # each chunk's score for the question
 
     def answer_and_validate(rec, doc_texts, validation_docs):
         with _timed(rec, STEP_ANSWER):
@@ -330,7 +333,12 @@ def _run(
                 if isinstance(index, Future):
                     index = index.result()
                 with _timed(rec, STEP_RETRIEVAL):
-                    rec.retrieved = retrieve_top_k(index, rec.expanded_query, config.top_k)
+                    if question_scores is None:
+                        question_scores = score_text(index, question)
+                    # tokenize(expanded_query) is the question's tokens, then these.
+                    rec.retrieved = retrieve_top_k(
+                        index, " ".join(rec.keywords), config.top_k, question_scores
+                    )
                 if not rec.retrieved and not refine:  # rag answers from no document at all
                     rec.flags.append("empty_retrieval")
             rec.new_keywords, rec.new_docs = novelty(records, rec.keywords, rec.retrieved)

@@ -21,6 +21,7 @@ from keyrag.bm25 import (
     load_index,
     retrieve_top_k,
     save_index,
+    score_text,
     tokenize,
 )
 
@@ -208,6 +209,20 @@ def test_retrieve_tie_break_by_insertion_order():
     result = retrieve_top_k(idx, "same", 3)
     assert [r.chunk_id for r in result] == ["c0", "c1", "c2"]
     assert result[0].score == result[1].score == result[2].score
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_retrieve_breaks_ties_at_non_adjacent_refs_by_ascending_ref(k):
+    # c1, c3 and c6 tie behind c4 and ahead of c0: k = 2 and 3 cut the tie, k >= 4 holds it.
+    idx = index_from_texts(["sun moon", "moon", "sun sun", "moon", "moon moon", "sun", "moon"])
+    scores = [d.score for d in retrieve_top_k(idx, "moon", 7)]
+    assert scores[0] > scores[1] == scores[2] == scores[3] > scores[4]
+    got = retrieve_top_k(idx, "moon", k)
+    assert [d.chunk_id for d in got] == ["c4", "c1", "c3", "c6", "c0"][:k]
+    assert retrieve_top_k(idx, "", k, score_text(idx, "moon")) == got
+    assert retrieve_top_k(idx, "sun", k, score_text(idx, "moon")) == retrieve_top_k(
+        idx, "moon sun", k
+    )
 
 
 def test_retrieve_df_zero_term_changes_nothing():

@@ -408,6 +408,41 @@ def test_run_makes_one_backend_per_model_its_steps_use_and_closes_each(
     assert {id(b) for b in closed} == {id(b) for b in made}
 
 
+_STEP_MODELS = ["--keyword-model", "a", "--answer-model", "b", "--validation-model", "c"]
+
+
+def test_run_without_model_sends_each_step_its_own_model(
+        tmp_path, dataset_path, index_path, monkeypatch):
+    monkeypatch.delenv("KEYRAG_MODEL", raising=False)
+    with StubLlmServer(_moon_stub) as server:
+        code = main(["run", "--dataset", str(dataset_path), "--index", str(index_path),
+                     "--endpoint", server.url, *_STEP_MODELS,
+                     "--out", str(tmp_path / "traces.jsonl")])
+    assert code == 0
+
+    def step(payload):
+        if payload.get("logprobs"):
+            return "validation"
+        user = payload["messages"][-1]["content"]
+        return "keywords" if "Generate a list of important keywords" in user else "answer"
+
+    assert [(step(p), p["model"]) for p in server.requests] == [
+        ("keywords", "a"), ("answer", "b"), ("validation", "c"),
+    ]
+
+
+@pytest.mark.parametrize("unset", [0, 2, 4])
+def test_run_refuses_a_step_left_with_no_model(
+        unset, capsys, tmp_path, dataset_path, index_path, monkeypatch):
+    monkeypatch.delenv("KEYRAG_MODEL", raising=False)
+    flags = _STEP_MODELS[:unset] + _STEP_MODELS[unset + 2:]
+    code = main(["run", "--dataset", str(dataset_path), "--index", str(index_path),
+                 "--endpoint", "http://127.0.0.1:9/v1", *flags,
+                 "--out", str(tmp_path / "traces.jsonl")])
+    assert code == 2
+    assert f"no model id: pass --model or {_STEP_MODELS[unset]}" in capsys.readouterr().err
+
+
 @pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="POSIX signal masks")
 def test_run_leaves_sigint_to_the_main_thread(tmp_path, dataset_path, index_path, monkeypatch):
     callers = []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 import subprocess
 import sys
@@ -180,6 +181,38 @@ def test_forced_choice_text_fallback_when_no_logprobs():
         assert len(server.requests) == 2
         assert server.requests[1]["max_tokens"] == 30
         assert "logprobs" not in server.requests[1]
+
+
+_FALLBACK = (True, None, None, "text-fallback")
+
+
+@pytest.mark.parametrize("alts, verdict", [
+    ([None], _FALLBACK),
+    (["True"], _FALLBACK),
+    ([{"token": "True", "logprob": "high"}], _FALLBACK),
+    ([{"token": "True", "logprob": True}], _FALLBACK),
+    ([{"token": "True", "logprob": 1000}], _FALLBACK),
+    ([{"token": "True", "logprob": 0.5}], _FALLBACK),
+    ([{"token": "True", "logprob": float("nan")}], _FALLBACK),  # sent as the bare token NaN
+    ([{"token": "False", "logprob": -0.1}, {"token": "True", "logprob": float("inf")}], _FALLBACK),
+    # A log-probability below a float's range is a probability of 0.
+    ([{"token": "True", "logprob": -(10 ** 400)}, {"token": "False", "logprob": -2}],
+     (False, 0.0, math.exp(-2), "logprob")),
+], ids=["null-entry", "string-entry", "string-logprob", "bool-logprob", "logprob-1000",
+        "positive-logprob", "nan-logprob", "inf-logprob", "logprob-below-float-range"])
+def test_forced_choice_treats_a_malformed_probe_as_missing(alts, verdict):
+    """Entries that are no object, or logprobs that are no log-probability, fall back to text."""
+    def respond(payload, i):
+        if payload.get("logprobs"):
+            body = logprob_body([])
+            body["choices"][0]["logprobs"]["content"][0]["top_logprobs"] = alts
+            return {"status": 200, "body": body}
+        return {"status": 200, "body": completion_body("True")}
+
+    with StubLlmServer(respond) as server:
+        got = forced_choice(_backend(server), _msgs(), 30)
+    assert (got.choice, got.p_true, got.p_false, got.method) == verdict
+    assert len(server.requests) == (2 if got.method == "text-fallback" else 1)
 
 
 def test_forced_choice_skips_probe_when_disabled():

@@ -9,7 +9,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyrag.bm25 import ScoredDoc, build_index, retrieve_top_k
@@ -44,6 +44,7 @@ from .helpers import (
     completion_body,
     index_from_texts,
     logprob_body,
+    oracle_top_k,
     walkthrough_script,
 )
 
@@ -617,6 +618,59 @@ def test_a_failed_call_ends_the_question_as_a_sequential_run_would(replies, erro
     assert errors == [f"HTTP 400: {error} refused"] * 2
     # At most the keyword round beside the failed call is sent past a sequential run's end.
     assert sent[0] <= sent[1] <= sent[0] + 1
+
+
+# --- retrieval: each question's own words scored once ------------------------------
+
+_WORDS = ["moon", "Moon", "lunar", "eagle", "the", "of", "Straße", "İstanbul", "月面", "ǅemal", "a1"]
+
+
+class _KeywordRounds(LlmBackend):
+    """Replies each keyword round with the next list, then "[]"; every verdict is False."""
+
+    def __init__(self, rounds: list[list[str]]):
+        self.rounds = iter(rounds)
+
+    def complete(self, messages, max_tokens):
+        if "keywords" in messages[0].content:  # the system prompt of a keyword round
+            return json.dumps(next(self.rounds, []), ensure_ascii=False)
+        return "an answer"
+
+    def choice_probs(self, messages):
+        return (0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6).map(" ".join),
+                   min_size=1, max_size=5)
+    .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=14)),
+    question=st.lists(st.sampled_from(_WORDS) | st.text(), max_size=5).map(" ".join),
+    rounds=st.lists(st.lists(st.sampled_from(_WORDS) | st.text(max_size=6), max_size=4),
+                    min_size=1, max_size=4),
+    stopwords=st.frozensets(st.sampled_from([w.lower() for w in _WORDS]), max_size=2),
+    k=st.integers(min_value=1, max_value=5),
+)
+def test_each_retrieval_equals_a_search_for_the_whole_expanded_query(
+        texts, question, rounds, stopwords, k):
+    """Duplicate chunks make ties at and across the k-th place; keyword lists may be
+    empty (a parse failure) or repeat the question's words."""
+    idx = index_from_texts(texts, stopwords=stopwords)
+    config = RunConfig(max_iterations=len(rounds), top_k=k)
+    traces = [
+        run("iterative", question, idx, StepBackends.shared(_KeywordRounds(rounds)), config),
+        run("rag", question, idx, StepBackends.shared(_KeywordRounds([])), config),
+    ]
+    assert len(traces[0].iterations) == len(rounds)
+    for rec in traces[0].iterations + traces[1].iterations:
+        want = retrieve_top_k(idx, rec.expanded_query, k)
+        assert [(d.chunk_id, d.score.hex()) for d in rec.retrieved] == [
+            (d.chunk_id, d.score.hex()) for d in want
+        ]
+        oracle = oracle_top_k(texts, idx.chunk_ids, rec.expanded_query, k, stopwords=stopwords)
+        assert [d.chunk_id for d in rec.retrieved] == [cid for cid, _ in oracle]
+        for doc, (_, score) in zip(rec.retrieved, oracle):
+            assert doc.score == pytest.approx(score, rel=1e-9)
 
 
 # --- baselines ----------------------------------------------------------------------
