@@ -41,22 +41,14 @@ _CONFIG_KEYS = {
     "timeout",
 }
 
+_STEP_MODELS = ("keyword_model", "answer_model", "validation_model")
+# The RunConfig fields a run header records.
+_CONFIG_FIELDS = tuple(f.name for f in fields(RunConfig) if f.name != "templates")
 
 # Run header fields that shape a trace: --skip-completed refuses a file written
 # with other values. A field an older header lacks is not compared. The endpoint
 # and the mock script say where replies come from, so a resumed run may change them.
-_RESUME_KEYS = (
-    "method",
-    "index_sha256",
-    "max_iterations",
-    "top_k",
-    "regen_mode",
-    "validation_mode",
-    "early_stop",
-    "accumulate_validation_docs",
-    "save_raw",
-    "model",
-)
+_RESUME_KEYS = ("method", "index_sha256", *_CONFIG_FIELDS, "model", *_STEP_MODELS, "no_logprobs")
 
 
 class UsageError(Exception):
@@ -165,36 +157,51 @@ def _run_setting(args, file_values: dict, key: str, kind, default):
     return number
 
 
-def _build_backends(args, file_values, timeout: float, max_in_flight: int) -> StepBackends:
-    if args.mock_script:
-        return StepBackends.shared(MockBackend.from_script_file(args.mock_script))
-    endpoint = _merged(args.endpoint, file_values, "endpoint", ENV_ENDPOINT)
-    if not endpoint:
-        raise UsageError("no backend: pass --mock-script or --endpoint (or set KEYRAG_ENDPOINT)")
-    api_key = _merged(args.api_key, file_values, "api_key", ENV_API_KEY)
+def _backend_settings(args, file_values) -> dict:
+    """The endpoint, API key, --model and each step's model, from flags, config file and env.
+
+    A step's model is its own setting, else --model; a step the method never
+    calls has none. Without --mock-script, the endpoint and the model of each
+    step the method calls must be set.
+    """
     model = _merged(args.model, file_values, "model", ENV_MODEL)
-    # Each step's model, checked before any backend is made.
-    models = {}
-    for key in ("keyword_model", "answer_model", "validation_model"):
-        models[key] = _merged(getattr(args, key), file_values, key) or model
-        if not models[key]:
+    settings = {
+        "endpoint": _merged(args.endpoint, file_values, "endpoint", ENV_ENDPOINT),
+        "api_key": _merged(args.api_key, file_values, "api_key", ENV_API_KEY),
+        "model": model,
+        **dict.fromkeys(_STEP_MODELS),
+    }
+    if not (settings["endpoint"] or args.mock_script):
+        raise UsageError("no backend: pass --mock-script or --endpoint (or set KEYRAG_ENDPOINT)")
+    called = _STEP_MODELS if args.method == pipeline.METHOD_ITERATIVE else ("answer_model",)
+    for key in called:
+        settings[key] = _merged(getattr(args, key), file_values, key) or model
+        if not (settings[key] or args.mock_script):
             flag = "--" + key.replace("_", "-")
             raise UsageError(f"no model id: pass --model or {flag} (or set KEYRAG_MODEL)")
+    return settings
+
+
+def _build_backends(args, settings, timeout: float, max_in_flight: int) -> StepBackends:
+    if args.mock_script:
+        return StepBackends.shared(MockBackend.from_script_file(args.mock_script))
     by_model = {  # one backend per model a step uses
         step_model: HttpBackend(
-            endpoint,
+            settings["endpoint"],
             step_model,
-            api_key,
+            settings["api_key"],
             supports_logprobs=not args.no_logprobs,
             timeout=timeout,
             max_in_flight=max_in_flight,
         )
-        for step_model in dict.fromkeys(models.values())
+        for step_model in dict.fromkeys(filter(None, (settings[key] for key in _STEP_MODELS)))
     }
+    answer_gen = by_model[settings["answer_model"]]
+    # A step the method never calls makes no request: it takes the answer step's backend.
     return StepBackends(
-        keyword_gen=by_model[models["keyword_model"]],
-        answer_gen=by_model[models["answer_model"]],
-        validate=by_model[models["validation_model"]],
+        keyword_gen=by_model.get(settings["keyword_model"], answer_gen),
+        answer_gen=answer_gen,
+        validate=by_model.get(settings["validation_model"], answer_gen),
     )
 
 
@@ -225,6 +232,7 @@ def cmd_run(args) -> int:
     if args.method != "vanilla" and not args.index:
         raise UsageError(f"--index is required for method {args.method!r}")
 
+    settings = _backend_settings(args, file_values)
     templates = load_templates(args.templates) if args.templates else None
     config = RunConfig(
         max_iterations=max_iterations,
@@ -241,10 +249,10 @@ def cmd_run(args) -> int:
         "dataset": str(args.dataset),
         "index": str(args.index) if args.index else None,
         "index_sha256": None,  # set once the index has loaded
-        **{f.name: getattr(config, f.name) for f in fields(RunConfig) if f.name != "templates"},
+        **{name: getattr(config, name) for name in _CONFIG_FIELDS},
         "mock_script": str(args.mock_script) if args.mock_script else None,
-        "model": _merged(args.model, file_values, "model", ENV_MODEL),
-        "endpoint": _merged(args.endpoint, file_values, "endpoint", ENV_ENDPOINT),
+        **{key: settings[key] for key in ("model", *_STEP_MODELS, "endpoint")},
+        "no_logprobs": args.no_logprobs,
         "workers": workers,
         "no_timings": args.no_timings,
         "n_questions": len(examples),
@@ -282,7 +290,7 @@ def cmd_run(args) -> int:
 
         # Each worker runs one question.
         max_in_flight = workers * config.calls_in_flight
-        backends = _build_backends(args, file_values, timeout, max_in_flight)
+        backends = _build_backends(args, settings, timeout, max_in_flight)
         cleanup.callback(backends.close)
         # An --out that cannot be written fails here, before any request. The
         # file is opened to append, so it is left as it was until the index
@@ -328,16 +336,9 @@ def cmd_run(args) -> int:
                     raise  # the index did not load: the run fails, reported once below
                 traceback.print_exc()
                 error = f"{type(exc).__name__}: {exc}"
-            trace = pipeline.RunTrace(
-                question=question,
-                method=args.method,
-                iterations=[],
-                stop_reason=None,
-                final_answer="",
-                early_stop=config.early_stop,
-                error=error,
-            )
-            return qid, trace
+            # early_stop as the pipeline records it: only the keyword loop stops early.
+            early_stop = args.method == pipeline.METHOD_ITERATIVE and config.early_stop
+            return qid, pipeline.RunTrace(question, args.method, early_stop=early_stop, error=error)
 
         for qid, question in todo:  # each lands in `finished` as it finishes
             pool.submit(work, qid, question).add_done_callback(finished.put)
@@ -406,7 +407,8 @@ def read_traces(path) -> tuple[dict | None, list[tuple[int, pipeline.RunTrace]]]
 
     Within one run, a question traced more than once (a resumed run retries
     failed questions) keeps its last trace. A file may also hold several runs
-    one after another, each starting with its header; each keeps its traces.
+    one after another, each starting with its header; each keeps its traces. A
+    line that is not a trace of this schema raises ValueError naming the line.
     """
     header = None
     runs = 0
@@ -415,13 +417,24 @@ def read_traces(path) -> tuple[dict | None, list[tuple[int, pipeline.RunTrace]]]
         for pos, line in enumerate(f):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            if obj.get("kind") == "header":
-                header = obj
-                runs += 1
-                continue
-            qid = obj.get("qid", pos)
-            rows[runs, qid] = (qid, pipeline.trace_from_dict(obj))
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError(f"not a JSON object: {line.strip()[:40]}")
+                if obj.get("kind") == "header":
+                    if not isinstance(obj.get("config", {}), dict):
+                        raise ValueError("the header's config is not a JSON object")
+                    header = obj
+                    runs += 1
+                    continue
+                qid = obj.get("qid", pos)
+                if type(qid) is not int:
+                    raise ValueError(f"qid {qid!r} is not an integer")
+                rows[runs, qid] = (qid, pipeline.trace_from_dict(obj))
+            except KeyError as exc:
+                raise ValueError(f"{path} line {pos + 1}: no field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path} line {pos + 1}: {exc}") from None
     return header, sorted(rows.values(), key=lambda pair: pair[0])
 
 

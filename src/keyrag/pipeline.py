@@ -111,15 +111,17 @@ class RunConfig:
 
 @dataclass
 class IterationRecord:
+    """One iteration of a question; trace_to_dict and trace_from_dict follow these fields."""
+
     index: int
-    keywords: list[str]
-    expanded_query: str
-    retrieved: list[ScoredDoc]
-    answer: str
-    verdict: BinaryVerdict | None
-    new_keywords: int
-    new_docs: int
-    wall_time_ms: dict[str, float]
+    keywords: list[str] = field(default_factory=list)
+    expanded_query: str = ""
+    retrieved: list[ScoredDoc] = field(default_factory=list)
+    answer: str = ""
+    verdict: BinaryVerdict | None = None
+    new_keywords: int = 0
+    new_docs: int = 0
+    wall_time_ms: dict[str, float] = field(default_factory=dict)
     flags: list[str] = field(default_factory=list)
     raw: list[dict] | None = None
 
@@ -128,10 +130,10 @@ class IterationRecord:
 class RunTrace:
     question: str
     method: str
-    iterations: list[IterationRecord]
-    stop_reason: str | None
-    final_answer: str
-    early_stop: bool
+    iterations: list[IterationRecord] = field(default_factory=list)
+    stop_reason: str | None = None
+    final_answer: str = ""
+    early_stop: bool = True
     error: str | None = None
 
 
@@ -305,18 +307,7 @@ def _run(
 
     try:
         for i in range(config.max_iterations if refine else 1):
-            rec = IterationRecord(
-                index=i,
-                keywords=[],
-                expanded_query=question,
-                retrieved=[],
-                answer="",
-                verdict=None,
-                new_keywords=0,
-                new_docs=0,
-                wall_time_ms={},
-                raw=[] if config.save_raw else None,
-            )
+            rec = IterationRecord(i, raw=[] if config.save_raw else None)
             if refine:
                 prev_keywords = records[-1].keywords if records else None
                 with _timed(rec, STEP_QUERY_EXPANSION):
@@ -368,14 +359,8 @@ def _run(
     stop_reason = None
     if refine:
         stop_reason = STOP_VALIDATED if last.verdict.choice else STOP_BUDGET
-    return RunTrace(
-        question=question,
-        method=method,
-        iterations=records,
-        stop_reason=stop_reason,
-        final_answer=last.answer,
-        early_stop=refine and config.early_stop,
-    )
+    early_stop = refine and config.early_stop
+    return RunTrace(question, method, records, stop_reason, last.answer, early_stop)
 
 
 def run(
@@ -418,84 +403,40 @@ def run_iterative(
 TRACE_SCHEMA_VERSION = 1
 
 
-def _verdict_to_dict(verdict: BinaryVerdict | None) -> dict | None:
-    if verdict is None:
-        return None
-    return {
-        "choice": verdict.choice,
-        "p_true": verdict.p_true,
-        "p_false": verdict.p_false,
-        "method": verdict.method,
-        "flagged": verdict.flagged,
-    }
-
-
-def _verdict_from_dict(d: dict | None) -> BinaryVerdict | None:
-    if d is None:
-        return None
-    return BinaryVerdict(
-        choice=d["choice"],
-        p_true=d.get("p_true"),
-        p_false=d.get("p_false"),
-        method=d.get("method", "text-fallback"),
-        flagged=d.get("flagged", False),
-    )
-
-
 def trace_to_dict(trace: RunTrace, qid: int | None = None) -> dict:
-    d = {
-        "v": TRACE_SCHEMA_VERSION,
-        "question": trace.question,
-        "method": trace.method,
-        "stop_reason": trace.stop_reason,
-        "final_answer": trace.final_answer,
-        "early_stop": trace.early_stop,
-        "error": trace.error,
-        "iterations": [
-            {
-                "index": rec.index,
-                "keywords": rec.keywords,
-                "expanded_query": rec.expanded_query,
-                "retrieved": [{"chunk_id": s.chunk_id, "score": s.score} for s in rec.retrieved],
-                "answer": rec.answer,
-                "verdict": _verdict_to_dict(rec.verdict),
-                "new_keywords": rec.new_keywords,
-                "new_docs": rec.new_docs,
-                "wall_time_ms": rec.wall_time_ms,
-                "flags": rec.flags,
-                **({"raw": rec.raw} if rec.raw is not None else {}),
-            }
-            for rec in trace.iterations
-        ],
-    }
+    """The trace as a JSON-ready dict: its fields, its records' fields, v and qid."""
+    iterations = []
+    for rec in trace.iterations:
+        record = vars(rec).copy()
+        record["retrieved"] = [vars(doc).copy() for doc in rec.retrieved]
+        record["verdict"] = None if rec.verdict is None else vars(rec.verdict).copy()
+        if rec.raw is None:
+            del record["raw"]
+        iterations.append(record)
+    d = vars(trace).copy()
+    d["v"] = TRACE_SCHEMA_VERSION
+    d["iterations"] = iterations
     if qid is not None:
         d["qid"] = qid
     return d
 
 
 def trace_from_dict(d: dict) -> RunTrace:
-    iterations = [
-        IterationRecord(
-            index=rec["index"],
-            keywords=list(rec["keywords"]),
-            expanded_query=rec["expanded_query"],
-            retrieved=[ScoredDoc(s["chunk_id"], s["score"]) for s in rec["retrieved"]],
-            answer=rec["answer"],
-            verdict=_verdict_from_dict(rec.get("verdict")),
-            new_keywords=rec["new_keywords"],
-            new_docs=rec["new_docs"],
-            wall_time_ms=dict(rec.get("wall_time_ms", {})),
-            flags=list(rec.get("flags", [])),
-            raw=rec.get("raw"),
-        )
+    """The trace that trace_to_dict wrote, sharing d's lists; qid is ignored.
+
+    A field left out takes its default, but iterations and each record's
+    retrieved must be there. Another schema version raises ValueError; a
+    missing field, or one that no record declares, KeyError or TypeError.
+    """
+    if d.get("v") != TRACE_SCHEMA_VERSION:
+        raise ValueError(f"trace schema v{d.get('v')}, expected v{TRACE_SCHEMA_VERSION}")
+    trace = {key: value for key, value in d.items() if key not in ("v", "qid")}
+    trace["iterations"] = [
+        IterationRecord(**{
+            **rec,
+            "retrieved": [ScoredDoc(**doc) for doc in rec["retrieved"]],
+            "verdict": None if rec.get("verdict") is None else BinaryVerdict(**rec["verdict"]),
+        })
         for rec in d["iterations"]
     ]
-    return RunTrace(
-        question=d["question"],
-        method=d.get("method", METHOD_ITERATIVE),
-        iterations=iterations,
-        stop_reason=d.get("stop_reason"),
-        final_answer=d.get("final_answer", ""),
-        early_stop=d.get("early_stop", True),
-        error=d.get("error"),
-    )
+    return RunTrace(**trace)

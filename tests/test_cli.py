@@ -368,6 +368,29 @@ def test_run_worker_exception_is_a_question_error(capsys, tmp_path, index_path, 
     assert "Traceback" in err and "RuntimeError: answer step broke" in err
 
 
+def test_run_writes_a_failed_rag_question_as_not_early_stopped(
+        capsys, tmp_path, index_path):
+    dataset = tmp_path / "qa2.jsonl"
+    write_jsonl(dataset, [
+        {"question": "What is the name of the spacecraft that first landed humans on the Moon?",
+         "answers": ["Eagle"]},
+        {"question": "Second question?", "answers": ["y"]},
+    ])
+    script = tmp_path / "script.jsonl"  # no entry for question 1: it fails
+    write_jsonl(script, [{"match": "landed humans", "response": "Eagle"}])
+    out = tmp_path / "traces.jsonl"
+    assert main(["run", "--method", "rag", "--dataset", str(dataset), "--index", str(index_path),
+                 "--mock-script", str(script), "--workers", "1", "--out", str(out)]) == 1
+    _, rows = read_traces(out)
+    assert [(trace.error is None, trace.early_stop) for _, trace in rows] == [
+        (True, False), (False, False),
+    ]
+    capsys.readouterr()
+    assert main(["eval", "--traces", str(out), "--dataset", str(dataset),
+                 "--mode", "verified_all"]) == 0
+    assert "accuracy         0.5000" in capsys.readouterr().out
+
+
 def _record_backends(monkeypatch) -> tuple[list, list]:
     """Lists of the HttpBackends that cmd_run makes and closes; retries do not wait."""
     made, closed = [], []
@@ -441,6 +464,23 @@ def test_run_refuses_a_step_left_with_no_model(
                  "--out", str(tmp_path / "traces.jsonl")])
     assert code == 2
     assert f"no model id: pass --model or {_STEP_MODELS[unset]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["vanilla", "rag"])
+def test_run_baseline_needs_only_the_answer_model(method, tmp_path, dataset_path, index_path,
+                                                  monkeypatch):
+    monkeypatch.delenv("KEYRAG_MODEL", raising=False)
+    out = tmp_path / "traces.jsonl"
+    with StubLlmServer(_moon_stub) as server:
+        code = main(["run", "--method", method, "--dataset", str(dataset_path),
+                     "--index", str(index_path), "--endpoint", server.url,
+                     "--answer-model", "b", "--out", str(out)])
+    assert code == 0
+    assert [payload["model"] for payload in server.requests] == ["b"]
+    header, rows = read_traces(out)
+    assert rows[0][1].final_answer == "Eagle"
+    models = [header["config"][f"{step}_model"] for step in ("keyword", "answer", "validation")]
+    assert models == [None, "b", None]
 
 
 @pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="POSIX signal masks")
@@ -988,6 +1028,28 @@ def test_run_skip_completed_refuses_a_file_of_another_config(capsys, tmp_path, d
     assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize("flags, refused_field", [
+    (["--no-logprobs"], "no_logprobs"),
+    (["--answer-model", "other"], "answer_model"),
+    (["--keyword-model", "other"], None),  # rag never calls the keyword step
+], ids=["no_logprobs", "answer_model", "keyword_model"])
+def test_run_skip_completed_compares_logprobs_and_the_models_of_the_steps_called(
+        flags, refused_field, capsys, tmp_path, dataset_path, index_path, monkeypatch):
+    monkeypatch.delenv("KEYRAG_MODEL", raising=False)
+    out = tmp_path / "traces.jsonl"
+    argv = ["run", "--method", "rag", "--dataset", str(dataset_path), "--index", str(index_path),
+            "--model", "m", "--out", str(out)]
+    with StubLlmServer(_moon_stub) as server:
+        assert main(argv + ["--endpoint", server.url]) == 0
+    before = out.read_bytes()
+    # Every question is done, so a resumed run that is not refused sends no request.
+    code = main(argv + ["--endpoint", "http://127.0.0.1:9/v1", "--skip-completed", *flags])
+    assert code == (2 if refused_field else 0)
+    if refused_field:
+        assert f"it was written with {refused_field}=" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
 def test_run_skip_completed_ignores_workers_and_fields_an_old_header_lacks(tmp_path, index_path,
                                                                            script_path):
     dataset = tmp_path / "qa2.jsonl"
@@ -1066,6 +1128,36 @@ def test_read_traces_keeps_every_run_of_concatenated_files(capsys, tmp_path, dat
     capsys.readouterr()
     assert main(["eval", "--traces", str(merged), "--dataset", str(dataset_path)]) == 0
     assert "n                2\n" in capsys.readouterr().out
+
+
+_GOOD_TRACE = {"v": 1, "qid": 0, "question": "q?", "method": "rag", "stop_reason": None,
+               "final_answer": "", "early_stop": False, "error": None,
+               "iterations": [{"index": 0, "retrieved": [], "verdict": None}]}
+
+
+@pytest.mark.parametrize("line", [
+    "{",
+    "[1]",
+    json.dumps({key: value for key, value in _GOOD_TRACE.items() if key != "iterations"}),
+    json.dumps({**_GOOD_TRACE, "v": 2}),
+    json.dumps({**_GOOD_TRACE, "v": 2, "wall_ms": 1.0}),
+    json.dumps({**_GOOD_TRACE, "wall_ms": 1.0}),
+    json.dumps({**_GOOD_TRACE, "iterations": [{"index": 0, "retrieved": [], "calls": []}]}),
+    json.dumps({**_GOOD_TRACE, "iterations": [{"index": 0, "retrieved": [{"chunk_id": "a"}]}]}),
+    json.dumps({**_GOOD_TRACE, "qid": "a"}),
+    json.dumps({"v": 1, "kind": "header", "config": [1]}),
+], ids=["not_json", "not_an_object", "no_iterations", "v2", "v2_new_field", "new_field",
+        "new_record_field", "doc_without_score", "qid_not_an_integer",
+        "header_config_not_an_object"])
+def test_eval_refuses_a_bad_trace_line_naming_the_file_and_the_line(
+        line, capsys, tmp_path, dataset_path):
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(json.dumps({"v": 1, "kind": "header", "config": {}}) + "\n"
+                      + json.dumps(_GOOD_TRACE) + "\n" + line + "\n", encoding="utf-8")
+    assert main(["eval", "--traces", str(traces), "--dataset", str(dataset_path)]) == 1
+    assert f"error: {traces} line 3: " in capsys.readouterr().err
+    with pytest.raises(ValueError, match="line 3"):
+        read_traces(traces)
 
 
 def test_run_save_raw_embeds_prompts(tmp_path, dataset_path, index_path, script_path):

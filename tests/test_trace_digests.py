@@ -5,7 +5,8 @@ the request alone, with `--no-timings --save-raw --workers 1`, so a run's
 trace lines are the same bytes on every run. The SHA-256 of those lines (the
 header, which holds paths and a port, is left out) is pinned: a change to how
 the pipeline builds its records or `keyrag run` writes them must keep every
-byte, flags, raw exchanges and novelty counts included.
+byte, flags, raw exchanges and novelty counts included. Each file, read back
+and written again, must also give the same bytes.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ import re
 
 import pytest
 
-from keyrag.cli import main
+from keyrag.cli import _json_line, main, read_traces
+from keyrag.pipeline import trace_to_dict
 
 from .helpers import StubLlmServer, completion_body, logprob_body, write_jsonl
 
@@ -120,3 +122,7 @@ def test_trace_lines_keep_their_digest(files, name):
     assert b'"kind":"header"' in header and len(traces) == len(QUESTIONS)
     digest = hashlib.sha256(b"".join(traces)).hexdigest()
     assert digest == DIGESTS[name]
+    # Read back and written again, every trace line is the same bytes.
+    _, rows = read_traces(out)
+    rewritten = "".join(_json_line(trace_to_dict(trace, qid=qid)) + "\n" for qid, trace in rows)
+    assert rewritten.encode("utf-8") == b"".join(traces)
