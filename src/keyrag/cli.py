@@ -7,6 +7,7 @@ backend settings is flags over config file over environment variables
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -48,7 +49,10 @@ _CONFIG_FIELDS = tuple(f.name for f in fields(RunConfig) if f.name != "templates
 # Run header fields that shape a trace: --skip-completed refuses a file written
 # with other values. A field an older header lacks is not compared. The endpoint
 # and the mock script say where replies come from, so a resumed run may change them.
-_RESUME_KEYS = ("method", "index_sha256", *_CONFIG_FIELDS, "model", *_STEP_MODELS, "no_logprobs")
+_RESUME_KEYS = (
+    "method", "index_sha256", *_CONFIG_FIELDS, "templates_sha256", "model", *_STEP_MODELS,
+    "no_logprobs",
+)
 
 
 class UsageError(Exception):
@@ -250,6 +254,10 @@ def cmd_run(args) -> int:
         "index": str(args.index) if args.index else None,
         "index_sha256": None,  # set once the index has loaded
         **{name: getattr(config, name) for name in _CONFIG_FIELDS},
+        # The wording --templates loaded, whatever directory it came from.
+        "templates_sha256": None if templates is None else hashlib.sha256(
+            _json_line({tid: vars(t) for tid, t in templates.items()}).encode()
+        ).hexdigest(),
         "mock_script": str(args.mock_script) if args.mock_script else None,
         **{key: settings[key] for key in ("model", *_STEP_MODELS, "endpoint")},
         "no_logprobs": args.no_logprobs,

@@ -5,21 +5,24 @@ IterationRecord in place as its iteration runs: iterative repeats keywords →
 retrieve → answer → validate; rag is one iteration with no keyword step and no
 validation, the question itself being the query; vanilla is one answer call with
 no retrieval. Within one trace, calls follow program order except in two
-overlaps, both started with the backend's `submit`: a docwise round sends its
-per-document calls at once, and without early stop each iteration's answer →
-validate runs beside the next iteration's keyword round, which needs neither its
-answer nor its verdict. The records and the trace are the same as a sequential
-run's. Questions may run concurrently (each writes only its own records;
-backends handle their own synchronization). The pipeline never sees reference
-answers: nothing in this module takes them as input, so leakage is impossible by
-construction.
+overlaps, started with the backend's `submit`: a docwise round sends its
+per-document calls at once, the last from the question's own thread, and without
+early stop each iteration's answer → validate runs beside the next iteration's
+keyword round, which needs neither its answer nor its verdict. The records and
+the trace are the same as a sequential run's. Questions may run concurrently
+(each writes only its own records; backends handle their own synchronization).
+The pipeline never sees reference answers: nothing in this module takes them as
+input, so leakage is impossible by construction.
 """
 from __future__ import annotations
 
 import time
+import types
+import typing
 from concurrent.futures import Future, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
 
 from .bm25 import Index, ScoredDoc, retrieve_top_k, score_text
 from .llm import BinaryVerdict, LlmBackend, forced_choice
@@ -167,66 +170,59 @@ def _record_raw(rec: IterationRecord, step: str, messages, completion: str) -> N
     )
 
 
-def _keywords(question, prev_keywords, backends, config, rec) -> list[str]:
-    """First-round keywords when prev_keywords is None, else a refinement of them.
+def _keywords(question, prev_keywords, prev_doc_texts, backends, config, rec) -> list[str]:
+    """One keyword round: the first when prev_keywords is None, else a refinement.
 
-    A reply that does not parse is asked for once more. If that fails too, the
-    first round goes on with no keywords and a later round with the previous set.
+    A docwise refinement has a prompt per previous document, other rounds one.
+    The last runs on this thread, the others through submit; once all have
+    returned, the first error in prompt order is raised. Only a one-prompt round
+    asks again for a reply that does not parse. If no reply parsed, the first
+    round goes on with no keywords and a later round with the previous set.
     """
+    docwise = prev_keywords is not None and bool(prev_doc_texts) and config.regen_mode == "docwise"
+    docs = [{}]  # what each prompt adds to the bindings
     if prev_keywords is None:
-        messages = render("step1_keywords", {"q": question}, config.templates)
         step, failed_flag = "keyword_generation", "keyword_parse_failed"
+        template_id, bindings = "step1_keywords", {"q": question}
     else:
-        template_id = "step4_regen_cot" if config.validation_mode == "cot" else "step4_regen"
-        messages = render(
-            template_id, {"q": question, "K": format_keywords(prev_keywords)}, config.templates
-        )
-        step, failed_flag = "keyword_regeneration", "keyword_parse_failed_reused_previous"
-    for attempt in (0, 1):
-        reply = backends.keyword_gen.complete(messages, KEYWORD_MAX_TOKENS)
+        failed_flag = "keyword_parse_failed_reused_previous"
+        bindings = {"q": question, "K": format_keywords(prev_keywords)}
+        if docwise:
+            step, template_id = "keyword_regeneration_docwise", "step4_regen_docwise"
+            docs = [{"Docs": format_documents([doc_text])} for doc_text in prev_doc_texts]
+        else:
+            step = "keyword_regeneration"
+            template_id = "step4_regen_cot" if config.validation_mode == "cot" else "step4_regen"
+    batch = [render(template_id, {**bindings, **doc}, config.templates) for doc in docs]
+    backend = backends.keyword_gen
+    calls = [backend.submit(backend.complete, m, KEYWORD_MAX_TOKENS) for m in batch[:-1]]
+    try:
+        last = backend.complete(batch[-1], KEYWORD_MAX_TOKENS)  # no thread hop for this one
+    finally:
+        wait(calls)
+        replies = [call.result() for call in calls]  # an earlier call's error is raised first
+    replies.append(last)
+
+    def parsed(messages, reply) -> list[str]:
         _record_raw(rec, step, messages, reply)
         try:
             return parse_keyword_list(reply)
         except KeywordParseError:
-            if attempt == 0:
-                rec.flags.append("keyword_parse_retry")
+            return []
+
+    merged: list[str] = []
+    for messages, reply in zip(batch, replies):
+        keywords = parsed(messages, reply)
+        if not keywords and docwise:
+            rec.flags.append("docwise_parse_failed")
+        elif not keywords:
+            rec.flags.append("keyword_parse_retry")
+            keywords = parsed(messages, backend.complete(messages, KEYWORD_MAX_TOKENS))
+        merged += keywords
+    if merged:
+        return dedupe_keywords(merged)
     rec.flags.append(failed_flag)
     return list(prev_keywords or [])
-
-
-def _keywords_regen_docwise(
-    question, prev_keywords, prev_doc_texts, backends, config, rec
-) -> list[str]:
-    # The per-document calls are independent: submit them all, then merge the
-    # replies in document order once every call has returned.
-    batch = [
-        render(
-            "step4_regen_docwise",
-            {
-                "q": question,
-                "K": format_keywords(prev_keywords),
-                "Docs": format_documents([doc_text]),
-            },
-            config.templates,
-        )
-        for doc_text in prev_doc_texts
-    ]
-    backend = backends.keyword_gen
-    calls = [backend.submit(backend.complete, messages, KEYWORD_MAX_TOKENS) for messages in batch]
-    wait(calls)
-    merged: list[str] = []
-    for messages, call in zip(batch, calls):
-        reply = call.result()
-        _record_raw(rec, "keyword_regeneration_docwise", messages, reply)
-        try:
-            merged.extend(parse_keyword_list(reply))
-        except KeywordParseError:
-            rec.flags.append("docwise_parse_failed")
-    keywords = dedupe_keywords(merged)
-    if not keywords:
-        rec.flags.append("keyword_parse_failed_reused_previous")
-        return list(prev_keywords)
-    return keywords
 
 
 def _validate(question, doc_texts, backends, config, rec) -> BinaryVerdict:
@@ -312,12 +308,9 @@ def _run(
                 prev_keywords = records[-1].keywords if records else None
                 with _timed(rec, STEP_QUERY_EXPANSION):
                     # doc_texts still holds the previous iteration's documents.
-                    if doc_texts and config.regen_mode == "docwise":
-                        rec.keywords = _keywords_regen_docwise(
-                            question, prev_keywords, doc_texts, backends, config, rec
-                        )
-                    else:
-                        rec.keywords = _keywords(question, prev_keywords, backends, config, rec)
+                    rec.keywords = _keywords(
+                        question, prev_keywords, doc_texts, backends, config, rec
+                    )
 
             rec.expanded_query = expand_query(question, rec.keywords)
             if retrieve:
@@ -421,21 +414,62 @@ def trace_to_dict(trace: RunTrace, qid: int | None = None) -> dict:
     return d
 
 
+def _json_types(hint) -> tuple[frozenset, frozenset | None]:
+    """The JSON types a value of the declared type may have, and its items' types
+    if it is a list[X] or a dict[str, X]: a record is an object, a float may be
+    an int, and a bool is neither."""
+    origin = typing.get_origin(hint)
+    if origin is types.UnionType:  # X | None
+        parts = [_json_types(arg) for arg in typing.get_args(hint)]
+        return frozenset().union(*(kinds for kinds, _ in parts)), parts[0][1]
+    if origin in (list, dict):
+        return frozenset((origin,)), _json_types(typing.get_args(hint)[-1])[0]
+    kinds = (int, float) if hint is float else (dict,) if is_dataclass(hint) else (hint,)
+    return frozenset(kinds), None
+
+
+@cache
+def _field_types(cls) -> dict[str, tuple[frozenset, frozenset | None]]:
+    """_json_types of each field of record class cls, computed once."""
+    return {name: _json_types(hint) for name, hint in typing.get_type_hints(cls).items()}
+
+
+def _checked(cls, values: dict) -> dict:
+    """values, once each that names a field of cls has its declared type; else ValueError.
+
+    A JSON object's keys are strings; a record's values are checked by its own call.
+    """
+    field_types = _field_types(cls)
+    for name, value in values.items():
+        kinds, items = field_types.get(name, (None, None))
+        if kinds is None:
+            continue  # not a field: the constructor refuses it
+        if type(value) not in kinds or (
+            items is not None and value is not None
+            and not items.issuperset(map(type, value.values() if type(value) is dict else value))
+        ):
+            declared = {f.name: f.type for f in fields(cls)}[name]
+            raise ValueError(f"{cls.__name__}.{name} is {value!r:.40}, not {declared}")
+    return values
+
+
 def trace_from_dict(d: dict) -> RunTrace:
     """The trace that trace_to_dict wrote, sharing d's lists; qid is ignored.
 
     A field left out takes its default, but iterations and each record's
-    retrieved must be there. Another schema version raises ValueError; a
-    missing field, or one that no record declares, KeyError or TypeError.
+    retrieved must be there. Another schema version, or a value that is not of
+    its field's declared type, raises ValueError; a missing field, or one that
+    no record declares, KeyError or TypeError.
     """
     if d.get("v") != TRACE_SCHEMA_VERSION:
         raise ValueError(f"trace schema v{d.get('v')}, expected v{TRACE_SCHEMA_VERSION}")
-    trace = {key: value for key, value in d.items() if key not in ("v", "qid")}
+    trace = _checked(RunTrace, {key: value for key, value in d.items() if key not in ("v", "qid")})
     trace["iterations"] = [
         IterationRecord(**{
-            **rec,
-            "retrieved": [ScoredDoc(**doc) for doc in rec["retrieved"]],
-            "verdict": None if rec.get("verdict") is None else BinaryVerdict(**rec["verdict"]),
+            **_checked(IterationRecord, rec),
+            "retrieved": [ScoredDoc(**_checked(ScoredDoc, doc)) for doc in rec["retrieved"]],
+            "verdict": None if rec.get("verdict") is None
+            else BinaryVerdict(**_checked(BinaryVerdict, rec["verdict"])),
         })
         for rec in d["iterations"]
     ]

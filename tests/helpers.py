@@ -166,7 +166,8 @@ class StubLlmServer(_LocalServer):
 
     Behavior is driven by `respond`, a callable (payload, request_index) -> dict
     returning {"status": int, "body": dict|str} and optionally "headers", a dict
-    of extra response headers. Defaults to a plain completion.
+    of extra response headers, and "drop": True, which closes the connection
+    halfway through the body. Defaults to a plain completion.
     """
 
     def __init__(self, respond=None):
@@ -202,8 +203,14 @@ class StubLlmServer(_LocalServer):
                 self.send_header("Content-Length", str(len(data)))
                 for name, value in reply.get("headers", {}).items():
                     self.send_header(name, value)
-                self.end_headers()
-                self.wfile.write(data)
+                if reply.get("drop"):
+                    data = data[: len(data) // 2]
+                    self.close_connection = True
+                try:
+                    self.end_headers()
+                    self.wfile.write(data)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the client has hung up; there is no one to answer
 
             def log_message(self, *args):
                 pass

@@ -1050,6 +1050,29 @@ def test_run_skip_completed_compares_logprobs_and_the_models_of_the_steps_called
     assert out.read_bytes() == before
 
 
+def test_run_skip_completed_compares_the_wording_of_the_templates_not_their_directory(
+        capsys, tmp_path, index_path):
+    dataset = tmp_path / "qa2.jsonl"
+    write_jsonl(dataset, [{"question": f"Question {i}?", "answers": ["y"]} for i in range(2)])
+    script = tmp_path / "script.jsonl"
+    write_jsonl(script, [{"match": "Query:", "response": "y"}] * 2)
+    for name, wording in [("a", "Wording A"), ("b", "Wording B"), ("same_as_a", "Wording A")]:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "step2_answer.txt").write_text(
+            f"Answer.\n---\n{wording}. Query: {{q}}\nDocuments: {{D}}\n", encoding="utf-8")
+    out = tmp_path / "traces.jsonl"
+    argv = ["run", "--method", "rag", "--dataset", str(dataset), "--index", str(index_path),
+            "--mock-script", str(script), "--out", str(out)]
+    assert main(argv + ["--limit", "1", "--templates", str(tmp_path / "a")]) == 0
+    before = out.read_bytes()
+    assert main(argv + ["--skip-completed", "--templates", str(tmp_path / "b")]) == 2
+    assert "it was written with templates_sha256=" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert main(argv + ["--skip-completed", "--templates", str(tmp_path / "same_as_a")]) == 0
+    _, rows = read_traces(out)
+    assert [qid for qid, _ in rows] == [0, 1]
+
+
 def test_run_skip_completed_ignores_workers_and_fields_an_old_header_lacks(tmp_path, index_path,
                                                                            script_path):
     dataset = tmp_path / "qa2.jsonl"
@@ -1158,6 +1181,56 @@ def test_eval_refuses_a_bad_trace_line_naming_the_file_and_the_line(
     assert f"error: {traces} line 3: " in capsys.readouterr().err
     with pytest.raises(ValueError, match="line 3"):
         read_traces(traces)
+
+
+# A trace of the dataset's question, so that eval reaches the metrics at the parent.
+_MOON_TRACE = {**_GOOD_TRACE, "method": "iterative", "question": MOON_QUESTION}
+
+
+def _with_record(**fields):
+    record = {"index": 0, "retrieved": [], "verdict": None, **fields}
+    return json.dumps({**_MOON_TRACE, "iterations": [record]})
+
+
+_VERDICT = {"choice": False, "p_true": 0.25, "p_false": 0.75, "method": "logprob"}
+
+
+@pytest.mark.parametrize("line", [
+    json.dumps({**_MOON_TRACE, "final_answer": None}),
+    _with_record(answer=None),
+    json.dumps({**json.loads(_with_record(answer=None)), "final_answer": None}),
+    _with_record(keywords=5),
+    _with_record(keywords=["moon", 1]),
+    _with_record(index=True),
+    _with_record(wall_time_ms={"retrieval": "1.0"}),
+    _with_record(retrieved=[{"chunk_id": "c0", "score": "1.5"}]),
+    _with_record(verdict={**_VERDICT, "choice": 1}),
+    _with_record(verdict={**_VERDICT, "p_true": True}),
+    json.dumps({**_MOON_TRACE, "early_stop": "no"}),
+], ids=["final_answer_null", "answer_null", "both_answers_null", "keywords_a_number",
+        "keyword_a_number", "index_a_bool", "wall_time_a_string", "score_a_string",
+        "choice_an_int", "p_true_a_bool", "early_stop_a_string"])
+def test_eval_refuses_a_trace_value_of_another_type_naming_the_line(
+        line, capsys, tmp_path, dataset_path):
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(json.dumps({"v": 1, "kind": "header", "config": {}}) + "\n"
+                      + json.dumps(_MOON_TRACE) + "\n" + line + "\n", encoding="utf-8")
+    assert main(["eval", "--traces", str(traces), "--dataset", str(dataset_path),
+                 "--mode", "base"]) == 1
+    assert f"error: {traces} line 3: " in capsys.readouterr().err
+    with pytest.raises(ValueError, match="line 3"):
+        read_traces(traces)
+
+
+def test_read_traces_takes_an_int_where_a_float_is_declared(tmp_path):
+    traces = tmp_path / "traces.jsonl"
+    line = _with_record(retrieved=[{"chunk_id": "c0", "score": 2}], wall_time_ms={"retrieval": 0},
+                        verdict={**_VERDICT, "p_true": 0, "p_false": 1})
+    traces.write_text(line + "\n", encoding="utf-8")
+    _, [(_, trace)] = read_traces(traces)
+    record = trace.iterations[0]
+    assert (record.retrieved[0].score, record.wall_time_ms, record.verdict.p_false) == (
+        2, {"retrieval": 0}, 1)
 
 
 def test_run_save_raw_embeds_prompts(tmp_path, dataset_path, index_path, script_path):

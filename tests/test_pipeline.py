@@ -412,6 +412,50 @@ def test_docwise_failed_call_raises_after_its_siblings_return():
     assert sorted(finished) == [1, 2]
 
 
+class _ThreadRecorder(_DocwiseModel):
+    """_DocwiseModel that records the thread each keyword call runs on."""
+
+    def __init__(self, order: list[str]):
+        super().__init__(order, lambda rank: None)
+        self.keyword_threads: list[tuple[str, threading.Thread]] = []  # (prompt, thread)
+
+    def complete(self, messages, max_tokens):
+        if "keyword" in messages[-1].content:
+            self.keyword_threads.append((messages[-1].content, threading.current_thread()))
+        return super().complete(messages, max_tokens)
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_keywords_mode_calls_the_keyword_model_from_the_question_thread(early_stop):
+    backend = _ThreadRecorder([])
+    config = RunConfig(max_iterations=3, early_stop=early_stop)
+    try:
+        run_iterative(_FANOUT_QUESTION, index_from_texts(_FANOUT_TEXTS),
+                      StepBackends.shared(backend), config)
+    finally:
+        backend.close()
+    assert len(backend.keyword_threads) == 3  # the first round, then two refinements
+    assert {thread for _, thread in backend.keyword_threads} == {threading.current_thread()}
+
+
+def test_a_docwise_round_sends_its_last_prompt_from_the_question_thread():
+    idx = index_from_texts(_FANOUT_TEXTS)
+    first = retrieve_top_k(idx, expand_query(_FANOUT_QUESTION, ["moon"]), 3)
+    order = [re.search(r"doc_(\w+)", idx.text_of(d.chunk_id)).group(1) for d in first]
+    backend = _ThreadRecorder(order)
+    config = RunConfig(regen_mode="docwise", max_iterations=2)
+    try:
+        run_iterative(_FANOUT_QUESTION, idx, StepBackends.shared(backend), config)
+    finally:
+        backend.close()
+    here = threading.current_thread()
+    docwise = {re.search(r"\bdoc_(\w+)", prompt).group(1): thread
+               for prompt, thread in backend.keyword_threads[1:]}
+    assert backend.keyword_threads[0][1] is here  # the first round
+    assert docwise[order[-1]] is here
+    assert all(docwise[doc] is not here for doc in order[:-1])
+
+
 # --- overlapped iterations (no early stop) ----------------------------------------
 
 # Iteration i's keywords name kw{i}, which ranks doc{i} first.

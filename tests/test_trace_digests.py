@@ -6,17 +6,24 @@ trace lines are the same bytes on every run. The SHA-256 of those lines (the
 header, which holds paths and a port, is left out) is pinned: a change to how
 the pipeline builds its records or `keyrag run` writes them must keep every
 byte, flags, raw exchanges and novelty counts included. Each file, read back
-and written again, must also give the same bytes.
+and written again, must also give the same bytes. The same digests must hold,
+over the lines ordered by question, with three questions at once, replies
+delayed by a seeded jitter, and requests that fail and are retried.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
+import json
+import random
 import re
+import threading
+import time
 
 import pytest
 
 from keyrag.cli import _json_line, main, read_traces
+from keyrag.llm import HttpBackend
 from keyrag.pipeline import trace_to_dict
 
 from .helpers import StubLlmServer, completion_body, logprob_body, write_jsonl
@@ -108,21 +115,81 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_trace_lines_keep_their_digest(files, name):
+def _trace_lines(files, name, respond, workers) -> list[bytes]:
+    """The trace lines of one configuration's run, in the order they were written."""
     root, dataset, index = files
-    out = root / f"{name}.jsonl"
-    with StubLlmServer(_respond) as server:
+    out = root / f"{name}.w{workers}.jsonl"
+    with StubLlmServer(respond) as server:
         code = main(["run", "--dataset", str(dataset), "--index", str(index),
-                     "--endpoint", server.url, "--model", "m", "--workers", "1",
+                     "--endpoint", server.url, "--model", "m", "--workers", str(workers),
                      "--max-iterations", "3", "--top-k", "3", "--no-timings", "--save-raw",
                      "--out", str(out), *CONFIGS[name]])
     assert code == 0
     header, *traces = out.read_bytes().splitlines(keepends=True)
     assert b'"kind":"header"' in header and len(traces) == len(QUESTIONS)
+    return traces
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_trace_lines_keep_their_digest(files, name):
+    traces = _trace_lines(files, name, _respond, workers=1)
     digest = hashlib.sha256(b"".join(traces)).hexdigest()
     assert digest == DIGESTS[name]
     # Read back and written again, every trace line is the same bytes.
-    _, rows = read_traces(out)
+    _, rows = read_traces(files[0] / f"{name}.w1.jsonl")
     rewritten = "".join(_json_line(trace_to_dict(trace, qid=qid)) + "\n" for qid, trace in rows)
     assert rewritten.encode("utf-8") == b"".join(traces)
+
+
+# What a request may meet in place of its reply: a 429 with and without
+# Retry-After, a 503, and a good reply whose connection drops halfway through.
+FAULTS = {
+    "429_retry_after": {"status": 429, "body": {"error": "busy"}, "headers": {"Retry-After": "0"}},
+    "429": {"status": 429, "body": {"error": "busy"}},
+    "503": {"status": 503, "body": {"error": "unavailable"}},
+    "dropped": {"drop": True},
+}
+
+
+class _FaultSchedule:
+    """_respond after a seeded 0-6 ms delay, with a bounded fault schedule.
+
+    The n-th distinct request body to arrive meets fault n mod 4 when n < 4 or n
+    is even, and only the first time it is sent: each body fails at most once.
+    """
+
+    def __init__(self, seed: int):
+        self._rng = random.Random(seed)
+        self._lock = threading.Lock()
+        self.fired: dict[str, str] = {}  # request body -> the fault it met
+        self.served: set[str] = set()  # request bodies answered in full
+        self._seen: set[str] = set()
+
+    def __call__(self, payload, i):
+        body = json.dumps(payload, sort_keys=True)
+        with self._lock:
+            delay = self._rng.uniform(0.0, 0.006)
+            fault = None
+            if body not in self._seen:
+                n = len(self._seen)
+                self._seen.add(body)
+                if n < len(FAULTS) or n % 2 == 0:
+                    fault = self.fired[body] = list(FAULTS)[n % len(FAULTS)]
+            if fault is None:
+                self.served.add(body)
+        time.sleep(delay)
+        reply = _respond(payload, i)
+        return reply if fault is None else {**reply, **FAULTS[fault]}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_trace_lines_keep_their_digest_with_concurrent_questions_and_failed_requests(
+        files, name, monkeypatch):
+    monkeypatch.setitem(HttpBackend.__init__.__kwdefaults__, "backoff", 0.01)
+    schedule = _FaultSchedule(seed=sorted(CONFIGS).index(name))
+    traces = _trace_lines(files, name, schedule, workers=3)
+    traces.sort(key=lambda line: json.loads(line)["qid"])
+    assert hashlib.sha256(b"".join(traces)).hexdigest() == DIGESTS[name]
+    # Every kind of fault fired, and every request that met one was sent again and answered.
+    assert set(schedule.fired.values()) == set(FAULTS)
+    assert set(schedule.fired) <= schedule.served
