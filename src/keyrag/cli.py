@@ -20,7 +20,7 @@ from contextlib import ExitStack
 from dataclasses import fields
 from pathlib import Path
 
-from . import bm25, corpus, metrics, pipeline
+from . import bm25, corpus, pipeline
 from .llm import HttpBackend, LlmError, MockBackend
 from .pipeline import RunConfig, StepBackends
 from .prompts import load_templates
@@ -416,7 +416,8 @@ def read_traces(path) -> tuple[dict | None, list[tuple[int, pipeline.RunTrace]]]
     Within one run, a question traced more than once (a resumed run retries
     failed questions) keeps its last trace. A file may also hold several runs
     one after another, each starting with its header; each keeps its traces. A
-    line that is not a trace of this schema raises ValueError naming the line.
+    line that is not a trace of this schema, or a header whose run config or
+    index digest has another type, raises ValueError naming the line.
     """
     header = None
     runs = 0
@@ -430,8 +431,13 @@ def read_traces(path) -> tuple[dict | None, list[tuple[int, pipeline.RunTrace]]]
                 if not isinstance(obj, dict):
                     raise ValueError(f"not a JSON object: {line.strip()[:40]}")
                 if obj.get("kind") == "header":
-                    if not isinstance(obj.get("config", {}), dict):
+                    config = obj.get("config", {})
+                    if not isinstance(config, dict):
                         raise ValueError("the header's config is not a JSON object")
+                    # The values eval and resume read: the run config, the index digest.
+                    pipeline._checked(RunConfig, config)
+                    if not isinstance(config.get("index_sha256"), (str, type(None))):
+                        raise ValueError(f"index_sha256 is {config['index_sha256']!r:.40}, not str")
                     header = obj
                     runs += 1
                     continue
@@ -479,6 +485,8 @@ def _recall_ks(text: str | None) -> list[int]:
 
 
 def cmd_eval(args) -> int:
+    from . import metrics  # only eval scores traces: `keyrag run` does not load it
+
     recall_ks = _recall_ks(args.recall_ks)
     header, rows = read_traces(args.traces)
     if not rows:
@@ -527,7 +535,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _print_report(result: metrics.EvalResult) -> None:
+def _print_report(result) -> None:
+    """Print a metrics.EvalResult."""
     print(f"mode             {result.mode}")
     print(f"n                {result.n}")
     print(f"accuracy         {result.accuracy:.4f}")
@@ -535,27 +544,19 @@ def _print_report(result: metrics.EvalResult) -> None:
     if result.per_iteration_accuracy:
         curve = " ".join(f"{v:.4f}" for v in result.per_iteration_accuracy)
         print(f"per-iteration    {curve}")
-    if result.recall_at:
-        for k in sorted(result.recall_at):
-            curve = " ".join(f"{v:.4f}" for v in result.recall_curves[k])
-            print(f"recall@{k}         {result.recall_at[k]:.4f} (by horizon: {curve})")
-    if result.deltas and result.deltas.keyword_step_means:
-        kw = " ".join(
-            f"step{s}={v:.2f}" for s, v in sorted(result.deltas.keyword_step_means.items())
-        )
-        print(
-            f"new keywords     {kw} total={result.deltas.keyword_total:.2f}"
-            f" mean={result.deltas.keyword_mean:.2f}"
-        )
-        docs = " ".join(
-            f"step{s}={v:.2f}" for s, v in sorted(result.deltas.doc_step_means.items())
-        )
-        print(
-            f"new documents    {docs} total={result.deltas.doc_total:.2f}"
-            f" mean={result.deltas.doc_mean:.2f}"
-        )
-    if result.latency:
-        parts = " ".join(f"{step}={sec:.3f}s" for step, sec in result.latency.items())
+    # Steps and ks are the report's string keys, printed in numeric order.
+    for k in sorted(result.recall_at or (), key=int):
+        curve = " ".join(f"{v:.4f}" for v in result.recall_curves[k])
+        print(f"recall@{k}         {result.recall_at[k]:.4f} (by horizon: {curve})")
+    for label, deltas in [("new keywords", result.keyword_deltas),
+                          ("new documents", result.doc_deltas)]:
+        if deltas and deltas["per_step"]:
+            steps = " ".join(
+                f"step{s}={deltas['per_step'][s]:.2f}" for s in sorted(deltas["per_step"], key=int)
+            )
+            print(f"{label:<17}{steps} total={deltas['total']:.2f} mean={deltas['mean']:.2f}")
+    if result.latency_seconds:
+        parts = " ".join(f"{step}={sec:.3f}s" for step, sec in result.latency_seconds.items())
         print(f"latency          {parts}")
 
 
@@ -620,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score a trace file against its dataset")
     p_eval.add_argument("--traces", required=True)
     p_eval.add_argument("--dataset", required=True)
-    p_eval.add_argument("--mode", choices=metrics.MODES, default="em")
+    p_eval.add_argument("--mode", choices=pipeline.EVAL_MODES, default="em")
     p_eval.add_argument("--recall-ks", help="comma-separated ks, e.g. 1,3,5")
     p_eval.add_argument("--index", help="index file, required for recall")
     p_eval.add_argument("--out", help="write the report as JSON")

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .pipeline import (
+    EVAL_MODES,
     STEP_ANSWER,
     STEP_QUERY_EXPANSION,
     STEP_RETRIEVAL,
@@ -15,8 +16,6 @@ from .pipeline import (
     RunTrace,
     novelty,
 )
-
-MODES = ("em", "base", "verified_true", "verified_all")
 
 _ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
 _ASCII_PUNCT = set(string.punctuation)
@@ -85,9 +84,6 @@ def recall_curve(
     call over the same index so each text is normalized once.
     """
     _check_aligned(traces, refs_list)
-    horizon = max((len(t.iterations) for t in traces), default=0)
-    if horizon == 0 or not traces:
-        return []
     cache = {} if haystacks is None else haystacks
 
     def haystack(chunk_id: str) -> str:
@@ -97,6 +93,13 @@ def recall_curve(
         return text
 
     firsts = [_hit_horizons(t, refs, k, haystack) for t, refs in zip(traces, refs_list)]
+    return _curve(traces, firsts)
+
+
+def _curve(traces: Sequence[RunTrace], firsts: Sequence[int | None]) -> list[float]:
+    """Per horizon h up to the longest trace, the share of traces whose first
+    horizon in firsts (None for never) is at most h."""
+    horizon = max((len(t.iterations) for t in traces), default=0)
     return [
         sum(1 for first in firsts if first is not None and first <= h) / len(traces)
         for h in range(1, horizon + 1)
@@ -106,24 +109,16 @@ def recall_curve(
 # --- scoring modes -----------------------------------------------------------
 
 
-def _first_true_index(trace: RunTrace) -> int | None:
-    for i, rec in enumerate(trace.iterations):
-        if rec.verdict is not None and rec.verdict.choice:
-            return i
+def _first_correct(trace: RunTrace, refs, mode: str) -> int | None:
+    """First 1-based horizon from which the trace counts as correct under mode."""
+    for h, rec in enumerate(trace.iterations, 1):
+        judged = rec.verdict is not None and rec.verdict.choice
+        if mode == "base" and judged:
+            # The first True-judged answer is the answer; no True means no answer.
+            return h if exact_match(rec.answer, refs) else None
+        if (judged or mode == "verified_all") and exact_match(rec.answer, refs):
+            return h
     return None
-
-
-def _correct_at_horizon(trace: RunTrace, refs, mode: str, h: int) -> bool:
-    if mode == "verified_all":
-        return any(exact_match(rec.answer, refs) for rec in trace.iterations[:h])
-    if mode == "verified_true":
-        return any(
-            rec.verdict is not None and rec.verdict.choice and exact_match(rec.answer, refs)
-            for rec in trace.iterations[:h]
-        )
-    # base: the first True-judged answer is the answer; no True means no answer.
-    first = _first_true_index(trace)
-    return first is not None and first < h and exact_match(trace.iterations[first].answer, refs)
 
 
 def _check_aligned(traces, refs_list) -> None:
@@ -145,8 +140,8 @@ def score_mode(
     iteration budget and therefore refuse traces produced with early stopping
     enabled.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode not in EVAL_MODES:
+        raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
     _check_aligned(traces, refs_list)
     if mode in ("verified_true", "verified_all"):
         for i, trace in enumerate(traces):
@@ -159,11 +154,8 @@ def score_mode(
         per_iteration = []
         accuracy = em_accuracy(traces, refs_list)
     else:
-        horizon = max((len(t.iterations) for t in traces), default=0)
-        per_iteration = [
-            _mean([_correct_at_horizon(t, refs, mode, h) for t, refs in zip(traces, refs_list)])
-            for h in range(1, horizon + 1)
-        ]
+        firsts = [_first_correct(t, refs, mode) for t, refs in zip(traces, refs_list)]
+        per_iteration = _curve(traces, firsts)
         accuracy = per_iteration[-1] if per_iteration else 0.0
     return EvalResult(
         mode=mode,
@@ -171,8 +163,8 @@ def score_mode(
         n=len(traces),
         per_iteration_accuracy=per_iteration,
         avg_iterations=avg_iteration_count(traces),
-        deltas=delta_stats(traces),
-        latency=latency_report(traces),
+        **delta_stats(traces),
+        latency_seconds=latency_report(traces),
     )
 
 
@@ -192,48 +184,31 @@ def _mean(values) -> float:
 # --- trace statistics --------------------------------------------------------
 
 
-@dataclass
-class DeltaStats:
-    """Per-step means of newly seen keywords/documents, steps numbered from 2."""
-
-    keyword_step_means: dict[int, float]
-    doc_step_means: dict[int, float]
-    keyword_total: float
-    keyword_mean: float
-    doc_total: float
-    doc_mean: float
-
-
-def delta_stats(traces: Sequence[RunTrace]) -> DeltaStats:
+def delta_stats(traces: Sequence[RunTrace]) -> dict[str, dict]:
     """Recompute keyword/document novelty per step from the raw sets in the traces.
 
     For step s >= 2 (iteration index s-1), novelty is measured against the
     union of everything from earlier iterations, averaged over traces that
-    reach step s. Totals sum the per-step means; the mean divides by the
-    number of regeneration steps.
+    reach step s. Returns the report's keyword_deltas and doc_deltas: the
+    per-step means keyed by the string of s, their total, and the total over
+    the number of regeneration steps.
     """
     horizon = max((len(t.iterations) for t in traces), default=0)
-    kw_means: dict[int, float] = {}
-    doc_means: dict[int, float] = {}
+    per_step = {"keyword_deltas": {}, "doc_deltas": {}}
     for step in range(2, horizon + 1):
         counts = [
             novelty(trace.iterations[: step - 1], rec.keywords, rec.retrieved)
             for trace in traces
             for rec in trace.iterations[step - 1 : step]
         ]
-        kw_means[step] = _mean(new_keywords for new_keywords, _ in counts)
-        doc_means[step] = _mean(new_docs for _, new_docs in counts)
-    kw_total = sum(kw_means.values())
-    doc_total = sum(doc_means.values())
+        per_step["keyword_deltas"][str(step)] = _mean(new_keywords for new_keywords, _ in counts)
+        per_step["doc_deltas"][str(step)] = _mean(new_docs for _, new_docs in counts)
     steps = max(horizon - 1, 0)
-    return DeltaStats(
-        keyword_step_means=kw_means,
-        doc_step_means=doc_means,
-        keyword_total=kw_total,
-        keyword_mean=kw_total / steps if steps else 0.0,
-        doc_total=doc_total,
-        doc_mean=doc_total / steps if steps else 0.0,
-    )
+    return {
+        name: {"per_step": means, "total": sum(means.values()),
+               "mean": sum(means.values()) / steps if steps else 0.0}
+        for name, means in per_step.items()
+    }
 
 
 _LATENCY_STEPS = (STEP_QUERY_EXPANSION, STEP_RETRIEVAL, STEP_ANSWER, STEP_VALIDATION)
@@ -266,47 +241,23 @@ def avg_iteration_count(traces: Sequence[RunTrace]) -> float:
 
 @dataclass
 class EvalResult:
+    """The report of one mode; its fields are the report's JSON keys, keyed by
+    the string of a step or of k where a field is a mapping."""
+
     mode: str
     accuracy: float
     n: int
     per_iteration_accuracy: list[float]
     avg_iterations: float
-    deltas: DeltaStats | None = None
-    latency: dict[str, float] | None = None
-    recall_at: dict[int, float] | None = None
-    recall_curves: dict[int, list[float]] | None = None
-    recall_mean_over_horizons: dict[int, float] | None = None
+    keyword_deltas: dict | None = None
+    doc_deltas: dict | None = None
+    latency_seconds: dict[str, float] | None = None
+    recall_at: dict[str, float] | None = None
+    recall_curves: dict[str, list[float]] | None = None
+    recall_mean_over_horizons: dict[str, float] | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "mode": self.mode,
-            "accuracy": self.accuracy,
-            "n": self.n,
-            "per_iteration_accuracy": self.per_iteration_accuracy,
-            "avg_iterations": self.avg_iterations,
-        }
-        if self.deltas is not None:
-            d["keyword_deltas"] = {
-                "per_step": {str(k): v for k, v in self.deltas.keyword_step_means.items()},
-                "total": self.deltas.keyword_total,
-                "mean": self.deltas.keyword_mean,
-            }
-            d["doc_deltas"] = {
-                "per_step": {str(k): v for k, v in self.deltas.doc_step_means.items()},
-                "total": self.deltas.doc_total,
-                "mean": self.deltas.doc_mean,
-            }
-        if self.latency is not None:
-            d["latency_seconds"] = self.latency
-        if self.recall_at is not None:
-            d["recall_at"] = {str(k): v for k, v in self.recall_at.items()}
-        if self.recall_curves is not None:
-            d["recall_curves"] = {str(k): v for k, v in self.recall_curves.items()}
-        if self.recall_mean_over_horizons is not None:
-            d["recall_mean_over_horizons"] = {
-                str(k): v for k, v in self.recall_mean_over_horizons.items()
-            }
-        return d
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 def evaluate(
@@ -321,13 +272,11 @@ def evaluate(
     if recall_ks:
         if text_lookup is None:
             raise ValueError("recall evaluation requires a chunk-text lookup (the index)")
-        result.recall_at = {}
-        result.recall_curves = {}
-        result.recall_mean_over_horizons = {}
         haystacks: dict[str, str] = {}
-        for k in recall_ks:
-            curve = recall_curve(traces, refs_list, k, text_lookup, haystacks)
-            result.recall_curves[k] = curve
-            result.recall_at[k] = curve[-1] if curve else 0.0
-            result.recall_mean_over_horizons[k] = _mean(curve)
+        curves = {
+            str(k): recall_curve(traces, refs_list, k, text_lookup, haystacks) for k in recall_ks
+        }
+        result.recall_curves = curves
+        result.recall_at = {k: curve[-1] if curve else 0.0 for k, curve in curves.items()}
+        result.recall_mean_over_horizons = {k: _mean(curve) for k, curve in curves.items()}
     return result

@@ -52,6 +52,9 @@ METHOD_ITERATIVE = "iterative"
 METHOD_RAG = "rag"
 METHOD_VANILLA = "vanilla"
 METHODS = (METHOD_VANILLA, METHOD_RAG, METHOD_ITERATIVE)
+# The readings `keyrag eval` scores traces by (metrics.score_mode), declared here
+# so that the CLI's parser needs no metrics import.
+EVAL_MODES = ("em", "base", "verified_true", "verified_all")
 
 # Generation budgets in tokens; every call is greedy (temperature 0).
 KEYWORD_MAX_TOKENS = 50

@@ -260,12 +260,27 @@ def parse_cot_verdict(text: str) -> BinaryVerdict:
 
 
 def load_templates(directory) -> dict[str, PromptTemplate]:
-    """Load prompt variants from <id>.txt files: system text, a --- line, user text."""
+    """Load prompt variants from <id>.txt files: system text, a --- line, user text.
+
+    Each file must name a built-in template, give both texts, and use exactly the
+    built-in template's placeholders, as render demands; else TemplateError.
+    """
     table = dict(TEMPLATES)
     for path in sorted(Path(directory).glob("*.txt")):
+        builtin = TEMPLATES.get(path.stem)
+        if builtin is None:
+            raise TemplateError(f"{path.name}: no built-in template is named {path.stem!r}")
         raw = path.read_text(encoding="utf-8")
         if "\n---\n" not in raw:
             raise TemplateError(f"{path.name}: expected a '---' line between system and user text")
-        system, user = raw.split("\n---\n", 1)
-        table[path.stem] = PromptTemplate(id=path.stem, system=system.strip(), user=user.strip())
+        system, user = (part.strip() for part in raw.split("\n---\n", 1))
+        if not system or not user:
+            raise TemplateError(f"{path.name}: empty {'user' if system else 'system'} text")
+        template = PromptTemplate(id=path.stem, system=system, user=user)
+        if template.placeholders != builtin.placeholders:
+            raise TemplateError(
+                f"{path.name}: placeholders {sorted(template.placeholders)},"
+                f" expected {sorted(builtin.placeholders)}"
+            )
+        table[path.stem] = template
     return table

@@ -166,14 +166,15 @@ def test_acceptance_05_delta_accounting():
         ("x", False, ("t", "u", "v"), ("e1", "e2", "e3")),      # +3 kw, +0 docs
     ])
     stats = delta_stats([t1, t2])
-    expected_kw = {2: (1 + 2) / 2, 3: (2 + 1) / 2, 4: (0 + 0) / 2, 5: (1 + 3) / 2}
-    expected_docs = {2: (1 + 2) / 2, 3: (2 + 0) / 2, 4: (0 + 1) / 2, 5: (1 + 0) / 2}
-    ok = stats.keyword_step_means == expected_kw
-    ok = ok and stats.doc_step_means == expected_docs
-    ok = ok and stats.keyword_total == sum(expected_kw.values())
-    ok = ok and stats.keyword_mean == sum(expected_kw.values()) / 4
-    ok = ok and stats.doc_total == sum(expected_docs.values())
-    ok = ok and stats.doc_mean == sum(expected_docs.values()) / 4
+    expected_kw = {"2": (1 + 2) / 2, "3": (2 + 1) / 2, "4": (0 + 0) / 2, "5": (1 + 3) / 2}
+    expected_docs = {"2": (1 + 2) / 2, "3": (2 + 0) / 2, "4": (0 + 1) / 2, "5": (1 + 0) / 2}
+    keywords, docs = stats["keyword_deltas"], stats["doc_deltas"]
+    ok = keywords["per_step"] == expected_kw
+    ok = ok and docs["per_step"] == expected_docs
+    ok = ok and keywords["total"] == sum(expected_kw.values())
+    ok = ok and keywords["mean"] == sum(expected_kw.values()) / 4
+    ok = ok and docs["total"] == sum(expected_docs.values())
+    ok = ok and docs["mean"] == sum(expected_docs.values()) / 4
     _report(5, "per-step new-keyword/new-doc means with Total and Mean identities", ok)
 
 

@@ -534,6 +534,16 @@ def test_import_cli_leaves_requests_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=keyrag_env()).returncode == 0
 
 
+def test_import_cli_and_build_its_parser_leaves_metrics_unloaded():
+    # `keyrag run` never scores a trace; only `keyrag eval` loads the eval code.
+    code = ("import sys, keyrag.cli\n"
+            "keyrag.cli.build_parser()\n"
+            "sys.exit('keyrag.metrics' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=keyrag_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_import_cli_leaves_http_client_unloaded():
     code = ("import sys, keyrag.cli\n"
             "loaded = [m for m in ('http.client', 'urllib.request') if m in sys.modules]\n"
@@ -1219,6 +1229,23 @@ def test_eval_refuses_a_trace_value_of_another_type_naming_the_line(
                  "--mode", "base"]) == 1
     assert f"error: {traces} line 3: " in capsys.readouterr().err
     with pytest.raises(ValueError, match="line 3"):
+        read_traces(traces)
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"top_k": "5"}, ["--recall-ks", "1"]),
+    ({"top_k": True}, ["--recall-ks", "1"]),
+    ({"index_sha256": 123}, []),
+], ids=["top_k_a_string", "top_k_a_bool", "index_sha256_a_number"])
+def test_eval_refuses_a_header_value_of_another_type_naming_the_line(
+        config, flags, capsys, tmp_path, dataset_path, index_path):
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(json.dumps({"v": 1, "kind": "header", "config": config}) + "\n"
+                      + json.dumps(_MOON_TRACE) + "\n", encoding="utf-8")
+    assert main(["eval", "--traces", str(traces), "--dataset", str(dataset_path),
+                 "--index", str(index_path), *flags]) == 1
+    assert f"error: {traces} line 1: " in capsys.readouterr().err
+    with pytest.raises(ValueError, match="line 1"):
         read_traces(traces)
 
 

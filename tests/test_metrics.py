@@ -292,7 +292,7 @@ def test_delta_keywords_set_difference():
         ("x", False, ("b", "c", "d"), ()),
     ])
     stats = delta_stats([trace])
-    assert stats.keyword_step_means == {2: 2.0}
+    assert stats["keyword_deltas"]["per_step"] == {"2": 2.0}
 
 
 def test_delta_docs_identical_sets_zero():
@@ -302,8 +302,8 @@ def test_delta_docs_identical_sets_zero():
         ("x", False, (), ("d2", "d1")),
     ])
     stats = delta_stats([trace])
-    assert stats.doc_step_means == {2: 0.0, 3: 0.0}
-    assert stats.doc_total == 0.0
+    assert stats["doc_deltas"]["per_step"] == {"2": 0.0, "3": 0.0}
+    assert stats["doc_deltas"]["total"] == 0.0
 
 
 def test_delta_totals_and_mean_identities():
@@ -322,12 +322,13 @@ def test_delta_totals_and_mean_identities():
     stats = delta_stats(traces)
     # step 2: trace1 adds {c}=1, trace2 adds {q}=1 -> mean 1.0
     # step 3: trace1 adds {d,e}=2, trace2 adds nothing -> mean 1.0
-    assert stats.keyword_step_means == {2: 1.0, 3: 1.0}
-    assert stats.doc_step_means == {2: 0.5, 3: 1.0}
-    assert stats.keyword_total == pytest.approx(sum(stats.keyword_step_means.values()))
-    assert stats.keyword_mean == pytest.approx(stats.keyword_total / 2)
-    assert stats.doc_total == pytest.approx(sum(stats.doc_step_means.values()))
-    assert stats.doc_mean == pytest.approx(stats.doc_total / 2)
+    keywords, docs = stats["keyword_deltas"], stats["doc_deltas"]
+    assert keywords["per_step"] == {"2": 1.0, "3": 1.0}
+    assert docs["per_step"] == {"2": 0.5, "3": 1.0}
+    assert keywords["total"] == pytest.approx(sum(keywords["per_step"].values()))
+    assert keywords["mean"] == pytest.approx(keywords["total"] / 2)
+    assert docs["total"] == pytest.approx(sum(docs["per_step"].values()))
+    assert docs["mean"] == pytest.approx(docs["total"] / 2)
 
 
 def test_delta_case_insensitive_keywords():
@@ -335,7 +336,7 @@ def test_delta_case_insensitive_keywords():
         ("x", False, ("Apollo",), ()),
         ("x", False, ("APOLLO", "eagle"), ()),
     ])
-    assert delta_stats([trace]).keyword_step_means == {2: 1.0}
+    assert delta_stats([trace])["keyword_deltas"]["per_step"] == {"2": 1.0}
 
 
 def test_delta_shorter_traces_excluded_from_later_steps():
@@ -344,7 +345,7 @@ def test_delta_shorter_traces_excluded_from_later_steps():
         _trace([("x", True, ("a",), ())]),  # stopped after one iteration
     ]
     stats = delta_stats(traces)
-    assert stats.keyword_step_means == {2: 1.0}  # only the first trace reaches step 2
+    assert stats["keyword_deltas"]["per_step"] == {"2": 1.0}  # only the first trace reaches step 2
 
 
 # --- latency ---------------------------------------------------------------------------
@@ -404,9 +405,9 @@ def test_evaluate_with_recall():
     result = evaluate([trace], [["Eagle"]], mode="base", recall_ks=(1, 2),
                       text_lookup=texts.__getitem__)
     assert result.accuracy == 1.0
-    assert result.recall_at[1] == 0.0  # only the top-1 doc considered
-    assert result.recall_at[2] == 1.0
-    assert result.recall_curves[2] == [1.0]
+    assert result.recall_at["1"] == 0.0  # only the top-1 doc considered
+    assert result.recall_at["2"] == 1.0
+    assert result.recall_curves["2"] == [1.0]
     d = result.to_dict()
     assert d["recall_at"]["2"] == 1.0
 
@@ -450,3 +451,77 @@ def test_evaluate_recall_requires_lookup():
     trace = _trace([("a", True)])
     with pytest.raises(ValueError, match="lookup"):
         evaluate([trace], [["a"]], recall_ks=(1,))
+
+
+def _eleven_iteration_traces() -> list[RunTrace]:
+    """Three no-early-stop traces, two of 11 iterations and one of 6, with timings."""
+    traces = []
+    for t, (length, true_at, hit_at) in enumerate([(11, 9, 10), (11, 3, 1), (6, None, 4)]):
+        records = []
+        for i in range(length):
+            docs = [f"t{t}i{i}d{j}" for j in range(10)]
+            if hit_at is not None and i + 1 >= hit_at:
+                docs[i % 10] = "gold"  # rank i % 10 + 1: top-2 at i < 2 or i = 10
+            records.append(_record(
+                i, "Eagle" if i % 3 == 2 else "moon", true_at is not None and i + 1 >= true_at,
+                keywords=[f"kw{i // 2}", f"kw{t}"], doc_ids=docs,
+                times={"query_expansion": 100.0 + i, "retrieval": 2.5, "answer_generation": 50.0},
+            ))
+        traces.append(RunTrace("q?", "iterative", records, "budget_exhausted",
+                               records[-1].answer, early_stop=False))
+    return traces
+
+
+# Steps 10 and 11 and k=10 print after 2 to 9 on stdout, and sort before them
+# as JSON object keys.
+_ELEVEN_STDOUT = (
+    "mode             base\n"
+    "n                3\n"
+    "accuracy         0.6667\n"
+    "avg_iterations   9.333\n"
+    "per-iteration    0.0000 0.0000 0.3333 0.3333 0.3333 0.3333 0.3333 0.3333 0.6667 "
+    "0.6667 0.6667\n"
+    "recall@2         0.6667 (by horizon: 0.3333 0.3333 0.3333 0.3333 0.3333 0.3333 "
+    "0.3333 0.3333 0.3333 0.3333 0.6667)\n"
+    "recall@10         1.0000 (by horizon: 0.3333 0.3333 0.3333 0.6667 0.6667 0.6667 "
+    "0.6667 0.6667 0.6667 1.0000 1.0000)\n"
+    "new keywords     step2=0.00 step3=0.67 step4=0.00 step5=0.67 step6=0.00 step7=1.00 "
+    "step8=0.00 step9=1.00 step10=0.00 step11=1.00 total=4.33 mean=0.43\n"
+    "new documents    step2=9.67 step3=9.67 step4=9.67 step5=9.33 step6=9.33 step7=9.50 "
+    "step8=9.50 step9=9.50 step10=9.50 step11=9.00 total=94.67 mean=9.47\n"
+    "latency          query_expansion=0.975s retrieval=0.023s answer_generation=0.467s "
+    "total=1.465s\n"
+)
+_ELEVEN_JSON = (
+    '{"accuracy":0.6666666666666666,"avg_iterations":9.333333333333334,'
+    '"doc_deltas":{"mean":9.466666666666667,"per_step":{"10":9.5,"11":9.0,'
+    '"2":9.666666666666666,"3":9.666666666666666,"4":9.666666666666666,'
+    '"5":9.333333333333334,"6":9.333333333333334,"7":9.5,"8":9.5,"9":9.5},'
+    '"total":94.66666666666667},"keyword_deltas":{"mean":0.4333333333333333,'
+    '"per_step":{"10":0.0,"11":1.0,"2":0.0,"3":0.6666666666666666,"4":0.0,'
+    '"5":0.6666666666666666,"6":0.0,"7":1.0,"8":0.0,"9":1.0},"total":4.333333333333333},'
+    '"latency_seconds":{"answer_generation":0.46666666666666673,"query_expansion":0.975,'
+    '"retrieval":0.023333333333333334,"total":1.465},"mode":"base","n":3,'
+    '"per_iteration_accuracy":[0.0,0.0,0.3333333333333333,0.3333333333333333,'
+    '0.3333333333333333,0.3333333333333333,0.3333333333333333,0.3333333333333333,'
+    '0.6666666666666666,0.6666666666666666,0.6666666666666666],"recall_at":{"10":1.0,'
+    '"2":0.6666666666666666},"recall_curves":{"10":[0.3333333333333333,'
+    '0.3333333333333333,0.3333333333333333,0.6666666666666666,0.6666666666666666,'
+    '0.6666666666666666,0.6666666666666666,0.6666666666666666,0.6666666666666666,1.0,'
+    '1.0],"2":[0.3333333333333333,0.3333333333333333,0.3333333333333333,'
+    '0.3333333333333333,0.3333333333333333,0.3333333333333333,0.3333333333333333,'
+    '0.3333333333333333,0.3333333333333333,0.3333333333333333,0.6666666666666666]},'
+    '"recall_mean_over_horizons":{"10":0.6363636363636364,"2":0.36363636363636365}}'
+)
+
+
+def test_report_of_eleven_iterations_orders_steps_and_ks_as_numbers_on_stdout_and_as_strings_in_json(
+        capsys):
+    from keyrag.cli import _json_line, _print_report
+
+    texts = {"gold": "the Eagle has landed"}
+    result = evaluate(_eleven_iteration_traces(), [["Eagle"]] * 3, mode="base",
+                      recall_ks=(2, 10), text_lookup=lambda chunk_id: texts.get(chunk_id, "dust"))
+    _print_report(result)
+    assert capsys.readouterr().out == _ELEVEN_STDOUT
+    assert _json_line(result.to_dict()) == _ELEVEN_JSON

@@ -239,6 +239,19 @@ def test_load_templates_requires_separator(tmp_path):
         load_templates(tmp_path)
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("step1_keyword.txt", "System.\n---\nKeywords for {q}.", "no built-in template is named"),
+    ("step1_keywords.txt", " \n---\nKeywords for {q}.", "empty system text"),
+    ("step1_keywords.txt", "System.\n---\n\n", "empty user text"),
+    ("step1_keywords.txt", "System.\n---\nKeywords, please.", "placeholders"),
+    ("step2_answer.txt", "System.\n---\nQuery: {q}\nDocuments: {D}\nAnswer: {a}", "placeholders"),
+], ids=["unknown_id", "empty_system", "empty_user", "missing_placeholder", "extra_placeholder"])
+def test_load_templates_refuses_a_file_no_prompt_could_render(tmp_path, name, text, message):
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    with pytest.raises(TemplateError, match=f"^{name}: .*{message}"):
+        load_templates(tmp_path)
+
+
 # --- parser properties ---------------------------------------------------------
 
 # Text built from the characters the parsers look for, plus arbitrary text.

@@ -8,7 +8,9 @@ the pipeline builds its records or `keyrag run` writes them must keep every
 byte, flags, raw exchanges and novelty counts included. Each file, read back
 and written again, must also give the same bytes. The same digests must hold,
 over the lines ordered by question, with three questions at once, replies
-delayed by a seeded jitter, and requests that fail and are retried.
+delayed by a seeded jitter, and requests that fail and are retried. The
+report `keyrag eval` makes of each file, under each mode it accepts, is pinned
+the same way.
 """
 from __future__ import annotations
 
@@ -139,6 +141,52 @@ def test_trace_lines_keep_their_digest(files, name):
     _, rows = read_traces(files[0] / f"{name}.w1.jsonl")
     rewritten = "".join(_json_line(trace_to_dict(trace, qid=qid)) + "\n" for qid, trace in rows)
     assert rewritten.encode("utf-8") == b"".join(traces)
+
+
+# The SHA-256 of the `result` part of `keyrag eval --recall-ks 1,2 --index --out`
+# on each configuration's trace file, one JSON line per mode in EVAL_MODES order:
+# em and base for every file, the verified modes too where no trace stopped early.
+# A question's answer is the one its topic's target level judges True, and the
+# record that names it; topic 3's target level is never retrieved.
+REPORT_DIGESTS = {
+    "accumulate": "d3a378403b57e51ffd3f565bcee8d1d57fc38b521aa349bc14c33a8221c2ea2d",
+    "cot": "7bb901d2f5084ee11c7de321cb1567c4d871f1c4ada73b54b446e644de920e30",
+    "cot+accumulate": "7bb901d2f5084ee11c7de321cb1567c4d871f1c4ada73b54b446e644de920e30",
+    "cot+no_early_stop": "dbef403882f749085e9d142d685a25e0ec779204cc5522f7c7aae5c30d1cce1a",
+    "cot+no_early_stop+accumulate": "dbef403882f749085e9d142d685a25e0ec779204cc5522f7c7aae5c30d1cce1a",
+    "docwise": "cf00310f8d4999b9b4599960c45ea83514fcffe643416c9d55592d0ad959d8a6",
+    "docwise+accumulate": "cf00310f8d4999b9b4599960c45ea83514fcffe643416c9d55592d0ad959d8a6",
+    "docwise+cot": "cf00310f8d4999b9b4599960c45ea83514fcffe643416c9d55592d0ad959d8a6",
+    "docwise+cot+accumulate": "cf00310f8d4999b9b4599960c45ea83514fcffe643416c9d55592d0ad959d8a6",
+    "docwise+cot+no_early_stop": "bbb064e61265a10482b2ef8d3d5483df4bc9af57ff32329a7abfe7a1a98724ed",
+    "docwise+cot+no_early_stop+accumulate": "bbb064e61265a10482b2ef8d3d5483df4bc9af57ff32329a7abfe7a1a98724ed",
+    "docwise+no_early_stop": "bbb064e61265a10482b2ef8d3d5483df4bc9af57ff32329a7abfe7a1a98724ed",
+    "docwise+no_early_stop+accumulate": "bbb064e61265a10482b2ef8d3d5483df4bc9af57ff32329a7abfe7a1a98724ed",
+    "keywords": "d3a378403b57e51ffd3f565bcee8d1d57fc38b521aa349bc14c33a8221c2ea2d",
+    "no_early_stop": "431df174058b789748e791af43137e06f356fbb4e864cad79e4684536a36a736",
+    "no_early_stop+accumulate": "431df174058b789748e791af43137e06f356fbb4e864cad79e4684536a36a736",
+    "rag": "bc7ee134ba98028cc1c95a95a230422d94d4bac7089f57f52a0e7a58f221b635",
+    "vanilla": "3acc4586eca40c35162419cb23607d64d5cd03ac80ea95cc4996ce48248aac7d",
+}
+EVAL_MODES = ("em", "base", "verified_true", "verified_all")
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_eval_report_keeps_its_digest(files, name):
+    root, _, index = files
+    _trace_lines(files, name, _respond, workers=1)
+    dataset = root / "qa_answers.jsonl"
+    write_jsonl(dataset, [{"question": q, "answers": [f"topic {t} level {level}", f"ans{t}x{level}"]}
+                          for t, (q, level) in enumerate(zip(QUESTIONS, TARGETS))])
+    stopped_early = "no_early_stop" not in name and name not in ("vanilla", "rag")
+    results = []
+    for mode in EVAL_MODES[:2] if stopped_early else EVAL_MODES:
+        report = root / f"{name}.{mode}.json"
+        assert main(["eval", "--traces", str(root / f"{name}.w1.jsonl"), "--dataset", str(dataset),
+                     "--mode", mode, "--recall-ks", "1,2", "--index", str(index),
+                     "--out", str(report)]) == 0
+        results.append(_json_line(json.loads(report.read_text(encoding="utf-8"))["result"]) + "\n")
+    assert hashlib.sha256("".join(results).encode("utf-8")).hexdigest() == REPORT_DIGESTS[name]
 
 
 # What a request may meet in place of its reply: a 429 with and without
