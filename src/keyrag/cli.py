@@ -284,15 +284,15 @@ def cmd_run(args) -> int:
                 # loads the index before any question starts.
                 index.set_result(bm25.load_index(index_file))
                 effective["index_sha256"] = index.result().sha256
-            header, rows = read_traces(out)
-            written_with = (header or {}).get("config", {})
+            headers, rows = read_traces(out)
+            written_with = headers[-1].get("config", {}) if headers else {}
             for key in _RESUME_KEYS:
                 if key in written_with and written_with[key] != effective[key]:
                     raise UsageError(
                         f"cannot resume {out}: it was written with {key}={written_with[key]!r},"
                         f" this run has {key}={effective[key]!r}"
                     )
-            write_header = header is None
+            write_header = not headers
             # A question whose last trace records an error is run again.
             done_qids = {qid for qid, trace in rows if not trace.error}
 
@@ -410,8 +410,8 @@ def cmd_run(args) -> int:
 # --- eval --------------------------------------------------------------------
 
 
-def read_traces(path) -> tuple[dict | None, list[tuple[int, pipeline.RunTrace]]]:
-    """Read a trace file; returns (header, traces sorted by question index).
+def read_traces(path) -> tuple[list[dict], list[tuple[int, pipeline.RunTrace]]]:
+    """Read a trace file; returns (each run's header, traces sorted by question index).
 
     Within one run, a question traced more than once (a resumed run retries
     failed questions) keeps its last trace. A file may also hold several runs
@@ -419,37 +419,29 @@ def read_traces(path) -> tuple[dict | None, list[tuple[int, pipeline.RunTrace]]]
     line that is not a trace of this schema, or a header whose run config or
     index digest has another type, raises ValueError naming the line.
     """
-    header = None
-    runs = 0
+    headers: list[dict] = []
     rows: dict[tuple[int, int], tuple[int, pipeline.RunTrace]] = {}
-    with open(path, encoding="utf-8") as f:
-        for pos, line in enumerate(f):
-            if not line.strip():
+    for line_no, obj in corpus.read_jsonl(path, lambda msg: ValueError(f"{path} {msg}")):
+        try:
+            if obj.get("kind") == "header":
+                config = obj.get("config", {})
+                if not isinstance(config, dict):
+                    raise ValueError("the header's config is not a JSON object")
+                # The values eval and resume read: the run config, the index digest.
+                pipeline._checked(RunConfig, config)
+                if not isinstance(config.get("index_sha256"), (str, type(None))):
+                    raise ValueError(f"index_sha256 is {config['index_sha256']!r:.40}, not str")
+                headers.append(obj)
                 continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError(f"not a JSON object: {line.strip()[:40]}")
-                if obj.get("kind") == "header":
-                    config = obj.get("config", {})
-                    if not isinstance(config, dict):
-                        raise ValueError("the header's config is not a JSON object")
-                    # The values eval and resume read: the run config, the index digest.
-                    pipeline._checked(RunConfig, config)
-                    if not isinstance(config.get("index_sha256"), (str, type(None))):
-                        raise ValueError(f"index_sha256 is {config['index_sha256']!r:.40}, not str")
-                    header = obj
-                    runs += 1
-                    continue
-                qid = obj.get("qid", pos)
-                if type(qid) is not int:
-                    raise ValueError(f"qid {qid!r} is not an integer")
-                rows[runs, qid] = (qid, pipeline.trace_from_dict(obj))
-            except KeyError as exc:
-                raise ValueError(f"{path} line {pos + 1}: no field {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path} line {pos + 1}: {exc}") from None
-    return header, sorted(rows.values(), key=lambda pair: pair[0])
+            qid = obj.get("qid", line_no - 1)
+            if type(qid) is not int:
+                raise ValueError(f"qid {qid!r} is not an integer")
+            rows[len(headers), qid] = (qid, pipeline.trace_from_dict(obj))
+        except KeyError as exc:
+            raise ValueError(f"{path} line {line_no}: no field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path} line {line_no}: {exc}") from None
+    return headers, sorted(rows.values(), key=lambda pair: pair[0])
 
 
 def _align_refs(rows, examples) -> list[tuple[str, ...]]:
@@ -488,17 +480,20 @@ def cmd_eval(args) -> int:
     from . import metrics  # only eval scores traces: `keyrag run` does not load it
 
     recall_ks = _recall_ks(args.recall_ks)
-    header, rows = read_traces(args.traces)
+    headers, rows = read_traces(args.traces)
     if not rows:
         print("error: no traces found", file=sys.stderr)
         return 1
+    # A file may hold several runs: each run's header is checked.
+    configs = [header.get("config", {}) for header in headers]
     index = bm25.load_index(args.index) if args.index else None
-    run_sha = (header or {}).get("config", {}).get("index_sha256")
-    if index and run_sha and index.sha256 != run_sha:
-        raise UsageError(
-            f"{args.index} does not match the run's index (index_sha256 {run_sha[:12]}...);"
-            " pass the index the traces were produced with"
-        )
+    for config in configs:
+        run_sha = config.get("index_sha256")
+        if index and run_sha and index.sha256 != run_sha:
+            raise UsageError(
+                f"{args.index} does not match the run's index (index_sha256 {run_sha[:12]}...);"
+                " pass the index the traces were produced with"
+            )
     examples = corpus.load_qa(args.dataset)
     refs_list = _align_refs(rows, examples)
     traces = [trace for _, trace in rows]
@@ -507,9 +502,9 @@ def cmd_eval(args) -> int:
     if recall_ks:
         if index is None:
             raise UsageError("--recall-ks requires --index to resolve chunk texts")
-        run_top_k = (header or {}).get("config", {}).get("top_k")
-        if run_top_k is not None:
-            too_big = [k for k in recall_ks if k > run_top_k]
+        for config in configs:
+            run_top_k = config.get("top_k")
+            too_big = [k for k in recall_ks if run_top_k is not None and k > run_top_k]
             if too_big:
                 raise UsageError(
                     f"recall k={too_big[0]} exceeds the run's top_k={run_top_k};"
@@ -529,7 +524,8 @@ def cmd_eval(args) -> int:
 
     _print_report(result)
     if args.out:
-        report = {"v": 1, "config": (header or {}).get("config"), "result": result.to_dict()}
+        config = headers[-1].get("config") if headers else None
+        report = {"v": 1, "config": config, "result": result.to_dict()}
         Path(args.out).write_text(_json_line(report) + "\n", encoding="utf-8")
         print(f"report written to {args.out}", file=sys.stderr)
     return 0
@@ -547,7 +543,7 @@ def _print_report(result) -> None:
     # Steps and ks are the report's string keys, printed in numeric order.
     for k in sorted(result.recall_at or (), key=int):
         curve = " ".join(f"{v:.4f}" for v in result.recall_curves[k])
-        print(f"recall@{k}         {result.recall_at[k]:.4f} (by horizon: {curve})")
+        print(f"{'recall@' + k:<16} {result.recall_at[k]:.4f} (by horizon: {curve})")
     for label, deltas in [("new keywords", result.keyword_deltas),
                           ("new documents", result.doc_deltas)]:
         if deltas and deltas["per_step"]:

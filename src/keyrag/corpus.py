@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .bm25 import token_spans
@@ -35,78 +37,70 @@ class QaExample:
     answers: tuple[str, ...]
 
 
-def _check_utf8(line_no: int, values) -> None:
-    """Refuse a lone surrogate (a JSON escape such as \\ud800): UTF-8 cannot hold it."""
-    for value in values:
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise CorpusFormatError(
-                f"line {line_no}: lone surrogate {value[exc.start]!r} is not valid text"
-            ) from None
+# What a JSON escape of half a surrogate pair (\ud800) decodes to: UTF-8 cannot hold it.
+LONE_SURROGATE = re.compile("[\\ud800-\\udfff]")
+
+
+def read_jsonl(path, error) -> Iterator[tuple[int, dict]]:
+    """Yield (line number from 1, object) for each non-blank line of a JSONL file.
+
+    A line that is not JSON, not an object, or holds a lone surrogate raises
+    error("line N: ...").
+    """
+    with open(path, encoding="utf-8") as f:
+        for line_no, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"line {line_no}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise error(f"line {line_no}: not a JSON object")
+            # Only an escape can produce a surrogate: a line without one is not searched.
+            lone = "\\u" in line and LONE_SURROGATE.search(json.dumps(obj, ensure_ascii=False))
+            if lone:
+                raise error(f"line {line_no}: lone surrogate {lone.group()!r} is not valid text")
+            yield line_no, obj
 
 
 def load_corpus(path, limit: int | None = None) -> Iterator[Document]:
     """Stream documents from a JSONL file of {"id", "title", "text"} records."""
     seen: dict[str, int] = {}
-    yielded = 0
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            if limit is not None and yielded >= limit:
-                return
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise CorpusFormatError(f"line {line_no}: record is not an object")
-            doc_id = obj.get("id")
-            text = obj.get("text")
-            title = obj.get("title", "")
-            if not isinstance(doc_id, str) or not doc_id:
-                raise CorpusFormatError(f"line {line_no}: missing or non-string 'id'")
-            if not isinstance(text, str) or not text.strip():
-                raise CorpusFormatError(f"line {line_no}: missing or empty 'text'")
-            if not isinstance(title, str):
-                raise CorpusFormatError(f"line {line_no}: non-string 'title'")
-            _check_utf8(line_no, (doc_id, title, text))
-            if doc_id in seen:
-                raise CorpusFormatError(
-                    f"line {line_no}: duplicate document id {doc_id!r}"
-                    f" (first seen on line {seen[doc_id]})"
-                )
-            seen[doc_id] = line_no
-            yielded += 1
-            yield Document(id=doc_id, title=title, text=text)
+    for line_no, obj in islice(read_jsonl(path, CorpusFormatError), limit):
+        doc_id = obj.get("id")
+        text = obj.get("text")
+        title = obj.get("title", "")
+        if not isinstance(doc_id, str) or not doc_id:
+            raise CorpusFormatError(f"line {line_no}: missing or non-string 'id'")
+        if not isinstance(text, str) or not text.strip():
+            raise CorpusFormatError(f"line {line_no}: missing or empty 'text'")
+        if not isinstance(title, str):
+            raise CorpusFormatError(f"line {line_no}: non-string 'title'")
+        if doc_id in seen:
+            raise CorpusFormatError(
+                f"line {line_no}: duplicate document id {doc_id!r}"
+                f" (first seen on line {seen[doc_id]})"
+            )
+        seen[doc_id] = line_no
+        yield Document(id=doc_id, title=title, text=text)
 
 
 def load_qa(path, limit: int | None = None) -> list[QaExample]:
     """Load a JSONL QA dataset of {"question", "answers"} records."""
     examples: list[QaExample] = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            if limit is not None and len(examples) >= limit:
-                break
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            question = obj.get("question") if isinstance(obj, dict) else None
-            answers = obj.get("answers") if isinstance(obj, dict) else None
-            if not isinstance(question, str) or not question.strip():
-                raise CorpusFormatError(f"line {line_no}: missing or empty 'question'")
-            if (
-                not isinstance(answers, list)
-                or not answers
-                or not all(isinstance(a, str) for a in answers)
-            ):
-                raise CorpusFormatError(f"line {line_no}: 'answers' must be a non-empty string list")
-            _check_utf8(line_no, [question, *answers])
-            examples.append(QaExample(question=question, answers=tuple(answers)))
+    for line_no, obj in islice(read_jsonl(path, CorpusFormatError), limit):
+        question = obj.get("question")
+        answers = obj.get("answers")
+        if not isinstance(question, str) or not question.strip():
+            raise CorpusFormatError(f"line {line_no}: missing or empty 'question'")
+        if (
+            not isinstance(answers, list)
+            or not answers
+            or not all(isinstance(a, str) for a in answers)
+        ):
+            raise CorpusFormatError(f"line {line_no}: 'answers' must be a non-empty string list")
+        examples.append(QaExample(question=question, answers=tuple(answers)))
     return examples
 
 

@@ -17,6 +17,8 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
+from .corpus import LONE_SURROGATE, read_jsonl
+
 
 class LlmError(Exception):
     """Base class for backend failures."""
@@ -181,25 +183,20 @@ class MockBackend(LlmBackend):
 
     @classmethod
     def from_script_file(cls, path) -> "MockBackend":
+        """Entries from a JSONL file; a line that is not an entry raises ScriptError naming it."""
         entries = []
-        with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, 1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ScriptError(f"script line {line_no}: invalid JSON ({exc.msg})") from exc
-                if "match" not in obj:
-                    raise ScriptError(f"script line {line_no}: missing 'match'")
-                entries.append(
-                    ScriptEntry(
-                        match=obj["match"],
-                        response=obj.get("response", ""),
-                        p_true=obj.get("p_true"),
-                        p_false=obj.get("p_false"),
-                    )
-                )
+        for line_no, obj in read_jsonl(path, lambda msg: ScriptError(f"script {msg}")):
+            if "match" not in obj:
+                raise ScriptError(f"script line {line_no}: missing 'match'")
+            entry = ScriptEntry(obj["match"], obj.get("response", ""),
+                                obj.get("p_true"), obj.get("p_false"))
+            for key, value in vars(entry).items():
+                number = key.startswith("p_")  # a bool is not a number here
+                if not (type(value) in (int, float, type(None)) if number else type(value) is str):
+                    kind = "a number or null" if number else "a string"
+                    raise ScriptError(
+                        f"script line {line_no}: {key!r} is {value!r:.40}, not {kind}")
+            entries.append(entry)
         return cls(entries)
 
     def _find(self, prompt: str) -> int | None:
@@ -432,7 +429,8 @@ class HttpBackend(LlmBackend):
             raise BackendError(f"malformed completion response: {data!r:.200}") from exc
         if not isinstance(text, str):
             raise BackendError("completion response has no text content")
-        return text.rstrip()
+        # An escape of half a surrogate pair would stop the trace file's UTF-8 writer.
+        return LONE_SURROGATE.sub("\ufffd", text.rstrip())
 
     def choice_probs(self, messages: list[ChatMessage]) -> tuple[float, float] | None:
         if not self.supports_logprobs:

@@ -404,7 +404,7 @@ def test_save_that_fails_halfway_leaves_the_old_file(tmp_path):
         "save_index(build_index(chunks), sys.argv[1])\n"
     )
     done = subprocess.run([sys.executable, "-c", code, str(path)], env=keyrag_env(),
-                          capture_output=True, text=True)
+                          capture_output=True, encoding="utf-8")
     assert done.returncode != 0
     assert "File too large" in done.stderr, done.stderr
     assert path.read_bytes() == old

@@ -115,6 +115,19 @@ def test_index_names_the_line_of_a_lone_surrogate(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_index_stopwords_file_drops_its_words_from_the_index(tmp_path, corpus_path):
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_text("The\nMOON\n", encoding="utf-8")
+    out = tmp_path / "x.idx"
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(out),
+                 "--stopwords", str(stopwords)]) == 0
+    index = load_index(out)
+    assert index.stopwords == frozenset({"the", "moon"})
+    assert bm25.retrieve_top_k(index, "the moon", 2) == []
+    assert [doc.chunk_id for doc in bm25.retrieve_top_k(index, "the moon eagle", 2)] == [
+        "apollo#0"]
+
+
 @pytest.mark.parametrize("case", ["overlap", "k1", "out-exists", "corpus-json", "stopwords"])
 def test_index_failure_prints_its_message_and_exit_code(capsys, tmp_path, corpus_path, case):
     out = tmp_path / "x.idx"
@@ -155,7 +168,7 @@ def test_run_iterative_with_mock(tmp_path, dataset_path, index_path, script_path
         "--method", "iterative", "--mock-script", str(script_path), "--out", str(out),
     ])
     assert code == 0
-    header, rows = read_traces(out)
+    (header,), rows = read_traces(out)
     assert header["config"]["method"] == "iterative"
     assert header["config"]["index_sha256"]
     assert len(rows) == 1
@@ -168,7 +181,7 @@ def test_run_iterative_with_mock(tmp_path, dataset_path, index_path, script_path
 
 def test_run_header_records_the_sha256_of_the_loaded_index(tmp_path, dataset_path, index_path,
                                                           script_path):
-    header, _ = read_traces(_run_traces(tmp_path, dataset_path, index_path, script_path))
+    (header,), _ = read_traces(_run_traces(tmp_path, dataset_path, index_path, script_path))
     digest = hashlib.sha256(index_path.read_bytes()).hexdigest()
     assert header["config"]["index_sha256"] == load_index(index_path).sha256 == digest
 
@@ -186,7 +199,7 @@ def test_run_opens_the_index_file_once(tmp_path, dataset_path, index_path, scrip
     argv = ["run", "--dataset", str(dataset_path), "--index", str(index_path),
             "--mock-script", str(script_path), "--out", str(tmp_path / "traces.jsonl")]
     done = subprocess.run([sys.executable, "-c", code, str(index_path), *argv],
-                          env=keyrag_env(), capture_output=True, text=True)
+                          env=keyrag_env(), capture_output=True, encoding="utf-8")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1"]
 
@@ -292,6 +305,59 @@ def test_run_requires_backend(tmp_path, dataset_path, index_path, monkeypatch):
     code = main(["run", "--dataset", str(dataset_path), "--index", str(index_path),
                  "--out", str(tmp_path / "t.jsonl")])
     assert code == 2
+
+
+@pytest.mark.parametrize("line, message", [
+    ("5", "not a JSON object"),
+    ("{not json", "invalid JSON (Expecting property name enclosed in double quotes)"),
+    ('{"response": "x"}', "missing 'match'"),
+    ('{"match": 5}', "'match' is 5, not a string"),
+    ('{"match": "x", "response": 5}', "'response' is 5, not a string"),
+    ('{"match": "x", "p_true": "hi"}', "'p_true' is 'hi', not a number or null"),
+    ('{"match": "x", "p_false": true}', "'p_false' is True, not a number or null"),
+    ('{"match": "x\\ud83d"}', "lone surrogate '\\ud83d' is not valid text"),
+], ids=["a_number", "not_json", "no_match", "match_a_number", "response_a_number",
+        "p_true_a_string", "p_false_a_bool", "lone_surrogate"])
+def test_run_refuses_a_bad_mock_script_line_naming_it_before_any_question(
+        line, message, capsys, tmp_path, dataset_path, index_path):
+    script = tmp_path / "script.jsonl"
+    script.write_text('{"match": "Here is a question", "response": "Eagle"}\n\n' + line + "\n",
+                      encoding="utf-8")
+    out = tmp_path / "traces.jsonl"
+    code = main(["run", "--dataset", str(dataset_path), "--index", str(index_path),
+                 "--mock-script", str(script), "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (1, f"backend error: script line 3: {message}\n")
+    assert not out.exists()
+
+
+def test_run_writes_a_reply_holding_half_a_surrogate_pair_with_a_replacement_character(
+        tmp_path, dataset_path):
+    out = tmp_path / "traces.jsonl"
+    with StubLlmServer(lambda payload, i: {"status": 200, "body": completion_body("caf\ud83d")}
+                       ) as server:
+        code = main(["run", "--method", "vanilla", "--dataset", str(dataset_path),
+                     "--endpoint", server.url, "--model", "m", "--out", str(out)])
+    assert code == 0
+    _, [(_, trace)] = read_traces(out)
+    assert trace.final_answer == "caf\ufffd"
+    assert '"final_answer":"caf\ufffd"' in out.read_text(encoding="utf-8")
+
+
+def test_run_writes_a_keyword_escaping_half_a_surrogate_pair_with_a_replacement_character(
+        tmp_path, dataset_path, index_path):
+    def respond(payload, i):
+        prompt = payload["messages"][-1]["content"]
+        if "keywords" in prompt:
+            return {"status": 200, "body": completion_body('["caf\\ud83d", "Apollo 11"]')}
+        return {"status": 200, "body": completion_body("True" if "correct" in prompt else "Eagle")}
+
+    out = tmp_path / "traces.jsonl"
+    with StubLlmServer(respond) as server:
+        code = main(["run", "--dataset", str(dataset_path), "--index", str(index_path),
+                     "--endpoint", server.url, "--model", "m", "--no-logprobs", "--out", str(out)])
+    assert code == 0
+    _, [(_, trace)] = read_traces(out)
+    assert trace.iterations[0].keywords == ["caf\ufffd", "Apollo 11"]
 
 
 def test_run_unreachable_endpoint_errors(tmp_path, dataset_path, index_path, monkeypatch):
@@ -477,7 +543,7 @@ def test_run_baseline_needs_only_the_answer_model(method, tmp_path, dataset_path
                      "--answer-model", "b", "--out", str(out)])
     assert code == 0
     assert [payload["model"] for payload in server.requests] == ["b"]
-    header, rows = read_traces(out)
+    (header,), rows = read_traces(out)
     assert rows[0][1].final_answer == "Eagle"
     models = [header["config"][f"{step}_model"] for step in ("keyword", "answer", "validation")]
     assert models == [None, "b", None]
@@ -540,7 +606,7 @@ def test_import_cli_and_build_its_parser_leaves_metrics_unloaded():
             "keyrag.cli.build_parser()\n"
             "sys.exit('keyrag.metrics' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], env=keyrag_env(),
-                          capture_output=True, text=True)
+                          capture_output=True, encoding="utf-8")
     assert done.returncode == 0, done.stderr
 
 
@@ -549,7 +615,7 @@ def test_import_cli_leaves_http_client_unloaded():
             "loaded = [m for m in ('http.client', 'urllib.request') if m in sys.modules]\n"
             "sys.exit(', '.join(loaded) or None)")
     done = subprocess.run([sys.executable, "-c", code], env=keyrag_env(),
-                          capture_output=True, text=True)
+                          capture_output=True, encoding="utf-8")
     assert done.returncode == 0, done.stderr
 
 
@@ -570,7 +636,7 @@ def test_run_ctrl_c_cancels_queued_questions_and_keeps_finished_ones(tmp_path):
             [sys.executable, "-m", "keyrag.cli", "run", "--method", "vanilla",
              "--dataset", str(dataset), "--endpoint", server.url, "--model", "m",
              "--workers", "2", "--out", str(out)],
-            env=keyrag_env(NO_PROXY="127.0.0.1"), stderr=subprocess.PIPE, text=True,
+            env=keyrag_env(NO_PROXY="127.0.0.1"), stderr=subprocess.PIPE, encoding="utf-8",
             # A shell's background job ignores SIGINT, and its children inherit that.
             preexec_fn=functools.partial(signal.signal, signal.SIGINT, signal.SIG_DFL),
         )
@@ -625,7 +691,7 @@ def test_run_second_ctrl_c_ends_the_run_at_once(tmp_path, index_path, flags):
             [sys.executable, "-m", "keyrag.cli", "run", "--dataset", str(dataset),
              "--index", str(index_path), "--endpoint", server.url, "--model", "m",
              "--workers", "2", "--out", str(out), *flags],
-            env=keyrag_env(NO_PROXY="127.0.0.1"), stderr=subprocess.PIPE, text=True,
+            env=keyrag_env(NO_PROXY="127.0.0.1"), stderr=subprocess.PIPE, encoding="utf-8",
             preexec_fn=functools.partial(signal.signal, signal.SIGINT, signal.SIG_DFL),
         )
         try:
@@ -667,7 +733,7 @@ def test_run_started_with_sigint_ignored_keeps_ignoring_it(tmp_path):
             [sys.executable, "-m", "keyrag.cli", "run", "--method", "vanilla",
              "--dataset", str(dataset), "--endpoint", server.url, "--model", "m",
              "--workers", "2", "--out", str(out)],
-            env=keyrag_env(NO_PROXY="127.0.0.1"), stderr=subprocess.PIPE, text=True,
+            env=keyrag_env(NO_PROXY="127.0.0.1"), stderr=subprocess.PIPE, encoding="utf-8",
             preexec_fn=functools.partial(signal.signal, signal.SIGINT, signal.SIG_IGN),
         )
         try:
@@ -845,7 +911,7 @@ def test_run_loads_the_index_while_the_first_keyword_calls_are_in_flight(
                      "--out", str(out)])
     assert waited == [True]
     assert code == 0
-    header, rows = read_traces(out)
+    (header,), rows = read_traces(out)
     assert header["config"]["index_sha256"] == hashlib.sha256(index_path.read_bytes()).hexdigest()
     assert [(qid, trace.final_answer, trace.error) for qid, trace in sorted(rows)] == [
         (0, "Eagle", None), (1, "Eagle", None), (2, "Eagle", None)]
@@ -877,7 +943,7 @@ def test_run_ctrl_c_while_the_index_loads_ends_the_run_as_an_interrupt(
     assert escaped == []
     assert code == 1
     assert "interrupted" in capsys.readouterr().err
-    header, rows = read_traces(out)
+    (header,), rows = read_traces(out)
     assert header["config"]["index_sha256"]
     assert [qid for qid, _ in rows] == list(range(len(rows)))
     assert all(trace.final_answer == "Eagle" for _, trace in rows)
@@ -965,7 +1031,7 @@ def test_run_writes_through_an_out_symlink_whose_target_does_not_exist_yet(tmp_p
                      str(index_path), "--endpoint", server.url, "--model", "m", "--out", str(out)])
     assert code == 0
     assert out.is_symlink()
-    header, rows = read_traces(target)
+    (header,), rows = read_traces(target)
     assert header["config"]["index_sha256"] and [qid for qid, _ in rows] == [0, 1, 2]
 
 
@@ -1179,9 +1245,10 @@ _GOOD_TRACE = {"v": 1, "qid": 0, "question": "q?", "method": "rag", "stop_reason
     json.dumps({**_GOOD_TRACE, "iterations": [{"index": 0, "retrieved": [{"chunk_id": "a"}]}]}),
     json.dumps({**_GOOD_TRACE, "qid": "a"}),
     json.dumps({"v": 1, "kind": "header", "config": [1]}),
+    json.dumps({**_GOOD_TRACE, "final_answer": "caf\ud83d"}),
 ], ids=["not_json", "not_an_object", "no_iterations", "v2", "v2_new_field", "new_field",
         "new_record_field", "doc_without_score", "qid_not_an_integer",
-        "header_config_not_an_object"])
+        "header_config_not_an_object", "lone_surrogate"])
 def test_eval_refuses_a_bad_trace_line_naming_the_file_and_the_line(
         line, capsys, tmp_path, dataset_path):
     traces = tmp_path / "traces.jsonl"
@@ -1298,7 +1365,7 @@ def test_eval_em_report(capsys, tmp_path, dataset_path, index_path, script_path)
     assert main(["eval", "--traces", str(traces), "--dataset", str(dataset_path), "--mode", "em",
                  "--recall-ks", "1,2", "--index", str(index_path), "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text(encoding="utf-8"))
-    header, _ = read_traces(traces)
+    (header,), _ = read_traces(traces)
     assert report == {
         "v": 1,
         "config": header["config"],
@@ -1339,7 +1406,7 @@ def test_eval_recall_ks_monotone(capsys, tmp_path, dataset_path, index_path, scr
                  "--recall-ks", "1,2,3", "--index", str(index_path),
                  "--out", str(report_path)])
     assert code == 0
-    report = json.loads(report_path.read_text())
+    report = json.loads(report_path.read_text(encoding="utf-8"))
     recall = report["result"]["recall_at"]
     assert recall["1"] <= recall["2"] <= recall["3"]
     assert report["config"]["method"] == "iterative"
@@ -1380,6 +1447,72 @@ def test_eval_refuses_an_index_other_than_the_runs(tmp_path, dataset_path, corpu
     del header["config"]["index_sha256"]
     traces.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8")
     assert main(argv + ["--index", str(other)]) == 0
+
+
+@pytest.mark.parametrize("order", ["a_then_b", "b_then_a"])
+def test_eval_checks_the_header_of_every_run_in_a_file(order, capsys, tmp_path, dataset_path,
+                                                      corpus_path, index_path, script_path):
+    other = tmp_path / "other.idx"
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(other), "--no-titles"]) == 0
+    top_k_2 = _run_traces(tmp_path / "a", dataset_path, index_path, script_path, "--top-k", "2")
+    top_k_6 = _run_traces(tmp_path / "b", dataset_path, index_path, script_path, "--top-k", "6")
+    other_index = _run_traces(tmp_path / "c", dataset_path, other, script_path)
+
+    def merged(*parts):
+        path = tmp_path / "merged.jsonl"
+        if order == "b_then_a":
+            parts = parts[::-1]
+        path.write_text("".join(p.read_text(encoding="utf-8") for p in parts), encoding="utf-8")
+        return path
+
+    argv = ["eval", "--dataset", str(dataset_path), "--index", str(index_path), "--traces"]
+    capsys.readouterr()
+    assert main([*argv, str(merged(top_k_2, top_k_6)), "--recall-ks", "6"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: recall k=6 exceeds the run's top_k=2;"
+        " traces only hold top_k documents per iteration\n")
+    assert main([*argv, str(merged(top_k_2, other_index))]) == 2
+    assert "does not match the run's index" in capsys.readouterr().err
+    # The report echoes the config of the file's last run.
+    report = tmp_path / "report.json"
+    traces = merged(top_k_2, top_k_6)
+    assert main([*argv, str(traces), "--recall-ks", "2", "--out", str(report)]) == 0
+    last_top_k = 6 if order == "a_then_b" else 2
+    assert json.loads(report.read_text(encoding="utf-8"))["config"]["top_k"] == last_top_k
+
+
+def test_eval_refuses_a_recall_k_above_the_runs_top_k(capsys, tmp_path, dataset_path,
+                                                      index_path, script_path):
+    traces = _run_traces(tmp_path, dataset_path, index_path, script_path, "--top-k", "1")
+    capsys.readouterr()
+    assert main(["eval", "--traces", str(traces), "--dataset", str(dataset_path),
+                 "--recall-ks", "1,2", "--index", str(index_path)]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: recall k=2 exceeds the run's top_k=1;"
+        " traces only hold top_k documents per iteration\n")
+
+
+def test_eval_refuses_a_trace_naming_a_chunk_the_index_lacks(capsys, tmp_path, dataset_path,
+                                                             index_path, script_path):
+    traces = _run_traces(tmp_path, dataset_path, index_path, script_path)
+    text = traces.read_text(encoding="utf-8")
+    assert '"chunk_id":"apollo#0"' in text
+    traces.write_text(text.replace('"chunk_id":"apollo#0"', '"chunk_id":"nowhere#0"'),
+                      encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--traces", str(traces), "--dataset", str(dataset_path),
+                 "--recall-ks", "1", "--index", str(index_path)]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: trace references chunk id 'nowhere#0' that is not in the index;"
+        " pass the index the traces were produced with\n")
+
+
+def test_eval_of_a_file_with_only_a_header_finds_no_traces(capsys, tmp_path, dataset_path):
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(json.dumps({"v": 1, "kind": "header", "config": {"top_k": 3}}) + "\n\n",
+                      encoding="utf-8")
+    assert main(["eval", "--traces", str(traces), "--dataset", str(dataset_path)]) == 1
+    assert capsys.readouterr() == ("", "error: no traces found\n")
 
 
 def test_eval_index_that_fails_to_load_exits_1(capsys, tmp_path, dataset_path, index_path,
@@ -1450,7 +1583,7 @@ def test_no_early_stop_enables_verified_modes(capsys, tmp_path, dataset_path, in
                  "--mock-script", str(script), "--out", str(traces),
                  "--no-early-stop", "--max-iterations", "2"])
     assert code == 0
-    header, rows = read_traces(traces)
+    (header,), rows = read_traces(traces)
     assert header["config"]["early_stop"] is False
     assert len(rows[0][1].iterations) == 2
 
@@ -1495,7 +1628,7 @@ def test_multi_chunk_documents_flow_through(tmp_path):
     report = tmp_path / "report.json"
     assert main(["eval", "--traces", str(traces), "--dataset", str(dataset),
                  "--recall-ks", "3", "--index", str(index_path), "--out", str(report)]) == 0
-    assert json.loads(report.read_text())["result"]["recall_at"]["3"] == 1.0
+    assert json.loads(report.read_text(encoding="utf-8"))["result"]["recall_at"]["3"] == 1.0
 
 
 # --- config precedence ------------------------------------------------------------
@@ -1509,7 +1642,7 @@ def test_config_file_fills_run_settings(tmp_path, dataset_path, index_path, scri
                  "--mock-script", str(script_path), "--out", str(out),
                  "--config", str(config)])
     assert code == 0
-    header, _ = read_traces(out)
+    (header,), _ = read_traces(out)
     assert header["config"]["top_k"] == 2
     assert header["config"]["max_iterations"] == 4
 
@@ -1522,7 +1655,7 @@ def test_flags_override_config_file(tmp_path, dataset_path, index_path, script_p
                  "--mock-script", str(script_path), "--out", str(out),
                  "--config", str(config), "--top-k", "1"])
     assert code == 0
-    header, _ = read_traces(out)
+    (header,), _ = read_traces(out)
     assert header["config"]["top_k"] == 1
 
 
@@ -1535,6 +1668,18 @@ def test_config_file_rejects_unknown_keys(tmp_path, dataset_path, index_path, sc
     assert code == 2
 
 
+def test_config_file_refuses_a_line_without_an_equals_sign(capsys, tmp_path, dataset_path,
+                                                           index_path, script_path):
+    config = tmp_path / "keyrag.conf"
+    config.write_text("# settings\ntop_k 2\n", encoding="utf-8")
+    out = tmp_path / "t.jsonl"
+    code = main(["run", "--dataset", str(dataset_path), "--index", str(index_path),
+                 "--mock-script", str(script_path), "--out", str(out), "--config", str(config)])
+    assert (code, capsys.readouterr().err) == (
+        2, "usage error: config line 2: expected 'key = value'\n")
+    assert not out.exists()
+
+
 def test_env_endpoint_used_when_no_flag(tmp_path, dataset_path, index_path, monkeypatch):
     monkeypatch.setattr(cli, "HttpBackend", functools.partial(HttpBackend, backoff=0.0))
     monkeypatch.setenv("KEYRAG_ENDPOINT", "http://127.0.0.1:9/v1")
@@ -1543,6 +1688,6 @@ def test_env_endpoint_used_when_no_flag(tmp_path, dataset_path, index_path, monk
     code = main(["run", "--dataset", str(dataset_path), "--index", str(index_path),
                  "--out", str(out)])
     assert code == 1  # endpoint unreachable, but env config was accepted
-    header, rows = read_traces(out)
+    (header,), rows = read_traces(out)
     assert header["config"]["model"] == "env-model"
     assert rows[0][1].error

@@ -16,6 +16,7 @@ from keyrag.corpus import (
     chunk_document,
     load_corpus,
     load_qa,
+    read_jsonl,
 )
 
 from .helpers import write_jsonl
@@ -41,7 +42,7 @@ def test_load_corpus_passthrough(tmp_path):
 
 def test_load_corpus_empty_file(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    path.write_text("")
+    path.write_text("", encoding="utf-8")
     assert list(load_corpus(path)) == []
 
 
@@ -58,14 +59,14 @@ def test_load_corpus_duplicate_id_cites_line(tmp_path):
 
 def test_load_corpus_malformed_line_cites_line(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    path.write_text('{"id": "a", "title": "", "text": "one"}\n{not json\n')
+    path.write_text('{"id": "a", "title": "", "text": "one"}\n{not json\n', encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="line 2"):
         list(load_corpus(path))
 
 
 def test_load_corpus_missing_text_rejected(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    path.write_text(json.dumps({"id": "a", "title": "t"}) + "\n")
+    path.write_text(json.dumps({"id": "a", "title": "t"}) + "\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="text"):
         list(load_corpus(path))
 
@@ -122,6 +123,47 @@ def test_load_qa_lone_surrogate_cites_line(tmp_path):
     path.write_text('{"question": "Q1?", "answers": ["a", "\\ud800"]}\n', encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="line 1: lone surrogate"):
         load_qa(path)
+
+
+class _Refused(Exception):
+    pass
+
+
+def test_read_jsonl_numbers_lines_from_one_and_skips_blank_ones(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('\n{"a": 1}\n   \n{"b": "\\\\ud800 is text", "c": "\\ud83d\\ude00"}\n',
+                    encoding="utf-8")
+    assert list(read_jsonl(path, _Refused)) == [
+        (2, {"a": 1}), (4, {"b": "\\ud800 is text", "c": "\U0001F600"})]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{not json", "line 2: invalid JSON (Expecting property name enclosed in double quotes)"),
+    ("[1]", "line 2: not a JSON object"),
+    ('"text"', "line 2: not a JSON object"),
+    ('{"\\udc00": 1}', "line 2: lone surrogate '\\udc00' is not valid text"),
+    ('{"a": [{"b": ["x\\ud800"]}]}', "line 2: lone surrogate '\\ud800' is not valid text"),
+], ids=["not_json", "a_list", "a_string", "surrogate_in_a_key", "surrogate_nested"])
+def test_read_jsonl_refuses_a_line_naming_it(tmp_path, line, message):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n' + line + "\n", encoding="utf-8")
+    records = read_jsonl(path, _Refused)
+    assert next(records) == (1, {"a": 1})
+    with pytest.raises(_Refused) as refused:
+        next(records)
+    assert str(refused.value) == message
+
+
+def test_loaders_parse_no_line_past_their_limit(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a", "text": "one"}\n{not json\n', encoding="utf-8")
+    assert [doc.id for doc in load_corpus(corpus, limit=1)] == ["a"]
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text('{"question": "Q1?", "answers": ["a"]}\n\n{"question": "Q2?", "answers": ["b"]}\n'
+                  "{not json\n", encoding="utf-8")
+    assert [ex.question for ex in load_qa(qa, limit=2)] == ["Q1?", "Q2?"]
+    with pytest.raises(CorpusFormatError, match="line 4: invalid JSON"):
+        load_qa(qa)
 
 
 # --- chunking -----------------------------------------------------------------

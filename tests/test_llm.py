@@ -114,6 +114,14 @@ def test_mock_script_file_round_trip(tmp_path):
     assert verdict.choice is True and verdict.method == "logprob"
 
 
+def test_mock_script_file_takes_integer_probabilities_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "script.jsonl"
+    path.write_text('\n{"match": "correct", "p_true": 1, "p_false": null}\n  \n',
+                    encoding="utf-8")
+    verdict = forced_choice(MockBackend.from_script_file(path), _msgs("is it correct?"), 30)
+    assert (verdict.choice, verdict.p_true, verdict.p_false) == (True, 1, 0.0)
+
+
 # --- forced choice ----------------------------------------------------------------
 
 

@@ -483,7 +483,7 @@ _ELEVEN_STDOUT = (
     "0.6667 0.6667\n"
     "recall@2         0.6667 (by horizon: 0.3333 0.3333 0.3333 0.3333 0.3333 0.3333 "
     "0.3333 0.3333 0.3333 0.3333 0.6667)\n"
-    "recall@10         1.0000 (by horizon: 0.3333 0.3333 0.3333 0.6667 0.6667 0.6667 "
+    "recall@10        1.0000 (by horizon: 0.3333 0.3333 0.3333 0.6667 0.6667 0.6667 "
     "0.6667 0.6667 0.6667 1.0000 1.0000)\n"
     "new keywords     step2=0.00 step3=0.67 step4=0.00 step5=0.67 step6=0.00 step7=1.00 "
     "step8=0.00 step9=1.00 step10=0.00 step11=1.00 total=4.33 mean=0.43\n"
