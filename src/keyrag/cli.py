@@ -12,6 +12,7 @@ import json
 import math
 import os
 import queue
+import re
 import signal
 import sys
 import traceback
@@ -60,7 +61,10 @@ class UsageError(Exception):
 
 
 def _json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    """obj as one line of JSON. A reply may escape half a surrogate pair (\\ud83d):
+    UTF-8 cannot hold it, so each such lone surrogate becomes U+FFFD."""
+    line = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return re.sub("[\ud800-\udfff]", "\ufffd", line)
 
 
 def _load_config_file(path) -> dict[str, str]:

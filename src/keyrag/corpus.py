@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import re
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
@@ -37,8 +36,18 @@ class QaExample:
     answers: tuple[str, ...]
 
 
-# What a JSON escape of half a surrogate pair (\ud800) decodes to: UTF-8 cannot hold it.
-LONE_SURROGATE = re.compile("[\\ud800-\\udfff]")
+def _lone_surrogate(value) -> str | None:
+    """The first lone surrogate (\\ud800) in a decoded JSON value, keys included, or None."""
+    if type(value) is dict:
+        value = [*value, *value.values()]
+    if type(value) is list:
+        return next(filter(None, map(_lone_surrogate, value)), None)
+    if type(value) is str and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            return value[exc.start]
+    return None
 
 
 def read_jsonl(path, error) -> Iterator[tuple[int, dict]]:
@@ -57,10 +66,11 @@ def read_jsonl(path, error) -> Iterator[tuple[int, dict]]:
                 raise error(f"line {line_no}: invalid JSON ({exc.msg})") from None
             if not isinstance(obj, dict):
                 raise error(f"line {line_no}: not a JSON object")
-            # Only an escape can produce a surrogate: a line without one is not searched.
-            lone = "\\u" in line and LONE_SURROGATE.search(json.dumps(obj, ensure_ascii=False))
+            # Only an escape decodes to a surrogate. Trace lines, written unescaped,
+            # skip the walk, which costs about as much as parsing them.
+            lone = "\\u" in line and _lone_surrogate(obj)
             if lone:
-                raise error(f"line {line_no}: lone surrogate {lone.group()!r} is not valid text")
+                raise error(f"line {line_no}: lone surrogate {lone!r} is not valid text")
             yield line_no, obj
 
 

@@ -17,7 +17,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .corpus import LONE_SURROGATE, read_jsonl
+from .corpus import read_jsonl
 
 
 class LlmError(Exception):
@@ -184,19 +184,18 @@ class MockBackend(LlmBackend):
     @classmethod
     def from_script_file(cls, path) -> "MockBackend":
         """Entries from a JSONL file; a line that is not an entry raises ScriptError naming it."""
+        from .pipeline import _checked  # pipeline imports this module
+
         entries = []
         for line_no, obj in read_jsonl(path, lambda msg: ScriptError(f"script {msg}")):
             if "match" not in obj:
                 raise ScriptError(f"script line {line_no}: missing 'match'")
-            entry = ScriptEntry(obj["match"], obj.get("response", ""),
-                                obj.get("p_true"), obj.get("p_false"))
-            for key, value in vars(entry).items():
-                number = key.startswith("p_")  # a bool is not a number here
-                if not (type(value) in (int, float, type(None)) if number else type(value) is str):
-                    kind = "a number or null" if number else "a string"
-                    raise ScriptError(
-                        f"script line {line_no}: {key!r} is {value!r:.40}, not {kind}")
-            entries.append(entry)
+            try:
+                _checked(ScriptEntry, obj)
+            except ValueError as exc:
+                raise ScriptError(f"script line {line_no}: {exc}") from None
+            entries.append(ScriptEntry(obj["match"], obj.get("response", ""),
+                                       obj.get("p_true"), obj.get("p_false")))
         return cls(entries)
 
     def _find(self, prompt: str) -> int | None:
@@ -429,8 +428,7 @@ class HttpBackend(LlmBackend):
             raise BackendError(f"malformed completion response: {data!r:.200}") from exc
         if not isinstance(text, str):
             raise BackendError("completion response has no text content")
-        # An escape of half a surrogate pair would stop the trace file's UTF-8 writer.
-        return LONE_SURROGATE.sub("\ufffd", text.rstrip())
+        return text.rstrip()
 
     def choice_probs(self, messages: list[ChatMessage]) -> tuple[float, float] | None:
         if not self.supports_logprobs:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import LONE_SURROGATE
 from .llm import BinaryVerdict, ChatMessage, verdict_from_text
 
 
@@ -189,8 +188,7 @@ def dedupe_keywords(raw: Iterable[str]) -> list[str]:
     out: list[str] = []
     seen: set[str] = set()
     for item in raw:
-        # A reply's JSON array may escape half a surrogate pair: UTF-8 cannot hold it.
-        keyword = LONE_SURROGATE.sub("\ufffd", str(item)).replace('"', "").strip()
+        keyword = str(item).replace('"', "").strip()
         if not keyword:
             continue
         key = keyword.casefold()

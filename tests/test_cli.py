@@ -311,10 +311,10 @@ def test_run_requires_backend(tmp_path, dataset_path, index_path, monkeypatch):
     ("5", "not a JSON object"),
     ("{not json", "invalid JSON (Expecting property name enclosed in double quotes)"),
     ('{"response": "x"}', "missing 'match'"),
-    ('{"match": 5}', "'match' is 5, not a string"),
-    ('{"match": "x", "response": 5}', "'response' is 5, not a string"),
-    ('{"match": "x", "p_true": "hi"}', "'p_true' is 'hi', not a number or null"),
-    ('{"match": "x", "p_false": true}', "'p_false' is True, not a number or null"),
+    ('{"match": 5}', "ScriptEntry.match is 5, not str"),
+    ('{"match": "x", "response": 5}', "ScriptEntry.response is 5, not str"),
+    ('{"match": "x", "p_true": "hi"}', "ScriptEntry.p_true is 'hi', not float | None"),
+    ('{"match": "x", "p_false": true}', "ScriptEntry.p_false is True, not float | None"),
     ('{"match": "x\\ud83d"}', "lone surrogate '\\ud83d' is not valid text"),
 ], ids=["a_number", "not_json", "no_match", "match_a_number", "response_a_number",
         "p_true_a_string", "p_false_a_bool", "lone_surrogate"])
@@ -341,6 +341,10 @@ def test_run_writes_a_reply_holding_half_a_surrogate_pair_with_a_replacement_cha
     _, [(_, trace)] = read_traces(out)
     assert trace.final_answer == "caf\ufffd"
     assert '"final_answer":"caf\ufffd"' in out.read_text(encoding="utf-8")
+
+
+def test_json_line_replaces_each_lone_surrogate_and_keeps_a_whole_pair():
+    assert cli._json_line({"a": "\udfff \U0001F600 \ud800"}) == '{"a":"\ufffd \U0001F600 \ufffd"}'
 
 
 def test_run_writes_a_keyword_escaping_half_a_surrogate_pair_with_a_replacement_character(

@@ -79,16 +79,6 @@ def test_complete_strips_trailing_whitespace_only():
         assert _backend(server).complete(_msgs(), 10) == "  Eagle"
 
 
-@pytest.mark.parametrize("text, want", [
-    ("caf\ud83d", "caf\ufffd"),
-    ("\udfff \ud83d\ude00 \ud800", "\ufffd \U0001F600 \ufffd"),
-], ids=["high_half", "both_halves_apart_and_a_whole_pair"])
-def test_complete_replaces_half_a_surrogate_pair_with_a_replacement_character(text, want):
-    # json.dumps writes each half as an escape, as an endpoint might.
-    with StubLlmServer(lambda p, i: {"status": 200, "body": completion_body(text)}) as server:
-        assert _backend(server).complete(_msgs(), 10) == want
-
-
 def test_sequential_calls_reuse_one_kept_alive_connection():
     with StubLlmServer() as server:
         backend = _backend(server)  # max_in_flight=4
