@@ -75,25 +75,25 @@ class Index:
     term in chunk refs[i], precomputed because it does not depend on the query.
     Chunk r's text is texts[text_offsets[r]:text_offsets[r + 1]].
 
-    A loaded index's offsets, refs, impacts and text_offsets are memoryviews
-    over the bytes read from the file (byteswapped arrays on a big-endian
-    host), and sha256 is the hex SHA-256 of those bytes; a built one has
-    arrays and no sha256.
+    An index is the bytes of its file, data, read by _parse: build_index lays
+    them out and load_index reads them from a file, so the two give the same
+    index. offsets, doc_len, refs, impacts and text_offsets are memoryviews over
+    data (byteswapped arrays on a big-endian host), and sha256 is data's hex SHA-256.
     """
 
     terms: dict[str, int]
     offsets: Sequence[int]
     refs: Sequence[int]
     impacts: Sequence[float]
-    doc_len: list[int]
-    avg_doc_len: float
+    doc_len: Sequence[int]
     n_docs: int
     chunk_ids: list[str]
     texts: str
     text_offsets: Sequence[int]
     params: Bm25Params
-    stopwords: frozenset[str] = frozenset()
-    sha256: str | None = field(default=None, compare=False)
+    stopwords: frozenset[str]
+    data: bytes = field(repr=False, compare=False)
+    sha256: str = field(compare=False)
     _by_id: dict[str, int] | None = field(default=None, repr=False, compare=False)
 
     def ref_of(self, chunk_id: str) -> int:
@@ -115,14 +115,19 @@ def build_index(
     params: Bm25Params | None = None,
     stopwords: frozenset[str] = frozenset(),
 ) -> Index:
-    """Build an inverted index from chunks (anything with .chunk_id and .text)."""
-    params = params or Bm25Params()
-    stopwords = frozenset(stopwords)
+    """Build an inverted index from chunks (anything with .chunk_id and .text).
+
+    The sections are joined into the file's bytes once the postings they were
+    made from are freed, and read back as load_index reads a file.
+    """
+    return _parse(b"".join(_sections(chunks, params or Bm25Params(), frozenset(stopwords))))
+
+
+def _sections(chunks: Iterable, params: Bm25Params, stopwords: frozenset[str]) -> list:
+    """The sections of the index file of chunks, in file order (the layout is below)."""
     postings: dict[str, tuple[list[int], list[int]]] = {}  # term -> (refs, tfs)
-    doc_len: list[int] = []
+    doc_len = array("I")
     chunk_ids: list[str] = []
-    # The texts are gathered as UTF-8 and decoded once at the end: a list of
-    # them and its join would hold every text twice at the build's peak.
     text_blob = bytearray()
     text_offsets = array("Q", [0])
     seen: set[str] = set()
@@ -146,41 +151,36 @@ def build_index(
 
     if not chunk_ids:
         raise ValueError("empty corpus")
-    texts = text_blob.decode("utf-8")
-    del text_blob
 
     n_docs = len(chunk_ids)
-    avg_doc_len = sum(doc_len) / len(doc_len)
+    avg_doc_len = sum(doc_len) / n_docs
     k1 = params.k1
     k1_plus_1 = k1 + 1.0
     k1_norm = [k1 * _norm(n, avg_doc_len, params.b) for n in doc_len]
-    terms: dict[str, int] = {}
-    offsets, refs, impacts = array("Q", [0]), array("I"), array("d")
     # Sorted terms make the layout canonical: identical indexes serialize identically.
-    for term in sorted(postings):
-        term_refs, term_tfs = postings[term]
+    terms = sorted(postings)
+    offsets, refs, impacts = array("Q", [0]), array("I"), array("d")
+    for term in terms:
+        term_refs, term_tfs = postings.pop(term)
         w = _idf(len(term_refs), n_docs)
-        terms[term] = len(terms)
         refs.extend(term_refs)
         offsets.append(len(refs))
         # The operations of per-query scoring, w * tf * (k1 + 1.0) / (tf + k1 * norm),
         # in the same order, so sums of impacts equal its scores bit for bit.
         impacts.extend([w * tf * k1_plus_1 / (tf + k1_norm[ref])
                         for ref, tf in zip(term_refs, term_tfs)])
-    return Index(
-        terms=terms,
-        offsets=offsets,
-        refs=refs,
-        impacts=impacts,
-        doc_len=doc_len,
-        avg_doc_len=avg_doc_len,
-        n_docs=n_docs,
-        chunk_ids=chunk_ids,
-        texts=texts,
-        text_offsets=text_offsets,
-        params=params,
-        stopwords=stopwords,
+    stop_offsets, stop_blob = _string_table(sorted(stopwords))
+    id_offsets, id_blob = _string_table(chunk_ids)
+    term_offsets, term_blob = _string_table(terms)
+    header = _HEADER.pack(
+        params.k1, params.b, n_docs, len(terms), len(stopwords), len(refs),
+        len(stop_blob), len(id_blob), len(text_blob), len(term_blob),
     )
+    return [
+        MAGIC, bytes([VERSION]), header,
+        stop_offsets, stop_blob, id_offsets, id_blob, _le(text_offsets), text_blob,
+        _le(doc_len), term_offsets, term_blob, _le(offsets), _le(refs), _le(impacts),
+    ]
 
 
 def _idf(df: int, n_docs: int) -> float:
@@ -258,50 +258,30 @@ def retrieve_top_k(
 _HEADER = struct.Struct("<ddIIIQQQQQ")
 
 
-def _le(typecode: str, values: Iterable) -> bytes:
-    """Values of one array typecode as little-endian bytes; values are not modified."""
-    if not _SWAP and isinstance(values, (array, memoryview)):
-        return bytes(values)
-    arr = array(typecode, values)
+def _le(column: array) -> array:
+    """column, its items made little-endian in place."""
     if _SWAP:
-        arr.byteswap()
-    return arr.tobytes()
+        column.byteswap()
+    return column
 
 
-def _string_table(strings: Iterable[str]) -> tuple[bytes, bytes]:
-    strings = list(strings)
-    return _le("Q", accumulate(map(len, strings), initial=0)), "".join(strings).encode("utf-8")
+def _string_table(strings: list[str]) -> tuple[array, bytes]:
+    offsets = array("Q", accumulate(map(len, strings), initial=0))
+    return _le(offsets), "".join(strings).encode("utf-8")
 
 
 def save_index(index: Index, path) -> None:
-    """Write the index to path atomically.
+    """Write the index's bytes to path atomically.
 
     The bytes go to a temporary file beside path, which then replaces it, so
     a crash, an interrupt or a full disk leaves any earlier file at path as it was.
     """
-    stop_offsets, stop_blob = _string_table(sorted(index.stopwords))
-    id_offsets, id_blob = _string_table(index.chunk_ids)
-    text_blob = index.texts.encode("utf-8")
-    term_offsets, term_blob = _string_table(index.terms)
-    header = _HEADER.pack(
-        index.params.k1, index.params.b,
-        index.n_docs, len(index.terms), len(index.stopwords), len(index.refs),
-        len(stop_blob), len(id_blob), len(text_blob), len(term_blob),
-    )
-    parts = (
-        MAGIC, bytes([VERSION]), header,
-        stop_offsets, stop_blob, id_offsets, id_blob,
-        _le("Q", index.text_offsets), text_blob,
-        _le("I", index.doc_len),
-        term_offsets, term_blob, _le("Q", index.offsets),
-        _le("I", index.refs), _le("d", index.impacts),
-    )
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     f = open(tmp, "xb")
     try:
         with f:
-            f.writelines(parts)
+            f.write(index.data)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -375,8 +355,7 @@ def load_index(source) -> Index:
     """Load and validate an index; any defect raises IndexFormatError.
 
     source is a path, or a file from open_index, read to its end and left open.
-    The file is read once. A helper thread hashes those bytes while they are
-    checked (hashlib releases the GIL), and the digest is Index.sha256.
+    The file is read once, and _parse reads the index from those bytes.
 
     The load may run beside threads that wait for its result only when they
     need the index: `keyrag run` starts its questions, then loads the index
@@ -386,18 +365,8 @@ def load_index(source) -> Index:
     """
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "rb") as f:
-            data = f.read()
-    else:
-        data = source.read()
-    digest = hashlib.sha256()
-    hasher = threading.Thread(target=digest.update, args=(data,))
-    hasher.start()
-    try:
-        index = _parse(data)
-    finally:
-        hasher.join()
-    index.sha256 = digest.hexdigest()
-    return index
+            return _parse(f.read())
+    return _parse(source.read())
 
 
 def _check_head(data: bytes) -> None:
@@ -413,43 +382,55 @@ def _check_head(data: bytes) -> None:
 
 
 def _parse(data: bytes) -> Index:
+    """The index whose file is data, every section checked; a defect raises IndexFormatError.
+
+    A helper thread hashes data while it is checked (hashlib releases the GIL),
+    and the digest is Index.sha256.
+    """
     _check_head(data)
-    r = _Reader(data)
-    r.take(len(MAGIC) + 1)
-    (k1, b, n_docs, n_terms, n_stopwords, n_postings,
-     stop_size, id_size, text_size, term_size) = _HEADER.unpack(r.take(_HEADER.size))
-    if n_docs == 0:
-        raise IndexFormatError("index contains no chunks")
+    digest = hashlib.sha256()
+    hasher = threading.Thread(target=digest.update, args=(data,))
+    hasher.start()
     try:
-        params = Bm25Params(k1=k1, b=b)
-    except ValueError as exc:
-        raise IndexFormatError(f"corrupt index file: {exc}") from None
-    stopwords = frozenset(r.take_strings(n_stopwords, stop_size, "stopword"))
-    chunk_ids = r.take_strings(n_docs, id_size, "chunk id")
-    text_offsets, texts = r.take_table(n_docs, text_size, "chunk text")
-    doc_len = r.take_column("I", n_docs).tolist()
-    term_list = r.take_strings(n_terms, term_size, "term")
-    offsets = _checked_offsets(r.take_column("Q", n_terms + 1), n_postings, "postings")
-    refs = r.take_column("I", n_postings)
-    impacts = r.take_column("d", n_postings)
-    if r.pos != len(data):
-        raise IndexFormatError("trailing data after index payload")
-    if any(max(refs[i:i + _SLICE]) >= n_docs for i in range(0, n_postings, _SLICE)):
-        raise IndexFormatError("corrupt index file: posting refers past the last chunk")
-    terms = dict(zip(term_list, range(n_terms)))
-    if len(terms) != n_terms:
-        raise IndexFormatError("corrupt index file: duplicate terms")
+        r = _Reader(data)
+        r.take(len(MAGIC) + 1)
+        (k1, b, n_docs, n_terms, n_stopwords, n_postings,
+         stop_size, id_size, text_size, term_size) = _HEADER.unpack(r.take(_HEADER.size))
+        if n_docs == 0:
+            raise IndexFormatError("index contains no chunks")
+        try:
+            params = Bm25Params(k1=k1, b=b)
+        except ValueError as exc:
+            raise IndexFormatError(f"corrupt index file: {exc}") from None
+        stopwords = frozenset(r.take_strings(n_stopwords, stop_size, "stopword"))
+        chunk_ids = r.take_strings(n_docs, id_size, "chunk id")
+        text_offsets, texts = r.take_table(n_docs, text_size, "chunk text")
+        doc_len = r.take_column("I", n_docs)
+        term_list = r.take_strings(n_terms, term_size, "term")
+        offsets = _checked_offsets(r.take_column("Q", n_terms + 1), n_postings, "postings")
+        refs = r.take_column("I", n_postings)
+        impacts = r.take_column("d", n_postings)
+        if r.pos != len(data):
+            raise IndexFormatError("trailing data after index payload")
+        if any(max(refs[i:i + _SLICE]) >= n_docs for i in range(0, n_postings, _SLICE)):
+            raise IndexFormatError("corrupt index file: posting refers past the last chunk")
+        terms = dict(zip(term_list, range(n_terms)))
+        if len(terms) != n_terms:
+            raise IndexFormatError("corrupt index file: duplicate terms")
+    finally:
+        hasher.join()
     return Index(
         terms=terms,
         offsets=offsets,
         refs=refs,
         impacts=impacts,
         doc_len=doc_len,
-        avg_doc_len=sum(doc_len) / n_docs,
         n_docs=n_docs,
         chunk_ids=chunk_ids,
         texts=texts,
         text_offsets=text_offsets,
         params=params,
         stopwords=stopwords,
+        data=data,
+        sha256=digest.hexdigest(),
     )

@@ -136,7 +136,7 @@ def cmd_index(args) -> int:
     bm25.save_index(index, out)
     print(
         f"indexed {n_docs} documents into {index.n_docs} chunks"
-        f" (vocab {index.vocab_size}, avg chunk length {index.avg_doc_len:.2f} tokens)"
+        f" (vocab {index.vocab_size}, avg chunk length {sum(index.doc_len) / index.n_docs:.2f} tokens)"
         f" -> {out}"
     )
     return 0
@@ -432,7 +432,7 @@ def read_traces(path) -> tuple[list[dict], list[tuple[int, pipeline.RunTrace]]]:
                 if not isinstance(config, dict):
                     raise ValueError("the header's config is not a JSON object")
                 # The values eval and resume read: the run config, the index digest.
-                pipeline._checked(RunConfig, config)
+                corpus.checked_fields(RunConfig, config)
                 if not isinstance(config.get("index_sha256"), (str, type(None))):
                     raise ValueError(f"index_sha256 is {config['index_sha256']!r:.40}, not str")
                 headers.append(obj)

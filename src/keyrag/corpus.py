@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -53,11 +56,15 @@ def _lone_surrogate(value) -> str | None:
 def read_jsonl(path, error) -> Iterator[tuple[int, dict]]:
     """Yield (line number from 1, object) for each non-blank line of a JSONL file.
 
-    A line that is not JSON, not an object, or holds a lone surrogate raises
-    error("line N: ...").
+    A line that is not UTF-8, not JSON, not an object, or holds a lone surrogate
+    raises error("line N: ...").
     """
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"line {line_no}: byte {exc.start + 1} is not valid UTF-8") from None
             if not line.strip():
                 continue
             try:
@@ -67,11 +74,51 @@ def read_jsonl(path, error) -> Iterator[tuple[int, dict]]:
             if not isinstance(obj, dict):
                 raise error(f"line {line_no}: not a JSON object")
             # Only an escape decodes to a surrogate. Trace lines, written unescaped,
-            # skip the walk, which costs about as much as parsing them.
-            lone = "\\u" in line and _lone_surrogate(obj)
+            # skip the walk, which costs about as much as parsing them; a line with
+            # no backslash skips the two-character search too.
+            lone = "\\" in line and "\\u" in line and _lone_surrogate(obj)
             if lone:
                 raise error(f"line {line_no}: lone surrogate {lone!r} is not valid text")
             yield line_no, obj
+
+
+def _json_types(hint) -> tuple[frozenset, frozenset | None]:
+    """The JSON types a value of the declared type may have, and its items' types
+    if it is a list[X] or a dict[str, X]: a record is an object, a float may be
+    an int, and a bool is neither."""
+    origin = typing.get_origin(hint)
+    if origin is types.UnionType:  # X | None
+        parts = [_json_types(arg) for arg in typing.get_args(hint)]
+        return frozenset().union(*(kinds for kinds, _ in parts)), parts[0][1]
+    if origin in (list, dict):
+        return frozenset((origin,)), _json_types(typing.get_args(hint)[-1])[0]
+    kinds = (int, float) if hint is float else (dict,) if is_dataclass(hint) else (hint,)
+    return frozenset(kinds), None
+
+
+@cache
+def _field_types(cls) -> dict[str, tuple[frozenset, frozenset | None]]:
+    """_json_types of each field of record class cls, computed once."""
+    return {name: _json_types(hint) for name, hint in typing.get_type_hints(cls).items()}
+
+
+def checked_fields(cls, values: dict) -> dict:
+    """values, once each that names a field of cls has its declared type; else ValueError.
+
+    A JSON object's keys are strings; a record's values are checked by its own call.
+    """
+    field_types = _field_types(cls)
+    for name, value in values.items():
+        kinds, items = field_types.get(name, (None, None))
+        if kinds is None:
+            continue  # not a field: the constructor refuses it
+        if type(value) not in kinds or (
+            items is not None and value is not None
+            and not items.issuperset(map(type, value.values() if type(value) is dict else value))
+        ):
+            declared = {f.name: f.type for f in fields(cls)}[name]
+            raise ValueError(f"{cls.__name__}.{name} is {value!r:.40}, not {declared}")
+    return values
 
 
 def load_corpus(path, limit: int | None = None) -> Iterator[Document]:

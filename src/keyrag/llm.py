@@ -17,7 +17,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .corpus import read_jsonl
+from .corpus import checked_fields, read_jsonl
 
 
 class LlmError(Exception):
@@ -184,18 +184,14 @@ class MockBackend(LlmBackend):
     @classmethod
     def from_script_file(cls, path) -> "MockBackend":
         """Entries from a JSONL file; a line that is not an entry raises ScriptError naming it."""
-        from .pipeline import _checked  # pipeline imports this module
-
         entries = []
         for line_no, obj in read_jsonl(path, lambda msg: ScriptError(f"script {msg}")):
             if "match" not in obj:
                 raise ScriptError(f"script line {line_no}: missing 'match'")
             try:
-                _checked(ScriptEntry, obj)
-            except ValueError as exc:
+                entries.append(ScriptEntry(**checked_fields(ScriptEntry, obj)))
+            except (TypeError, ValueError) as exc:  # a key ScriptEntry lacks, a value's type
                 raise ScriptError(f"script line {line_no}: {exc}") from None
-            entries.append(ScriptEntry(obj["match"], obj.get("response", ""),
-                                       obj.get("p_true"), obj.get("p_false")))
         return cls(entries)
 
     def _find(self, prompt: str) -> int | None:

@@ -17,14 +17,12 @@ input, so leakage is impossible by construction.
 from __future__ import annotations
 
 import time
-import types
-import typing
 from concurrent.futures import Future, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, is_dataclass
-from functools import cache
+from dataclasses import dataclass, field
 
 from .bm25 import Index, ScoredDoc, retrieve_top_k, score_text
+from .corpus import checked_fields
 from .llm import BinaryVerdict, LlmBackend, forced_choice
 from .prompts import (
     KeywordParseError,
@@ -417,45 +415,6 @@ def trace_to_dict(trace: RunTrace, qid: int | None = None) -> dict:
     return d
 
 
-def _json_types(hint) -> tuple[frozenset, frozenset | None]:
-    """The JSON types a value of the declared type may have, and its items' types
-    if it is a list[X] or a dict[str, X]: a record is an object, a float may be
-    an int, and a bool is neither."""
-    origin = typing.get_origin(hint)
-    if origin is types.UnionType:  # X | None
-        parts = [_json_types(arg) for arg in typing.get_args(hint)]
-        return frozenset().union(*(kinds for kinds, _ in parts)), parts[0][1]
-    if origin in (list, dict):
-        return frozenset((origin,)), _json_types(typing.get_args(hint)[-1])[0]
-    kinds = (int, float) if hint is float else (dict,) if is_dataclass(hint) else (hint,)
-    return frozenset(kinds), None
-
-
-@cache
-def _field_types(cls) -> dict[str, tuple[frozenset, frozenset | None]]:
-    """_json_types of each field of record class cls, computed once."""
-    return {name: _json_types(hint) for name, hint in typing.get_type_hints(cls).items()}
-
-
-def _checked(cls, values: dict) -> dict:
-    """values, once each that names a field of cls has its declared type; else ValueError.
-
-    A JSON object's keys are strings; a record's values are checked by its own call.
-    """
-    field_types = _field_types(cls)
-    for name, value in values.items():
-        kinds, items = field_types.get(name, (None, None))
-        if kinds is None:
-            continue  # not a field: the constructor refuses it
-        if type(value) not in kinds or (
-            items is not None and value is not None
-            and not items.issuperset(map(type, value.values() if type(value) is dict else value))
-        ):
-            declared = {f.name: f.type for f in fields(cls)}[name]
-            raise ValueError(f"{cls.__name__}.{name} is {value!r:.40}, not {declared}")
-    return values
-
-
 def trace_from_dict(d: dict) -> RunTrace:
     """The trace that trace_to_dict wrote, sharing d's lists; qid is ignored.
 
@@ -466,13 +425,14 @@ def trace_from_dict(d: dict) -> RunTrace:
     """
     if d.get("v") != TRACE_SCHEMA_VERSION:
         raise ValueError(f"trace schema v{d.get('v')}, expected v{TRACE_SCHEMA_VERSION}")
-    trace = _checked(RunTrace, {key: value for key, value in d.items() if key not in ("v", "qid")})
+    trace = checked_fields(RunTrace, {k: v for k, v in d.items() if k not in ("v", "qid")})
     trace["iterations"] = [
         IterationRecord(**{
-            **_checked(IterationRecord, rec),
-            "retrieved": [ScoredDoc(**_checked(ScoredDoc, doc)) for doc in rec["retrieved"]],
+            **checked_fields(IterationRecord, rec),
+            "retrieved": [ScoredDoc(**checked_fields(ScoredDoc, doc))
+                          for doc in rec["retrieved"]],
             "verdict": None if rec.get("verdict") is None
-            else BinaryVerdict(**_checked(BinaryVerdict, rec["verdict"])),
+            else BinaryVerdict(**checked_fields(BinaryVerdict, rec["verdict"])),
         })
         for rec in d["iterations"]
     ]

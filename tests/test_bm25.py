@@ -25,6 +25,7 @@ from keyrag.bm25 import (
     tokenize,
 )
 
+from keyrag.cli import main
 from keyrag.corpus import Document, chunk_corpus
 
 from .helpers import (
@@ -34,6 +35,7 @@ from .helpers import (
     oracle_top_k,
     random_corpus,
     random_query,
+    write_jsonl,
 )
 
 
@@ -60,10 +62,9 @@ def test_tokenize_roundtrip_single_token():
 # --- index build ----------------------------------------------------------------
 
 
-def test_build_avg_doc_len():
+def test_build_doc_len():
     idx = index_from_texts(["a b c d", "a b c d e f", "a b"])
-    assert idx.avg_doc_len == 4.0
-    assert idx.doc_len == [4, 6, 2]
+    assert list(idx.doc_len) == [4, 6, 2]
 
 
 def _postings(idx, term):
@@ -326,38 +327,81 @@ def test_text_lookup_after_load(tmp_path):
     assert loaded.text_of("c1") == "sun star"
 
 
-def test_load_gives_the_sha256_of_the_file(tmp_path):
+def test_built_and_loaded_indexes_give_the_sha256_of_the_file(tmp_path):
     path = tmp_path / "sha.idx"
-    save_index(index_from_texts(["moon base", "sun star"]), path)
-    assert load_index(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert index_from_texts(["moon base"]).sha256 is None
+    idx = index_from_texts(["moon base", "sun star"])
+    save_index(idx, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert idx.data == path.read_bytes()
+    assert idx.sha256 == load_index(path).sha256 == digest
 
 
-def test_loaded_columns_are_views_over_one_buffer(tmp_path):
+def test_built_and_loaded_columns_are_views_over_the_index_bytes(tmp_path):
     path = tmp_path / "views.idx"
-    save_index(index_from_texts(["moon base", "sun star"]), path)
-    loaded = load_index(path)
+    built = index_from_texts(["moon base", "sun star"])
+    save_index(built, path)
     if sys.byteorder == "big":
         pytest.skip("big-endian hosts load byteswapped copies")
-    columns = [loaded.offsets, loaded.refs, loaded.impacts, loaded.text_offsets]
-    assert all(isinstance(c, memoryview) for c in columns)
-    assert all(c.obj is columns[0].obj for c in columns)
+    for index in (built, load_index(path)):
+        columns = [index.offsets, index.refs, index.impacts, index.text_offsets, index.doc_len]
+        assert all(isinstance(c, memoryview) and c.obj is index.data for c in columns)
 
 
-def test_byteswapped_save_and_load_round_trip(tmp_path, monkeypatch):
-    idx = index_from_texts(["moon moon base", "sun and stars", "base camp \u00e9t\u00e9"],
-                           stopwords=frozenset({"and"}))
-    native = tmp_path / "native.idx"
-    save_index(idx, native)
+def test_byteswapped_build_save_and_load_round_trip(tmp_path, monkeypatch):
+    texts = ["moon moon base", "sun and stars", "base camp \u00e9t\u00e9"]
+    idx = index_from_texts(texts, stopwords=frozenset({"and"}))
     monkeypatch.setattr(bm25, "_SWAP", True)
+    swapped = index_from_texts(texts, stopwords=frozenset({"and"}))
+    assert swapped == idx and swapped.data != idx.data
     path = tmp_path / "swapped.idx"
-    save_index(idx, path)
-    assert path.read_bytes() != native.read_bytes()
+    save_index(swapped, path)
     loaded = load_index(path)
     assert loaded == idx
     assert not isinstance(loaded.refs, memoryview)
     assert retrieve_top_k(loaded, "moon base camp", 3) == retrieve_top_k(idx, "moon base camp", 3)
     assert [loaded.text_of(c) for c in idx.chunk_ids] == [idx.text_of(c) for c in idx.chunk_ids]
+
+
+# The corpus of tests/test_trace_digests.py, and one with titles, non-ASCII text
+# and stopwords, indexed with and without titles.
+_DIGEST_CORPORA = {
+    "trace_fixture": [
+        {"id": f"t{t}n{n}", "title": f"Record {t}.{n}",
+         "text": f"topic{t} kw{n} ans{t}x{n} " + " ".join(["filler"] * (t + n))}
+        for t in range(4) for n in range(1, 5)
+    ],
+    "unicode": [
+        {"id": "caf\u00e9", "title": "Caf\u00e9 Stra\u00dfe",
+         "text": "The caf\u00e9 on the Stra\u00dfe serves cr\u00e8me br\u00fbl\u00e9e and tea to the town"},
+        {"id": "\u4e2d\u6587", "title": "\u4e2d\u6587 \u6587\u5b57",
+         "text": "\u4e2d\u6587 text with \u0416\u0443\u043a and a rocket \U0001f680 in the middle of it"},
+        {"id": "plain", "title": "",
+         "text": "a plain document of the corpus, with the words and the stopwords of the list"},
+        {"id": "gothic", "title": "\U00010348 Gothic",
+         "text": "\U00010348\U00010348 hwair and THE cafe and Caf\u00e9 again and again"},
+    ],
+}
+INDEX_DIGESTS = {
+    "trace_fixture": "e3c1f7fb582f66cf426521eaf470332dd9910501fd69f6049517cc2c1987fc7a",
+    "unicode": "239d2179bed067b332b7286ed3a95fa1c39c1a70858bf150b412579359d54acb",
+    "unicode+no_titles": "c52fa5bc1b00c98c45ca25b7f5b08f2a4399b018580f0685449c9fb4e7333ebf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_DIGESTS))
+def test_index_file_keeps_its_digest(tmp_path, name):
+    corpus = name.removesuffix("+no_titles")
+    corpus_path, out = tmp_path / "corpus.jsonl", tmp_path / "corpus.idx"
+    write_jsonl(corpus_path, _DIGEST_CORPORA[corpus])
+    argv = ["index", "--corpus", str(corpus_path), "--out", str(out)]
+    if corpus == "unicode":
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("the\nAND of\n", encoding="utf-8")
+        argv += ["--stopwords", str(stopwords), "--chunk-size", "8", "--overlap", "3"]
+    if corpus != name:
+        argv.append("--no-titles")
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == INDEX_DIGESTS[name]
 
 
 _ALPHABET = st.one_of(st.sampled_from("aZ9 -\n\u00e9\u00df\u4e2d\u0416\U0001f680\U00010348"),

@@ -316,8 +316,10 @@ def test_run_requires_backend(tmp_path, dataset_path, index_path, monkeypatch):
     ('{"match": "x", "p_true": "hi"}', "ScriptEntry.p_true is 'hi', not float | None"),
     ('{"match": "x", "p_false": true}', "ScriptEntry.p_false is True, not float | None"),
     ('{"match": "x\\ud83d"}', "lone surrogate '\\ud83d' is not valid text"),
+    ('{"match": "x", "respnse": "y"}',
+     "ScriptEntry.__init__() got an unexpected keyword argument 'respnse'"),
 ], ids=["a_number", "not_json", "no_match", "match_a_number", "response_a_number",
-        "p_true_a_string", "p_false_a_bool", "lone_surrogate"])
+        "p_true_a_string", "p_false_a_bool", "lone_surrogate", "unknown_key"])
 def test_run_refuses_a_bad_mock_script_line_naming_it_before_any_question(
         line, message, capsys, tmp_path, dataset_path, index_path):
     script = tmp_path / "script.jsonl"

@@ -154,6 +154,21 @@ def test_read_jsonl_refuses_a_line_naming_it(tmp_path, line, message):
     assert str(refused.value) == message
 
 
+def test_load_qa_refuses_a_byte_that_is_not_utf8_naming_its_line(tmp_path):
+    path = tmp_path / "qa.jsonl"
+    path.write_bytes(b'{"question": "Q1?", "answers": ["a"]}\n'
+                     b'{"question": "Q2 \xff?", "answers": ["a"]}\n')
+    with pytest.raises(CorpusFormatError) as refused:
+        load_qa(path)
+    assert str(refused.value) == "line 2: byte 18 is not valid UTF-8"
+
+
+def test_read_jsonl_accepts_crlf_line_ends(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'{"a": "\xc3\xa9"}\r\n\r\n{"b": "\\u00e9"}\r\n')
+    assert list(read_jsonl(path, _Refused)) == [(1, {"a": "\u00e9"}), (3, {"b": "\u00e9"})]
+
+
 def test_loaders_parse_no_line_past_their_limit(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"id": "a", "text": "one"}\n{not json\n', encoding="utf-8")
