@@ -420,8 +420,9 @@ def read_traces(path) -> tuple[list[dict], list[tuple[int, pipeline.RunTrace]]]:
     Within one run, a question traced more than once (a resumed run retries
     failed questions) keeps its last trace. A file may also hold several runs
     one after another, each starting with its header; each keeps its traces. A
-    line that is not a trace of this schema, or a header whose run config or
-    index digest has another type, raises ValueError naming the line.
+    line that is not a trace of this schema with an integer qid, or a header
+    whose run config or index digest has another type, raises ValueError naming
+    the line.
     """
     headers: list[dict] = []
     rows: dict[tuple[int, int], tuple[int, pipeline.RunTrace]] = {}
@@ -437,7 +438,7 @@ def read_traces(path) -> tuple[list[dict], list[tuple[int, pipeline.RunTrace]]]:
                     raise ValueError(f"index_sha256 is {config['index_sha256']!r:.40}, not str")
                 headers.append(obj)
                 continue
-            qid = obj.get("qid", line_no - 1)
+            qid = obj["qid"]
             if type(qid) is not int:
                 raise ValueError(f"qid {qid!r} is not an integer")
             rows[len(headers), qid] = (qid, pipeline.trace_from_dict(obj))

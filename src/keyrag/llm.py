@@ -1,9 +1,9 @@
 """Chat-completion backends: a live OpenAI-style HTTP client and a scripted mock.
 
-Both support plain generation and a binary True/False decision. The decision
-prefers a one-token log-probability probe (argmax over the two options) and
-falls back to generating text and scanning it for the first "true"/"false"
-word when the backend hides probabilities.
+Both send two kinds of request: plain generation (`complete`) and a one-token
+log-probability probe for the options "True" and "False" (`choice_probs`),
+which gives None when the backend hides probabilities. They only send requests;
+the prompts module reads the replies, and the pipeline decides a verdict.
 """
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import base64
 import json
 import math
 import random
-import re
 import select
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -52,15 +51,6 @@ class ChatMessage:
             raise ValueError("message content must be non-empty")
 
 
-@dataclass(frozen=True)
-class BinaryVerdict:
-    choice: bool
-    p_true: float | None
-    p_false: float | None
-    method: str  # "logprob" or "text-fallback"
-    flagged: bool = False
-
-
 class LlmBackend:
     """Interface shared by the live client and the mock."""
 
@@ -88,40 +78,6 @@ class LlmBackend:
 
         Safe to call more than once.
         """
-
-
-def forced_choice(
-    backend: LlmBackend,
-    messages: list[ChatMessage],
-    max_tokens: int,
-) -> BinaryVerdict:
-    """Binary decision between "True" and "False".
-
-    Probability probe first: the option with the higher probability wins, ties
-    going to False. Without probabilities, generate up to max_tokens and scan
-    the text; a text that contains neither word yields a flagged False.
-    """
-    if not messages:
-        raise ValueError("messages must not be empty")
-    probs = backend.choice_probs(messages)
-    if probs is not None:
-        p_true, p_false = probs
-        return BinaryVerdict(
-            choice=p_true > p_false, p_true=p_true, p_false=p_false, method="logprob"
-        )
-    text = backend.complete(messages, max_tokens)
-    return verdict_from_text(text)
-
-
-def verdict_from_text(text: str) -> BinaryVerdict:
-    """Map the first alphabetic "true"/"false" word; neither present → flagged False."""
-    for word in re.findall(r"[A-Za-z]+", text):
-        lowered = word.lower()
-        if lowered == "true":
-            return BinaryVerdict(True, None, None, "text-fallback")
-        if lowered == "false":
-            return BinaryVerdict(False, None, None, "text-fallback")
-    return BinaryVerdict(False, None, None, "text-fallback", flagged=True)
 
 
 def _delta_seconds(value: str | None) -> float | None:
@@ -179,7 +135,6 @@ class MockBackend(LlmBackend):
         self._entries = list(entries)
         self._consumed = [False] * len(self._entries)
         self._lock = threading.Lock()
-        self.calls: list[str] = []
 
     @classmethod
     def from_script_file(cls, path) -> "MockBackend":
@@ -194,41 +149,34 @@ class MockBackend(LlmBackend):
                 raise ScriptError(f"script line {line_no}: {exc}") from None
         return cls(entries)
 
-    def _find(self, prompt: str) -> int | None:
-        for i, entry in enumerate(self._entries):
-            if not self._consumed[i] and entry.match in prompt:
-                return i
-        return None
+    def _take(self, messages: list[ChatMessage], probe: bool) -> ScriptEntry | None:
+        """Consume and return the entry this call matches.
 
-    def _no_match_error(self, prompt: str) -> ScriptError:
-        if all(self._consumed):
-            return ScriptError(f"mock script exhausted; prompt was: {prompt[:80]!r}")
-        return ScriptError(f"no script entry matches prompt: {prompt[:80]!r}")
-
-    def complete(self, messages: list[ChatMessage], max_tokens: int) -> str:
+        A probe that matches an entry without probabilities gets None and leaves
+        the entry for the text fallback's complete().
+        """
         if not messages:
             raise ValueError("messages must not be empty")
         prompt = _user_text(messages)
         with self._lock:
-            i = self._find(prompt)
-            if i is None:
-                raise self._no_match_error(prompt)
+            for i, entry in enumerate(self._entries):
+                if not self._consumed[i] and entry.match in prompt:
+                    break
+            else:
+                if all(self._consumed):
+                    raise ScriptError(f"mock script exhausted; prompt was: {prompt[:80]!r}")
+                raise ScriptError(f"no script entry matches prompt: {prompt[:80]!r}")
+            if probe and not entry.has_probs:
+                return None
             self._consumed[i] = True
-            self.calls.append(prompt)
-            return self._entries[i].response
+            return entry
+
+    def complete(self, messages: list[ChatMessage], max_tokens: int) -> str:
+        return self._take(messages, probe=False).response
 
     def choice_probs(self, messages: list[ChatMessage]) -> tuple[float, float] | None:
-        prompt = _user_text(messages)
-        with self._lock:
-            i = self._find(prompt)
-            if i is None:
-                raise self._no_match_error(prompt)
-            entry = self._entries[i]
-            if not entry.has_probs:
-                return None  # left unconsumed for the text-fallback complete()
-            self._consumed[i] = True
-            self.calls.append(prompt)
-            return (entry.p_true or 0.0, entry.p_false or 0.0)
+        entry = self._take(messages, probe=True)
+        return None if entry is None else (entry.p_true or 0.0, entry.p_false or 0.0)
 
 
 class HttpBackend(LlmBackend):
@@ -406,14 +354,14 @@ class HttpBackend(LlmBackend):
             conn.close()
 
     def _payload(self, messages: list[ChatMessage]) -> dict:
+        if not messages:
+            raise ValueError("messages must not be empty")
         return {
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in messages],
         }
 
     def complete(self, messages: list[ChatMessage], max_tokens: int) -> str:
-        if not messages:
-            raise ValueError("messages must not be empty")
         payload = self._payload(messages)
         payload["max_tokens"] = max_tokens
         payload["temperature"] = 0.0

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 
 from .bm25 import Index, ScoredDoc, retrieve_top_k, score_text
 from .corpus import checked_fields
-from .llm import BinaryVerdict, LlmBackend, forced_choice
+from .llm import LlmBackend
 from .prompts import (
+    BinaryVerdict,
     KeywordParseError,
     PromptTemplate,
     dedupe_keywords,
@@ -33,6 +34,7 @@ from .prompts import (
     parse_cot_verdict,
     parse_keyword_list,
     render,
+    verdict_from_text,
 )
 
 STEP_QUERY_EXPANSION = "query_expansion"
@@ -227,15 +229,24 @@ def _keywords(question, prev_keywords, prev_doc_texts, backends, config, rec) ->
 
 
 def _validate(question, doc_texts, backends, config, rec) -> BinaryVerdict:
+    """The verdict on rec.answer: the one place a verdict is decided.
+
+    Plain mode probes first: the likelier option wins, a tie going to False. In
+    CoT mode, or when the probe gives no probabilities, one reply is generated
+    and read by its Conclusion line (CoT) or its first true/false word (plain).
+    The raw entry is the reply in CoT mode, else verdict=<choice>.
+    """
     bindings = {"q": question, "a": rec.answer, "Docs": format_documents(doc_texts)}
-    if config.validation_mode == "cot":
-        messages = render("step3_validate_cot", bindings, config.templates)
+    cot = config.validation_mode == "cot"
+    messages = render("step3_validate_cot" if cot else "step3_validate", bindings, config.templates)
+    probs = None if cot else backends.validate.choice_probs(messages)
+    if probs is None:
         reply = backends.validate.complete(messages, VALIDATION_MAX_TOKENS)
-        _record_raw(rec, "answer_validation", messages, reply)
-        return parse_cot_verdict(reply)
-    messages = render("step3_validate", bindings, config.templates)
-    verdict = forced_choice(backends.validate, messages, VALIDATION_MAX_TOKENS)
-    _record_raw(rec, "answer_validation", messages, f"verdict={verdict.choice}")
+        verdict = parse_cot_verdict(reply) if cot else verdict_from_text(reply)
+    else:
+        p_true, p_false = probs
+        verdict = BinaryVerdict(p_true > p_false, p_true, p_false, "logprob")
+    _record_raw(rec, STEP_VALIDATION, messages, reply if cot else f"verdict={verdict.choice}")
     return verdict
 
 

@@ -1,9 +1,11 @@
-"""Prompt templates for each loop step and parsers for the structured outputs.
+"""Prompt templates for each loop step, and the parsers of every model reply.
 
 Template wording is frozen under golden tests; behavioral variants (chain of
 thought, per-document refinement) are separate template ids, never edits to
 the originals. Alternative wordings can be loaded from a directory of text
-files for ablations.
+files for ablations. A keyword reply is read by `parse_keyword_list`, and a
+validation reply into a `BinaryVerdict` by `verdict_from_text` (plain mode) or
+`parse_cot_verdict` (chain of thought).
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .llm import BinaryVerdict, ChatMessage, verdict_from_text
+from .llm import ChatMessage
 
 
 class TemplateError(ValueError):
@@ -25,6 +27,16 @@ class KeywordParseError(ValueError):
 
 
 _PLACEHOLDER_RE = re.compile(r"\{(q|K|D|a|Docs)\}")
+_WORD_RE = re.compile(r"[A-Za-z]+")
+
+
+@dataclass(frozen=True)
+class BinaryVerdict:
+    choice: bool
+    p_true: float | None
+    p_false: float | None
+    method: str  # "logprob" or "text-fallback"
+    flagged: bool = False
 
 
 @dataclass(frozen=True)
@@ -167,9 +179,8 @@ def render(
     extra = sorted(given - needed)
     if extra:
         raise TemplateError(f"unexpected binding {extra[0]}")
-    user = template.user
-    for name, value in bindings.items():
-        user = user.replace("{" + name + "}", value)
+    # One pass: a bound value that holds a placeholder's text is not substituted again.
+    user = _PLACEHOLDER_RE.sub(lambda match: bindings[match.group(1)], template.user)
     return [ChatMessage("system", template.system), ChatMessage("user", user)]
 
 
@@ -241,22 +252,23 @@ def _comma_fallback(text: str) -> list[str]:
     return [part.strip().strip("\"'`") for part in cleaned.split(",")]
 
 
+def verdict_from_text(text: str) -> BinaryVerdict:
+    """Map the first alphabetic "true"/"false" word; neither present → flagged False."""
+    for word in map(str.lower, _WORD_RE.findall(text)):
+        if word in ("true", "false"):
+            return BinaryVerdict(word == "true", None, None, "text-fallback")
+    return BinaryVerdict(False, None, None, "text-fallback", flagged=True)
+
+
 def parse_cot_verdict(text: str) -> BinaryVerdict:
-    """Read the last "Conclusion:" line; without one, fall back to the word scan."""
-    conclusion: str | None = None
+    """Map the first word of the last "Conclusion:" line; if it is neither, scan the whole text."""
+    conclusion = ""
     for line in text.splitlines():
         stripped = line.strip()
         if stripped.casefold().startswith("conclusion:"):
             conclusion = stripped[len("conclusion:") :]
-    if conclusion is not None:
-        match = re.search(r"[A-Za-z]+", conclusion)
-        if match:
-            word = match.group().lower()
-            if word == "true":
-                return BinaryVerdict(True, None, None, "text-fallback")
-            if word == "false":
-                return BinaryVerdict(False, None, None, "text-fallback")
-    return verdict_from_text(text)
+    verdict = verdict_from_text(" ".join(_WORD_RE.findall(conclusion)[:1]))
+    return verdict_from_text(text) if verdict.flagged else verdict
 
 
 def load_templates(directory) -> dict[str, PromptTemplate]:

@@ -15,7 +15,7 @@ from pathlib import Path
 import keyrag
 from keyrag.bm25 import Bm25Params, Index, build_index
 from keyrag.corpus import Chunk, Document
-from keyrag.llm import ScriptEntry
+from keyrag.llm import MockBackend, ScriptEntry
 
 # --- independent brute-force BM25 oracle -------------------------------------
 # Re-derives everything from raw chunk texts; shares no code with keyrag.bm25
@@ -107,6 +107,23 @@ def write_jsonl(path, rows) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for row in rows:
             f.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+class RecordingMock(MockBackend):
+    """A MockBackend that keeps, in `calls`, the user message of each call that took an entry.
+
+    A probe that finds an entry without probabilities takes none, so it is not kept.
+    """
+
+    def __init__(self, entries: list[ScriptEntry]):
+        super().__init__(entries)
+        self.calls: list[str] = []
+
+    def _take(self, messages, probe):
+        entry = super()._take(messages, probe)
+        if entry is not None:
+            self.calls.append(messages[-1].content)  # every caller puts the user message last
+        return entry
 
 
 def walkthrough_script() -> list[ScriptEntry]:

@@ -12,7 +12,7 @@ import pytest
 from keyrag.bm25 import build_index, retrieve_top_k
 from keyrag.cli import main
 from keyrag.corpus import Document, chunk_corpus, chunk_document
-from keyrag.llm import ChatMessage, HttpBackend, MockBackend, ScriptEntry, forced_choice
+from keyrag.llm import HttpBackend, MockBackend, ScriptEntry
 from keyrag.metrics import (
     avg_iteration_count,
     delta_stats,
@@ -25,6 +25,7 @@ from keyrag.pipeline import RunConfig, StepBackends, run, run_iterative
 from . import helpers
 from .helpers import (
     MOON_QUESTION,
+    RecordingMock,
     StubLlmServer,
     completion_body,
     walkthrough_script,
@@ -77,7 +78,7 @@ def test_acceptance_01_bm25_oracle_equivalence():
 
 def test_acceptance_02_walkthrough_golden_trace():
     idx = build_index(chunk_corpus(helpers.MOON_DOCS, 256, 50))
-    mock = MockBackend(walkthrough_script())
+    mock = RecordingMock(walkthrough_script())
     trace = run_iterative(MOON_QUESTION, idx, StepBackends.shared(mock))
     ok = (
         len(trace.iterations) == 2
@@ -259,7 +260,7 @@ def _script_iterations(n: int, final_true: bool) -> list[ScriptEntry]:
 
 def test_acceptance_08_call_count_and_avg_iterations():
     idx = index_from_texts(["moon landing eagle", "challenger shuttle", "unrelated text"])
-    mock = MockBackend(_script_iterations(5, final_true=False))
+    mock = RecordingMock(_script_iterations(5, final_true=False))
     trace = run_iterative("moon landing?", idx, StepBackends.shared(mock))
     ok = len(mock.calls) == 15 and len(trace.iterations) == 5
     ok = ok and trace.stop_reason == "budget_exhausted"
@@ -362,22 +363,22 @@ def test_acceptance_10_wire_protocol_conformance(tmp_path):
             set(m) == {"role", "content"} for p in server.requests for m in p["messages"]
         )
 
-    # text-fallback against a probability-hiding stub
+    # text-fallback against a probability-hiding stub, for one question
     def respond_plain(payload, i):
         if payload.get("logprobs"):
             return {"status": 200, "body": completion_body("x")}  # no logprobs in body
+        if "Generate a list of important keywords" in payload["messages"][-1]["content"]:
+            return {"status": 200, "body": completion_body('["moon", "landing"]')}
         return {"status": 200, "body": completion_body(" False.")}
 
     with StubLlmServer(respond_plain) as server:
         backend = HttpBackend(server.url, "stub-model", backoff=0.01)
         try:
-            verdict = forced_choice(
-                backend,
-                [ChatMessage("system", "s"), ChatMessage("user", "Is it correct?")],
-                30,
-            )
+            trace = run_iterative("what landed on the moon?", idx, StepBackends.shared(backend),
+                                  RunConfig(max_iterations=1))
         finally:
             backend.close()
+        verdict = trace.iterations[0].verdict
         ok = ok and verdict.method == "text-fallback" and verdict.choice is False
         ok = ok and server.requests[-1]["max_tokens"] == 30
     _report(10, "chat-completions shape (50/50, 1-token logprob probe, 30-token fallback)", ok)

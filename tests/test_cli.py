@@ -1250,10 +1250,11 @@ _GOOD_TRACE = {"v": 1, "qid": 0, "question": "q?", "method": "rag", "stop_reason
     json.dumps({**_GOOD_TRACE, "iterations": [{"index": 0, "retrieved": [], "calls": []}]}),
     json.dumps({**_GOOD_TRACE, "iterations": [{"index": 0, "retrieved": [{"chunk_id": "a"}]}]}),
     json.dumps({**_GOOD_TRACE, "qid": "a"}),
+    json.dumps({key: value for key, value in _GOOD_TRACE.items() if key != "qid"}),
     json.dumps({"v": 1, "kind": "header", "config": [1]}),
     json.dumps({**_GOOD_TRACE, "final_answer": "caf\ud83d"}),
 ], ids=["not_json", "not_an_object", "no_iterations", "v2", "v2_new_field", "new_field",
-        "new_record_field", "doc_without_score", "qid_not_an_integer",
+        "new_record_field", "doc_without_score", "qid_not_an_integer", "no_qid",
         "header_config_not_an_object", "lone_surrogate"])
 def test_eval_refuses_a_bad_trace_line_naming_the_file_and_the_line(
         line, capsys, tmp_path, dataset_path):

@@ -17,9 +17,9 @@ from keyrag.llm import (
     HttpBackend,
     LlmError,
     TransportError,
-    forced_choice,
 )
-from keyrag.pipeline import RunConfig, StepBackends, expand_query, run_iterative
+from keyrag.pipeline import RunConfig, StepBackends, expand_query, run, run_iterative
+from keyrag.prompts import BinaryVerdict
 
 from .helpers import (
     FaultServer,
@@ -134,21 +134,19 @@ def test_empty_messages_rejected():
     backend = HttpBackend("http://127.0.0.1:9/v1", "m")
     with pytest.raises(ValueError):
         backend.complete([], 10)
+    with pytest.raises(ValueError):
+        backend.choice_probs([])
 
 
-# --- forced choice over the wire ------------------------------------------------
+# --- the probe over the wire -----------------------------------------------------
 
 
-def test_forced_choice_logprob_probe():
+def test_choice_probs_sends_a_one_token_logprob_probe():
     with StubLlmServer(
         lambda p, i: {"status": 200, "body": logprob_body([("True", 0.7), ("False", 0.3)])}
     ) as server:
         backend = _backend(server)
-        verdict = forced_choice(backend, _msgs("Is it correct?"), 30)
-        assert verdict.choice is True
-        assert verdict.method == "logprob"
-        assert verdict.p_true == pytest.approx(0.7, rel=1e-9)
-        assert verdict.p_false == pytest.approx(0.3, rel=1e-9)
+        assert backend.choice_probs(_msgs("Is it correct?")) == pytest.approx((0.7, 0.3), rel=1e-9)
         payload = server.requests[0]
         assert payload["logprobs"] is True
         assert list(payload) == [
@@ -159,70 +157,91 @@ def test_forced_choice_logprob_probe():
         assert payload["temperature"] == 0.0
 
 
-def test_forced_choice_probe_matches_tokens_loosely():
+def test_choice_probs_matches_tokens_loosely():
     body = logprob_body([(" false", 0.8), ("True", 0.2)])
     with StubLlmServer(lambda p, i: {"status": 200, "body": body}) as server:
-        verdict = forced_choice(_backend(server), _msgs(), 30)
-        assert verdict.choice is False
+        assert _backend(server).choice_probs(_msgs()) == pytest.approx((0.2, 0.8), rel=1e-9)
 
 
-def test_forced_choice_text_fallback_when_no_logprobs():
-    def respond(payload, i):
-        if payload.get("logprobs"):
-            return {"status": 200, "body": completion_body("x")}  # no logprobs field
-        return {"status": 200, "body": completion_body(" False.")}
-
-    with StubLlmServer(respond) as server:
-        backend = _backend(server)
-        verdict = forced_choice(backend, _msgs(), 30)
-        assert verdict.choice is False
-        assert verdict.method == "text-fallback"
-        # probe first, then the generation request with the validation budget
-        assert len(server.requests) == 2
-        assert server.requests[1]["max_tokens"] == 30
-        assert "logprobs" not in server.requests[1]
+def test_choice_probs_is_none_when_the_reply_has_no_logprobs():
+    with StubLlmServer(lambda p, i: {"status": 200, "body": completion_body("x")}) as server:
+        assert _backend(server).choice_probs(_msgs()) is None
+        assert len(server.requests) == 1
 
 
-_FALLBACK = (True, None, None, "text-fallback")
-
-
-@pytest.mark.parametrize("alts, verdict", [
-    ([None], _FALLBACK),
-    (["True"], _FALLBACK),
-    ([{"token": "True", "logprob": "high"}], _FALLBACK),
-    ([{"token": "True", "logprob": True}], _FALLBACK),
-    ([{"token": "True", "logprob": 1000}], _FALLBACK),
-    ([{"token": "True", "logprob": 0.5}], _FALLBACK),
-    ([{"token": "True", "logprob": float("nan")}], _FALLBACK),  # sent as the bare token NaN
-    ([{"token": "False", "logprob": -0.1}, {"token": "True", "logprob": float("inf")}], _FALLBACK),
+@pytest.mark.parametrize("alts, probs", [
+    ([None], None),
+    (["True"], None),
+    ([{"token": "True", "logprob": "high"}], None),
+    ([{"token": "True", "logprob": True}], None),
+    ([{"token": "True", "logprob": 1000}], None),
+    ([{"token": "True", "logprob": 0.5}], None),
+    ([{"token": "True", "logprob": float("nan")}], None),  # sent as the bare token NaN
+    ([{"token": "False", "logprob": -0.1}, {"token": "True", "logprob": float("inf")}], None),
     # A log-probability below a float's range is a probability of 0.
     ([{"token": "True", "logprob": -(10 ** 400)}, {"token": "False", "logprob": -2}],
-     (False, 0.0, math.exp(-2), "logprob")),
+     (0.0, math.exp(-2))),
 ], ids=["null-entry", "string-entry", "string-logprob", "bool-logprob", "logprob-1000",
         "positive-logprob", "nan-logprob", "inf-logprob", "logprob-below-float-range"])
-def test_forced_choice_treats_a_malformed_probe_as_missing(alts, verdict):
-    """Entries that are no object, or logprobs that are no log-probability, fall back to text."""
-    def respond(payload, i):
-        if payload.get("logprobs"):
-            body = logprob_body([])
-            body["choices"][0]["logprobs"]["content"][0]["top_logprobs"] = alts
-            return {"status": 200, "body": body}
-        return {"status": 200, "body": completion_body("True")}
-
-    with StubLlmServer(respond) as server:
-        got = forced_choice(_backend(server), _msgs(), 30)
-    assert (got.choice, got.p_true, got.p_false, got.method) == verdict
-    assert len(server.requests) == (2 if got.method == "text-fallback" else 1)
-
-
-def test_forced_choice_skips_probe_when_disabled():
-    with StubLlmServer(lambda p, i: {"status": 200, "body": completion_body("True")}) as server:
-        backend = _backend(server, supports_logprobs=False)
-        verdict = forced_choice(backend, _msgs(), 30)
-        assert verdict.choice is True
-        assert verdict.method == "text-fallback"
+def test_choice_probs_treats_a_malformed_probe_as_missing(alts, probs):
+    """Entries that are no object, or logprobs that are no log-probability, give no probabilities."""
+    body = logprob_body([])
+    body["choices"][0]["logprobs"]["content"][0]["top_logprobs"] = alts
+    with StubLlmServer(lambda p, i: {"status": 200, "body": body}) as server:
+        assert _backend(server).choice_probs(_msgs()) == probs
         assert len(server.requests) == 1
-        assert "logprobs" not in server.requests[0]
+
+
+def test_choice_probs_sends_nothing_when_disabled():
+    with StubLlmServer() as server:
+        assert _backend(server, supports_logprobs=False).choice_probs(_msgs()) is None
+        assert server.requests == []
+
+
+# --- the validation step over the wire ----------------------------------------------
+
+
+def _validation_over_the_wire(respond, validation_mode="plain", **backend_kwargs):
+    """One iteration against a stub: (its record, the validation step's requests)."""
+    idx = index_from_texts(["moon landing eagle module", "challenger shuttle"])
+    config = RunConfig(max_iterations=1, validation_mode=validation_mode, save_raw=True)
+    with StubLlmServer(respond) as server:
+        backends = StepBackends.shared(_backend(server, **backend_kwargs))
+        trace = run("iterative", "what landed on the moon?", idx, backends, config)
+    assert len(trace.iterations) == 1 and trace.error is None
+    return trace.iterations[0], server.requests[2:]  # after the keyword and answer calls
+
+
+def _probe_hidden(payload, i):
+    if payload.get("logprobs"):
+        return {"status": 200, "body": completion_body("x")}  # no logprobs field
+    if "Generate a list of important keywords" in payload["messages"][-1]["content"]:
+        return {"status": 200, "body": completion_body('["moon", "landing"]')}
+    return {"status": 200, "body": completion_body(" False.")}
+
+
+def test_a_plain_validation_whose_probe_comes_back_empty_sends_two_requests_and_records_one():
+    rec, requests = _validation_over_the_wire(_probe_hidden)
+    assert rec.verdict == BinaryVerdict(False, None, None, "text-fallback")
+    # The probe, then the generation request with the validation budget; the
+    # raw entries show the verdict once for both.
+    assert [(r["max_tokens"], r.get("logprobs")) for r in requests] == [(1, True), (30, None)]
+    assert [e["completion"] for e in rec.raw if e["step"] == "answer_validation"] == [
+        "verdict=False"
+    ]
+
+
+def test_a_validation_skips_the_probe_when_disabled():
+    rec, requests = _validation_over_the_wire(_probe_hidden, supports_logprobs=False)
+    assert rec.verdict == BinaryVerdict(False, None, None, "text-fallback")
+    assert [(r["max_tokens"], r.get("logprobs")) for r in requests] == [(30, None)]
+
+
+def test_a_cot_validation_sends_one_request_and_no_probe():
+    rec, requests = _validation_over_the_wire(_probe_hidden, validation_mode="cot")
+    assert rec.verdict == BinaryVerdict(False, None, None, "text-fallback")
+    assert [(r["max_tokens"], r.get("logprobs")) for r in requests] == [(30, None)]
+    assert [e["completion"] for e in rec.raw if e["step"] == "answer_validation"] == [" False."]
 
 
 def test_malformed_completion_body_raises_backend_error():

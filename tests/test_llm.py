@@ -4,15 +4,9 @@ import threading
 
 import pytest
 
-from keyrag.llm import (
-    BinaryVerdict,
-    ChatMessage,
-    MockBackend,
-    ScriptEntry,
-    ScriptError,
-    forced_choice,
-    verdict_from_text,
-)
+from keyrag.llm import ChatMessage, MockBackend, ScriptEntry, ScriptError
+
+from .helpers import RecordingMock
 
 
 def _msgs(user: str) -> list[ChatMessage]:
@@ -82,7 +76,7 @@ def test_mock_determinism():
 
 def test_mock_thread_safety_total_consumption():
     script = [ScriptEntry("go", f"r{i}") for i in range(50)]
-    mock = MockBackend(script)
+    mock = RecordingMock(script)
     results = []
     lock = threading.Lock()
 
@@ -110,82 +104,48 @@ def test_mock_script_file_round_trip(tmp_path):
     )
     mock = MockBackend.from_script_file(path)
     assert mock.complete(_msgs("give me keywords"), 30) == '["a"]'
-    verdict = forced_choice(mock, _msgs("is it correct?"), 30)
-    assert verdict.choice is True and verdict.method == "logprob"
+    assert mock.choice_probs(_msgs("is it correct?")) == (0.9, 0.1)
 
 
 def test_mock_script_file_takes_integer_probabilities_and_skips_blank_lines(tmp_path):
     path = tmp_path / "script.jsonl"
     path.write_text('\n{"match": "correct", "p_true": 1, "p_false": null}\n  \n',
                     encoding="utf-8")
-    verdict = forced_choice(MockBackend.from_script_file(path), _msgs("is it correct?"), 30)
-    assert (verdict.choice, verdict.p_true, verdict.p_false) == (True, 1, 0.0)
+    probs = MockBackend.from_script_file(path).choice_probs(_msgs("is it correct?"))
+    assert probs == (1, 0.0) and type(probs[0]) is int
 
 
-# --- forced choice ----------------------------------------------------------------
+# --- probe ------------------------------------------------------------------------
 
 
-def test_forced_choice_logprob_argmax():
-    mock = MockBackend([ScriptEntry("correct", p_true=0.7, p_false=0.3)])
-    verdict = forced_choice(mock, _msgs("is it correct?"), 30)
-    assert verdict == BinaryVerdict(True, 0.7, 0.3, "logprob")
+def test_mock_probe_takes_an_entry_with_probabilities():
+    mock = RecordingMock([ScriptEntry("correct", p_true=0.7, p_false=0.3)])
+    assert mock.choice_probs(_msgs("is it correct?")) == (0.7, 0.3)
+    assert mock.calls == ["is it correct?"]
+    with pytest.raises(ScriptError, match="exhausted"):
+        mock.choice_probs(_msgs("is it correct?"))
 
 
-def test_forced_choice_tie_goes_false():
-    mock = MockBackend([ScriptEntry("correct", p_true=0.5, p_false=0.5)])
-    assert forced_choice(mock, _msgs("is it correct?"), 30).choice is False
+def test_mock_probe_leaves_a_text_entry_for_complete():
+    mock = RecordingMock([ScriptEntry("correct", " False.")])
+    assert mock.choice_probs(_msgs("is it correct?")) is None
+    assert mock.calls == []
+    assert mock.complete(_msgs("is it correct?"), 30) == " False."
+    assert mock.calls == ["is it correct?"]
 
 
-def test_forced_choice_text_fallback():
-    mock = MockBackend([ScriptEntry("correct", " False.")])
-    verdict = forced_choice(mock, _msgs("is it correct?"), 30)
-    assert verdict.choice is False
-    assert verdict.method == "text-fallback"
-    assert not verdict.flagged
+def test_mock_probe_reads_a_missing_option_as_zero():
+    mock = MockBackend([ScriptEntry("correct", p_true=0.4)])
+    assert mock.choice_probs(_msgs("is it correct?")) == (0.4, 0.0)
 
 
-def test_forced_choice_unparseable_text_flags_false():
-    mock = MockBackend([ScriptEntry("correct", "I cannot say")])
-    verdict = forced_choice(mock, _msgs("is it correct?"), 30)
-    assert verdict.choice is False
-    assert verdict.method == "text-fallback"
-    assert verdict.flagged
-
-
-def test_forced_choice_counts_one_call_either_path():
-    probed = MockBackend([ScriptEntry("correct", p_true=0.9, p_false=0.1)])
-    forced_choice(probed, _msgs("is it correct?"), 30)
-    assert len(probed.calls) == 1
-    texty = MockBackend([ScriptEntry("correct", "True")])
-    forced_choice(texty, _msgs("is it correct?"), 30)
-    assert len(texty.calls) == 1
-
-
-def test_forced_choice_empty_messages():
-    mock = MockBackend([ScriptEntry("", "True")])
+def test_mock_probe_rejects_empty_messages():
+    mock = MockBackend([ScriptEntry("", p_true=0.9, p_false=0.1)])
     with pytest.raises(ValueError):
-        forced_choice(mock, [], 30)
+        mock.choice_probs([])
 
 
-def test_forced_choice_probe_symmetric():
-    # Same probabilities regardless of which option the caller thinks of first;
-    # the verdict depends only on the (p_true, p_false) pair.
-    for p_true, p_false, expected in [(0.9, 0.1, True), (0.1, 0.9, False)]:
-        mock = MockBackend([ScriptEntry("correct", p_true=p_true, p_false=p_false)])
-        verdict = forced_choice(mock, _msgs("is it correct?"), 30)
-        assert verdict.choice is expected
-        assert verdict.p_true == p_true and verdict.p_false == p_false
-
-
-# --- word scan --------------------------------------------------------------------
-
-
-def test_verdict_from_text_finds_first_mapping_word():
-    assert verdict_from_text("Well, true I think").choice is True
-    assert verdict_from_text("the statement is false, not true").choice is False
-    assert verdict_from_text("TRUE").choice is True
-
-
-def test_verdict_from_text_ignores_non_mapping_words():
-    verdict = verdict_from_text("maybe; unclear!")
-    assert verdict.choice is False and verdict.flagged
+def test_mock_probe_names_an_unmatched_prompt():
+    mock = MockBackend([ScriptEntry("something else", p_true=0.9, p_false=0.1)])
+    with pytest.raises(ScriptError, match="some unmatched prompt"):
+        mock.choice_probs(_msgs("some unmatched prompt text"))

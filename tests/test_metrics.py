@@ -5,7 +5,6 @@ import random
 import pytest
 
 from keyrag.bm25 import ScoredDoc
-from keyrag.llm import BinaryVerdict
 from keyrag.metrics import (
     avg_iteration_count,
     delta_stats,
@@ -18,6 +17,7 @@ from keyrag.metrics import (
     score_mode,
 )
 from keyrag.pipeline import IterationRecord, RunTrace
+from keyrag.prompts import BinaryVerdict
 
 
 def _verdict(choice: bool) -> BinaryVerdict:

@@ -16,7 +16,6 @@ from keyrag.bm25 import ScoredDoc, build_index, retrieve_top_k
 from keyrag.corpus import chunk_corpus
 from keyrag.llm import (
     BackendError,
-    BinaryVerdict,
     HttpBackend,
     LlmBackend,
     MockBackend,
@@ -36,10 +35,12 @@ from keyrag.pipeline import (
     trace_from_dict,
     trace_to_dict,
 )
+from keyrag.prompts import BinaryVerdict
 
 from .helpers import (
     MOON_DOCS,
     MOON_QUESTION,
+    RecordingMock,
     StubLlmServer,
     completion_body,
     index_from_texts,
@@ -88,7 +89,7 @@ def test_expand_query_normalizes_trailing_space():
 
 
 def test_two_round_walkthrough(moon_index):
-    mock = MockBackend(walkthrough_script())
+    mock = RecordingMock(walkthrough_script())
     trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock))
     assert len(trace.iterations) == 2
     assert trace.stop_reason == STOP_VALIDATED
@@ -102,7 +103,7 @@ def test_two_round_walkthrough(moon_index):
 
 
 def test_budget_exhausted_runs_n_iterations(moon_index):
-    mock = MockBackend(_always_false_script(5))
+    mock = RecordingMock(_always_false_script(5))
     trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock))
     assert len(trace.iterations) == 5
     assert trace.stop_reason == STOP_BUDGET
@@ -111,7 +112,7 @@ def test_budget_exhausted_runs_n_iterations(moon_index):
 
 
 def test_immediate_true_single_iteration(moon_index):
-    mock = MockBackend([
+    mock = RecordingMock([
         ScriptEntry("Generate a list of important keywords", '["Apollo 11"]'),
         ScriptEntry("Here is a question", "Eagle"),
         ScriptEntry("Is the following answer correct", p_true=0.9, p_false=0.1),
@@ -142,7 +143,7 @@ def test_no_early_stop_runs_full_budget(moon_index):
 
 
 def test_keyword_parse_retry_then_empty(moon_index):
-    mock = MockBackend([
+    mock = RecordingMock([
         ScriptEntry("Generate a list of important keywords", "[]"),
         ScriptEntry("Generate a list of important keywords", ""),
         ScriptEntry("Here is a question", "Eagle"),
@@ -175,7 +176,7 @@ def test_regen_parse_failure_reuses_previous(moon_index):
 
 def test_validation_sees_current_docs_only(moon_index):
     script = walkthrough_script()
-    mock = MockBackend(script)
+    mock = RecordingMock(script)
     run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock))
     # calls: 0 kw, 1 answer, 2 validate, 3 regen, 4 answer, 5 validate
     first_validation, second_validation = mock.calls[2], mock.calls[5]
@@ -185,7 +186,7 @@ def test_validation_sees_current_docs_only(moon_index):
 
 def test_accumulated_validation_docs_span_iterations():
     idx = index_from_texts(["alpha topic text", "beta topic text", "gamma topic text"])
-    mock = MockBackend([
+    mock = RecordingMock([
         ScriptEntry("Generate a list of important keywords", '["alpha"]'),
         ScriptEntry("Here is a question", "wrong"),
         ScriptEntry("Is the following answer correct", p_true=0.1, p_false=0.9),
@@ -247,6 +248,61 @@ def test_deterministic_traces_with_mock(moon_index):
     assert dicts[0] == dicts[1]
 
 
+# --- validation step ------------------------------------------------------------------
+
+_VALIDATE = "Is the following answer correct"
+
+
+def _validated(validation: ScriptEntry, index, **config) -> tuple[IterationRecord, RecordingMock]:
+    """One iteration whose validation takes this entry: (its record, the mock)."""
+    mock = RecordingMock([
+        ScriptEntry("Generate a list of important keywords", '["Apollo 11"]'),
+        ScriptEntry("Here is a question", "Eagle"),
+        validation,
+    ])
+    config = RunConfig(max_iterations=1, save_raw=True, **config)
+    trace = run("iterative", MOON_QUESTION, index, StepBackends.shared(mock), config)
+    return trace.iterations[0], mock
+
+
+def _validation_raw(rec: IterationRecord) -> list[str]:
+    return [entry["completion"] for entry in rec.raw if entry["step"] == "answer_validation"]
+
+
+@pytest.mark.parametrize("p_true, p_false, choice", [(0.7, 0.3, True), (0.3, 0.7, False),
+                                                     (0.5, 0.5, False)])
+def test_a_plain_validation_takes_the_likelier_option_and_a_tie_goes_false(
+    moon_index, p_true, p_false, choice
+):
+    rec, mock = _validated(ScriptEntry(_VALIDATE, p_true=p_true, p_false=p_false), moon_index)
+    assert rec.verdict == BinaryVerdict(choice, p_true, p_false, "logprob")
+    assert _validation_raw(rec) == [f"verdict={choice}"]
+    assert len(mock.calls) == 3
+
+
+@pytest.mark.parametrize("reply, choice, flagged", [(" False.", False, False), ("TRUE", True, False),
+                                                    ("I cannot say", False, True)])
+def test_a_plain_validation_without_a_probe_reads_the_first_true_or_false_word(
+    moon_index, reply, choice, flagged
+):
+    rec, mock = _validated(ScriptEntry(_VALIDATE, reply), moon_index)
+    assert rec.verdict == BinaryVerdict(choice, None, None, "text-fallback", flagged)
+    assert ("verdict_unparsed" in rec.flags) is flagged
+    assert _validation_raw(rec) == [f"verdict={choice}"]
+    assert len(mock.calls) == 3  # the probe took no entry, the reply one
+
+
+def test_a_cot_validation_reads_the_conclusion_line_and_records_the_reply(moon_index):
+    reply = "Chain of thought: a false start aside, it fits.\nConclusion: True"
+    plain, _ = _validated(ScriptEntry(_VALIDATE, reply), moon_index)
+    cot, mock = _validated(ScriptEntry("Let's think step by step", reply), moon_index,
+                           validation_mode="cot")
+    assert plain.verdict.choice is False  # the word scan stops at "false"
+    assert cot.verdict == BinaryVerdict(True, None, None, "text-fallback")
+    assert _validation_raw(cot) == [reply]
+    assert len(mock.calls) == 3
+
+
 # --- docwise regeneration ----------------------------------------------------------
 
 
@@ -270,7 +326,7 @@ def test_docwise_one_render_per_document():
         "moon landing program history",
         "moon landing overview text",
     ])
-    mock = MockBackend(_docwise_script())
+    mock = RecordingMock(_docwise_script())
     config = RunConfig(regen_mode="docwise", max_iterations=2)
     trace = run_iterative("what landed on the moon?", idx, StepBackends.shared(mock), config)
     assert len(trace.iterations) == 2
@@ -310,7 +366,7 @@ def test_a_docwise_round_after_an_empty_retrieval_refines_as_keywords_mode_does(
         validation_mode, refine_prompt):
     # Nothing matches "zeta", so the docwise round has no document to refine from.
     idx = index_from_texts(["alpha topic text", "beta topic text"])
-    mock = MockBackend([
+    mock = RecordingMock([
         ScriptEntry("Generate a list of important keywords", '["zeta"]'),
         ScriptEntry("Here is a question", "unsure"),
         _verdict(validation_mode, False),
@@ -721,7 +777,7 @@ def test_each_retrieval_equals_a_search_for_the_whole_expanded_query(
 
 
 def test_vanilla_single_call_no_retrieval():
-    mock = MockBackend([ScriptEntry("Here is a question", "Paris")])
+    mock = RecordingMock([ScriptEntry("Here is a question", "Paris")])
     question = "What is the capital of France?"
     trace = run("vanilla", question, None, StepBackends.shared(mock), RunConfig())
     assert trace.final_answer == "Paris"
@@ -736,7 +792,7 @@ def test_vanilla_single_call_no_retrieval():
 
 
 def test_rag_once_single_retrieval_single_call(moon_index):
-    mock = MockBackend([ScriptEntry("Here is a question", "Eagle")])
+    mock = RecordingMock([ScriptEntry("Here is a question", "Eagle")])
     trace = run("rag", MOON_QUESTION, moon_index, StepBackends.shared(mock), RunConfig())
     assert trace.final_answer == "Eagle"
     assert len(mock.calls) == 1
@@ -970,7 +1026,7 @@ def test_trace_dict_round_trips_through_a_json_line(trace):
 
 
 def test_cot_mode_uses_cot_prompts(moon_index):
-    mock = MockBackend([
+    mock = RecordingMock([
         ScriptEntry("Generate a list of important keywords", '["Apollo 11"]'),
         ScriptEntry("Here is a question", "Eagle"),
         ScriptEntry("Let's think step by step", "Chain of thought: looks right.\nConclusion: True"),

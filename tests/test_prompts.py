@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from keyrag.llm import BinaryVerdict, verdict_from_text
 from keyrag.prompts import (
     TEMPLATES,
+    BinaryVerdict,
     KeywordParseError,
     TemplateError,
     format_documents,
@@ -19,6 +19,7 @@ from keyrag.prompts import (
     parse_cot_verdict,
     parse_keyword_list,
     render,
+    verdict_from_text,
 )
 
 # Golden copies: any change to the embedded template wording must show up here.
@@ -128,6 +129,18 @@ def test_render_injective_in_query():
     assert a != b
 
 
+def test_render_substitutes_each_placeholder_once():
+    # A bound value that holds a placeholder's text is inserted as it is.
+    user = render("step2_answer", {"q": "What does {D} mean?", "D": "Document 1: x"})[1].content
+    assert "Query: What does {D} mean?\n" in user
+    assert user.count("Document 1: x") == 1
+    keywords = format_keywords(["{Docs}", "{q}"])
+    bindings = {"q": "q?", "K": keywords, "Docs": "Document 1: y"}
+    user = render("step4_regen_docwise", bindings)[1].content
+    assert f"Previous Keywords: {keywords}\n" in user
+    assert user.count("Document 1: y") == 1
+
+
 def test_format_documents_rank_order():
     rendered = format_documents(["top ranked text", "second text"])
     assert rendered == "Document 1: top ranked text\n\nDocument 2: second text"
@@ -183,6 +196,20 @@ def test_parse_never_returns_quotes_or_padding():
 def test_parse_format_round_trip():
     for keywords in (["Moon landing", "Spacecraft"], ["a"], ["x y", "Z-9", "worm hole"]):
         assert parse_keyword_list(format_keywords(keywords)) == keywords
+
+
+# --- plain verdict parsing (word scan) ---------------------------------------------
+
+
+def test_verdict_from_text_finds_first_mapping_word():
+    assert verdict_from_text("Well, true I think").choice is True
+    assert verdict_from_text("the statement is false, not true").choice is False
+    assert verdict_from_text("TRUE") == BinaryVerdict(True, None, None, "text-fallback")
+
+
+def test_verdict_from_text_ignores_non_mapping_words():
+    verdict = verdict_from_text("maybe; unclear!")
+    assert verdict.choice is False and verdict.flagged
 
 
 # --- CoT verdict parsing ----------------------------------------------------------
