@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import bm25, corpus, pipeline
 from .llm import HttpBackend, LlmError, MockBackend
-from .pipeline import RunConfig, StepBackends
+from .pipeline import RunConfig
 from .prompts import load_templates
 
 ENV_ENDPOINT = "KEYRAG_ENDPOINT"
@@ -44,15 +44,14 @@ _CONFIG_KEYS = {
 }
 
 _STEP_MODELS = ("keyword_model", "answer_model", "validation_model")
-# The RunConfig fields a run header records.
+# The RunConfig fields a run header records, each step's model among them.
 _CONFIG_FIELDS = tuple(f.name for f in fields(RunConfig) if f.name != "templates")
 
 # Run header fields that shape a trace: --skip-completed refuses a file written
 # with other values. A field an older header lacks is not compared. The endpoint
 # and the mock script say where replies come from, so a resumed run may change them.
 _RESUME_KEYS = (
-    "method", "index_sha256", *_CONFIG_FIELDS, "templates_sha256", "model", *_STEP_MODELS,
-    "no_logprobs",
+    "method", "index_sha256", *_CONFIG_FIELDS, "templates_sha256", "model", "no_logprobs",
 )
 
 
@@ -190,29 +189,6 @@ def _backend_settings(args, file_values) -> dict:
     return settings
 
 
-def _build_backends(args, settings, timeout: float, max_in_flight: int) -> StepBackends:
-    if args.mock_script:
-        return StepBackends.shared(MockBackend.from_script_file(args.mock_script))
-    by_model = {  # one backend per model a step uses
-        step_model: HttpBackend(
-            settings["endpoint"],
-            step_model,
-            settings["api_key"],
-            supports_logprobs=not args.no_logprobs,
-            timeout=timeout,
-            max_in_flight=max_in_flight,
-        )
-        for step_model in dict.fromkeys(filter(None, (settings[key] for key in _STEP_MODELS)))
-    }
-    answer_gen = by_model[settings["answer_model"]]
-    # A step the method never calls makes no request: it takes the answer step's backend.
-    return StepBackends(
-        keyword_gen=by_model.get(settings["keyword_model"], answer_gen),
-        answer_gen=answer_gen,
-        validate=by_model.get(settings["validation_model"], answer_gen),
-    )
-
-
 def _strip_timings(trace: pipeline.RunTrace) -> None:
     for rec in trace.iterations:
         for step in rec.wall_time_ms:
@@ -251,6 +227,7 @@ def cmd_run(args) -> int:
         accumulate_validation_docs=args.accumulate_docs,
         save_raw=args.save_raw,
         templates=templates,
+        **{key: settings[key] for key in _STEP_MODELS},
     )
     effective = {
         "method": args.method,
@@ -263,7 +240,7 @@ def cmd_run(args) -> int:
             _json_line({tid: vars(t) for tid, t in templates.items()}).encode()
         ).hexdigest(),
         "mock_script": str(args.mock_script) if args.mock_script else None,
-        **{key: settings[key] for key in ("model", *_STEP_MODELS, "endpoint")},
+        **{key: settings[key] for key in ("model", "endpoint")},
         "no_logprobs": args.no_logprobs,
         "workers": workers,
         "no_timings": args.no_timings,
@@ -300,10 +277,18 @@ def cmd_run(args) -> int:
             # A question whose last trace records an error is run again.
             done_qids = {qid for qid, trace in rows if not trace.error}
 
-        # Each worker runs one question.
-        max_in_flight = workers * config.calls_in_flight
-        backends = _build_backends(args, settings, timeout, max_in_flight)
-        cleanup.callback(backends.close)
+        if args.mock_script:
+            backend = MockBackend.from_script_file(args.mock_script)
+        else:  # each request names its step's model; the answer step's is the default
+            backend = HttpBackend(
+                settings["endpoint"],
+                settings["answer_model"],
+                settings["api_key"],
+                supports_logprobs=not args.no_logprobs,
+                timeout=timeout,
+                max_in_flight=workers * config.calls_in_flight,  # each worker runs one question
+            )
+        cleanup.callback(backend.close)
         # An --out that cannot be written fails here, before any request. The
         # file is opened to append, so it is left as it was until the index
         # has loaded.
@@ -315,7 +300,7 @@ def cmd_run(args) -> int:
         # Ctrl-C only counts and wakes the loop below, which acts on it between
         # whole trace lines. The first drops the queued questions and lets the
         # running ones finish; the second writes no more traces and closes the
-        # backends, which ends the running questions' calls at once. Installed
+        # backend, which ends the running questions' calls at once. Installed
         # before the questions start, restored before the wait for the running
         # ones to end. A run started with SIGINT ignored, as a shell starts a
         # background job, keeps ignoring it.
@@ -338,12 +323,12 @@ def cmd_run(args) -> int:
 
         def work(qid: int, question: str):
             try:
-                return qid, pipeline.run(args.method, question, index, backends, config)
+                return qid, pipeline.run(args.method, question, index, backend, config)
             except LlmError as exc:
                 error = str(exc)
             except Exception as exc:  # a bug, or an OSError from a template: this question fails
                 if interrupts > 1:
-                    raise  # its backends were closed: no trace of it is written
+                    raise  # the backend was closed: no trace of it is written
                 if index and index.done() and exc is index.exception():
                     raise  # the index did not load: the run fails, reported once below
                 traceback.print_exc()
@@ -378,7 +363,7 @@ def cmd_run(args) -> int:
             future = finished.get()
             if future is None:  # Ctrl-C
                 if interrupts > 1:
-                    backends.close()  # the running questions' calls end now
+                    backend.close()  # the running questions' calls end now
                     break  # the traces of finished questions are written
                 pool.shutdown(wait=False, cancel_futures=True)  # drop the queued questions
                 continue

@@ -2,8 +2,10 @@
 
 Both send two kinds of request: plain generation (`complete`) and a one-token
 log-probability probe for the options "True" and "False" (`choice_probs`),
-which gives None when the backend hides probabilities. They only send requests;
-the prompts module reads the replies, and the pipeline decides a verdict.
+which gives None when the backend hides probabilities. Each request may name
+its model, so one backend serves every step of a run, whatever model each step
+uses. They only send requests; the prompts module reads the replies, and the
+pipeline decides a verdict.
 """
 from __future__ import annotations
 
@@ -54,8 +56,10 @@ class ChatMessage:
 class LlmBackend:
     """Interface shared by the live client and the mock."""
 
-    def complete(self, messages: list[ChatMessage], max_tokens: int) -> str:
-        """Greedy (temperature 0) generation of at most max_tokens tokens."""
+    def complete(
+        self, messages: list[ChatMessage], max_tokens: int, model: str | None = None
+    ) -> str:
+        """Greedy (temperature 0) generation of at most max_tokens tokens by model, if given."""
         raise NotImplementedError
 
     def submit(self, fn, *args) -> Future:
@@ -69,8 +73,10 @@ class LlmBackend:
         future.set_result(fn(*args))
         return future
 
-    def choice_probs(self, messages: list[ChatMessage]) -> tuple[float, float] | None:
-        """(p_true, p_false) from a probability probe, or None if unsupported."""
+    def choice_probs(
+        self, messages: list[ChatMessage], model: str | None = None
+    ) -> tuple[float, float] | None:
+        """(p_true, p_false) from a probability probe of model, if given; None if unsupported."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -127,8 +133,9 @@ class MockBackend(LlmBackend):
     """Deterministic scripted backend for tests and offline runs.
 
     Each call consumes the first unconsumed entry whose match string occurs in
-    the rendered user message. Entries carrying p_true/p_false serve the
-    probability probe; plain entries serve text generation.
+    the rendered user message, whatever model it names. Entries carrying
+    p_true/p_false serve the probability probe; plain entries serve text
+    generation.
     """
 
     def __init__(self, entries: list[ScriptEntry]):
@@ -143,9 +150,13 @@ class MockBackend(LlmBackend):
         for line_no, obj in read_jsonl(path, lambda msg: ScriptError(f"script {msg}")):
             if "match" not in obj:
                 raise ScriptError(f"script line {line_no}: missing 'match'")
+            # Named here: the constructor's own message differs between Python versions.
+            unknown = [key for key in obj if key not in ScriptEntry.__dataclass_fields__]
+            if unknown:
+                raise ScriptError(f"script line {line_no}: unknown key {unknown[0]!r}")
             try:
                 entries.append(ScriptEntry(**checked_fields(ScriptEntry, obj)))
-            except (TypeError, ValueError) as exc:  # a key ScriptEntry lacks, a value's type
+            except ValueError as exc:  # a value of another type
                 raise ScriptError(f"script line {line_no}: {exc}") from None
         return cls(entries)
 
@@ -171,10 +182,14 @@ class MockBackend(LlmBackend):
             self._consumed[i] = True
             return entry
 
-    def complete(self, messages: list[ChatMessage], max_tokens: int) -> str:
+    def complete(
+        self, messages: list[ChatMessage], max_tokens: int, model: str | None = None
+    ) -> str:
         return self._take(messages, probe=False).response
 
-    def choice_probs(self, messages: list[ChatMessage]) -> tuple[float, float] | None:
+    def choice_probs(
+        self, messages: list[ChatMessage], model: str | None = None
+    ) -> tuple[float, float] | None:
         entry = self._take(messages, probe=True)
         return None if entry is None else (entry.p_true or 0.0, entry.p_false or 0.0)
 
@@ -186,13 +201,16 @@ class HttpBackend(LlmBackend):
     `OSError` or `http.client.HTTPException`: refused or dropped connections,
     timeouts, TLS errors, broken bodies), HTTP 429 and 5xx responses; a 2xx
     response is never retried. A 429 waits for its Retry-After seconds when
-    given; every other retry waits an exponential backoff with jitter.
+    given, unless they exceed timeout: then its BackendError is raised at once,
+    so one reply cannot stall a question without limit. Every other retry waits
+    an exponential backoff with jitter.
 
-    The backend holds at most max_in_flight keep-alive connections, and a
-    request waits for a free one, so shared backends stay polite under
-    concurrent pipelines; submit runs tasks on as many helper threads. An idle
-    connection the server has closed is replaced before it is used, not
-    retried. Proxies come from the environment
+    Each request names the model its call gives, else the constructor's, so one
+    backend serves a run whatever models its steps use. It holds at most
+    max_in_flight keep-alive connections, and a request waits for a free one,
+    so the backend stays polite under concurrent pipelines; submit runs tasks
+    on as many helper threads. An idle connection the server has closed is
+    replaced before it is used, not retried. Proxies come from the environment
     (`HTTP_PROXY`, `HTTPS_PROXY`, `ALL_PROXY`, `NO_PROXY`), read once when the
     backend is made; an https endpoint behind a proxy is reached through a
     CONNECT tunnel. TLS is verified against the default trust store
@@ -325,6 +343,8 @@ class HttpBackend(LlmBackend):
             last_err = BackendError(f"HTTP {status}: {_head(data)}", status=status)
             if status == 429:
                 delay = _delta_seconds(retry_after)
+                if delay is not None and delay > self.timeout:
+                    raise last_err  # the wait would outlast what a request may take
             elif status < 500:
                 raise last_err
         assert last_err is not None
@@ -353,19 +373,21 @@ class HttpBackend(LlmBackend):
         for conn in self._connections:
             conn.close()
 
-    def _payload(self, messages: list[ChatMessage]) -> dict:
+    def _payload(self, messages: list[ChatMessage], model: str | None, max_tokens: int) -> dict:
+        """A greedy (temperature 0) request to model, else the constructor's."""
         if not messages:
             raise ValueError("messages must not be empty")
         return {
-            "model": self.model,
+            "model": model or self.model,
             "messages": [{"role": m.role, "content": m.content} for m in messages],
+            "max_tokens": max_tokens,
+            "temperature": 0.0,
         }
 
-    def complete(self, messages: list[ChatMessage], max_tokens: int) -> str:
-        payload = self._payload(messages)
-        payload["max_tokens"] = max_tokens
-        payload["temperature"] = 0.0
-        data = self._post(payload)
+    def complete(
+        self, messages: list[ChatMessage], max_tokens: int, model: str | None = None
+    ) -> str:
+        data = self._post(self._payload(messages, model, max_tokens))
         try:
             text = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -374,12 +396,12 @@ class HttpBackend(LlmBackend):
             raise BackendError("completion response has no text content")
         return text.rstrip()
 
-    def choice_probs(self, messages: list[ChatMessage]) -> tuple[float, float] | None:
+    def choice_probs(
+        self, messages: list[ChatMessage], model: str | None = None
+    ) -> tuple[float, float] | None:
         if not self.supports_logprobs:
             return None
-        payload = self._payload(messages)
-        payload["max_tokens"] = 1
-        payload["temperature"] = 0.0
+        payload = self._payload(messages, model, 1)
         payload["logprobs"] = True
         payload["top_logprobs"] = 5
         data = self._post(payload)

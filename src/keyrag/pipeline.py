@@ -4,15 +4,17 @@
 IterationRecord in place as its iteration runs: iterative repeats keywords →
 retrieve → answer → validate; rag is one iteration with no keyword step and no
 validation, the question itself being the query; vanilla is one answer call with
-no retrieval. Within one trace, calls follow program order except in two
-overlaps, started with the backend's `submit`: a docwise round sends its
-per-document calls at once, the last from the question's own thread, and without
-early stop each iteration's answer → validate runs beside the next iteration's
-keyword round, which needs neither its answer nor its verdict. The records and
-the trace are the same as a sequential run's. Questions may run concurrently
-(each writes only its own records; backends handle their own synchronization).
-The pipeline never sees reference answers: nothing in this module takes them as
-input, so leakage is impossible by construction.
+no retrieval. Every call goes to the run's one backend and names its step's
+model (RunConfig's keyword_model, answer_model, validation_model). Within one
+trace, calls follow program order except in two overlaps, started with the
+backend's `submit`: a docwise round sends its per-document calls at once, the
+last from the question's own thread, and without early stop each iteration's
+answer → validate runs beside the next iteration's keyword round, which needs
+neither its answer nor its verdict. The records and the trace are the same as a
+sequential run's. Questions may run concurrently (each writes only its own
+records; the backend handles its own synchronization). The pipeline never sees
+reference answers: nothing in this module takes them as input, so leakage is
+impossible by construction.
 """
 from __future__ import annotations
 
@@ -63,23 +65,6 @@ VALIDATION_MAX_TOKENS = 30
 
 
 @dataclass
-class StepBackends:
-    """Backends per step; any subset may share one object."""
-
-    keyword_gen: LlmBackend
-    answer_gen: LlmBackend
-    validate: LlmBackend
-
-    @classmethod
-    def shared(cls, backend: LlmBackend) -> "StepBackends":
-        return cls(keyword_gen=backend, answer_gen=backend, validate=backend)
-
-    def close(self) -> None:
-        for backend in (self.keyword_gen, self.answer_gen, self.validate):
-            backend.close()
-
-
-@dataclass
 class RunConfig:
     max_iterations: int = 5
     top_k: int = 3
@@ -91,6 +76,10 @@ class RunConfig:
     accumulate_validation_docs: bool = False
     save_raw: bool = False
     templates: dict[str, PromptTemplate] | None = None
+    # The model each step's requests name; None leaves the backend's own.
+    keyword_model: str | None = None
+    answer_model: str | None = None
+    validation_model: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -106,7 +95,7 @@ class RunConfig:
 
     @property
     def calls_in_flight(self) -> int:
-        """The LLM calls one question keeps in flight, to size its backends by.
+        """The LLM calls one question keeps in flight, across all steps, to size the backend by.
 
         A docwise round sends top_k at once, any other keyword round one; without
         early stop, two answer → validate halves run beside the rounds.
@@ -173,7 +162,7 @@ def _record_raw(rec: IterationRecord, step: str, messages, completion: str) -> N
     )
 
 
-def _keywords(question, prev_keywords, prev_doc_texts, backends, config, rec) -> list[str]:
+def _keywords(question, prev_keywords, prev_doc_texts, backend, config, rec) -> list[str]:
     """One keyword round: the first when prev_keywords is None, else a refinement.
 
     A docwise refinement has a prompt per previous document, other rounds one.
@@ -197,10 +186,10 @@ def _keywords(question, prev_keywords, prev_doc_texts, backends, config, rec) ->
             step = "keyword_regeneration"
             template_id = "step4_regen_cot" if config.validation_mode == "cot" else "step4_regen"
     batch = [render(template_id, {**bindings, **doc}, config.templates) for doc in docs]
-    backend = backends.keyword_gen
-    calls = [backend.submit(backend.complete, m, KEYWORD_MAX_TOKENS) for m in batch[:-1]]
+    model = config.keyword_model
+    calls = [backend.submit(backend.complete, m, KEYWORD_MAX_TOKENS, model) for m in batch[:-1]]
     try:
-        last = backend.complete(batch[-1], KEYWORD_MAX_TOKENS)  # no thread hop for this one
+        last = backend.complete(batch[-1], KEYWORD_MAX_TOKENS, model)  # no thread hop for this one
     finally:
         wait(calls)
         replies = [call.result() for call in calls]  # an earlier call's error is raised first
@@ -220,7 +209,7 @@ def _keywords(question, prev_keywords, prev_doc_texts, backends, config, rec) ->
             rec.flags.append("docwise_parse_failed")
         elif not keywords:
             rec.flags.append("keyword_parse_retry")
-            keywords = parsed(messages, backend.complete(messages, KEYWORD_MAX_TOKENS))
+            keywords = parsed(messages, backend.complete(messages, KEYWORD_MAX_TOKENS, model))
         merged += keywords
     if merged:
         return dedupe_keywords(merged)
@@ -228,7 +217,7 @@ def _keywords(question, prev_keywords, prev_doc_texts, backends, config, rec) ->
     return list(prev_keywords or [])
 
 
-def _validate(question, doc_texts, backends, config, rec) -> BinaryVerdict:
+def _validate(question, doc_texts, backend, config, rec) -> BinaryVerdict:
     """The verdict on rec.answer: the one place a verdict is decided.
 
     Plain mode probes first: the likelier option wins, a tie going to False. In
@@ -239,9 +228,10 @@ def _validate(question, doc_texts, backends, config, rec) -> BinaryVerdict:
     bindings = {"q": question, "a": rec.answer, "Docs": format_documents(doc_texts)}
     cot = config.validation_mode == "cot"
     messages = render("step3_validate_cot" if cot else "step3_validate", bindings, config.templates)
-    probs = None if cot else backends.validate.choice_probs(messages)
+    model = config.validation_model
+    probs = None if cot else backend.choice_probs(messages, model)
     if probs is None:
-        reply = backends.validate.complete(messages, VALIDATION_MAX_TOKENS)
+        reply = backend.complete(messages, VALIDATION_MAX_TOKENS, model)
         verdict = parse_cot_verdict(reply) if cot else verdict_from_text(reply)
     else:
         p_true, p_false = probs
@@ -269,7 +259,7 @@ def _run(
     method: str,
     question: str,
     index: Index | Future | None,
-    backends: StepBackends,
+    backend: LlmBackend,
     config: RunConfig,
 ) -> RunTrace:
     """Answer one question by any method: the one place its records and trace are built.
@@ -285,9 +275,9 @@ def _run(
     iteration; only vanilla skips retrieval and answers from the bare question.
     An iteration's front half (keywords → retrieve) creates its record; its back
     half (answer → validate) fills in the answer and verdict. Without early stop
-    no keyword round needs either, so each back half goes to
-    backends.answer_gen.submit and the next front starts at once; the first
-    failure in sequential order is raised after every call has returned.
+    no keyword round needs either, so each back half goes to backend.submit and
+    the next front starts at once; the first failure in sequential order is
+    raised after every call has returned.
     """
     refine = method == METHOD_ITERATIVE
     retrieve = method != METHOD_VANILLA
@@ -305,11 +295,11 @@ def _run(
                 messages = render("step2_answer", bindings, config.templates)
             else:
                 messages = render("vanilla_answer", {"q": question}, config.templates)
-            rec.answer = backends.answer_gen.complete(messages, ANSWER_MAX_TOKENS).strip()
+            rec.answer = backend.complete(messages, ANSWER_MAX_TOKENS, config.answer_model).strip()
             _record_raw(rec, STEP_ANSWER, messages, rec.answer)
         if refine:
             with _timed(rec, STEP_VALIDATION):
-                rec.verdict = _validate(question, validation_docs, backends, config, rec)
+                rec.verdict = _validate(question, validation_docs, backend, config, rec)
             if rec.verdict.flagged:
                 rec.flags.append("verdict_unparsed")
 
@@ -321,7 +311,7 @@ def _run(
                 with _timed(rec, STEP_QUERY_EXPANSION):
                     # doc_texts still holds the previous iteration's documents.
                     rec.keywords = _keywords(
-                        question, prev_keywords, doc_texts, backends, config, rec
+                        question, prev_keywords, doc_texts, backend, config, rec
                     )
 
             rec.expanded_query = expand_query(question, rec.keywords)
@@ -346,9 +336,7 @@ def _run(
 
             validation_docs = list(all_texts) if config.accumulate_validation_docs else doc_texts
             if overlap:
-                backs.append(
-                    backends.answer_gen.submit(answer_and_validate, rec, doc_texts, validation_docs)
-                )
+                backs.append(backend.submit(answer_and_validate, rec, doc_texts, validation_docs))
             else:  # early stop waits for the verdict: no thread hop for it
                 answer_and_validate(rec, doc_texts, validation_docs)
                 if rec.verdict and rec.verdict.choice:
@@ -372,27 +360,27 @@ def run(
     method: str,
     question: str,
     index: Index | Future | None,
-    backends: StepBackends,
+    backend: LlmBackend,
     config: RunConfig,
 ) -> RunTrace:
     """Answer one question by the named method (one of METHODS).
 
-    The baselines answer with backends.answer_gen; vanilla does not use the
-    index. index may be a Future of the Index, as _run describes.
+    Vanilla does not use the index. index may be a Future of the Index, as _run
+    describes.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == METHOD_ITERATIVE:
         # Through the public entry point, so that wrapping run_iterative (as
         # perfbench's traced run does) sees every question of an iterative run.
-        return run_iterative(question, index, backends, config)
-    return _run(method, question, index, backends, config)
+        return run_iterative(question, index, backend, config)
+    return _run(method, question, index, backend, config)
 
 
 def run_iterative(
     question: str,
     index: Index | Future,
-    backends: StepBackends,
+    backend: LlmBackend,
     config: RunConfig | None = None,
 ) -> RunTrace:
     """Run the keyword loop: generate keywords, retrieve, answer, validate, refine.
@@ -400,7 +388,7 @@ def run_iterative(
     Stops on a True verdict (unless early stopping is disabled) or after
     max_iterations. The final answer is always the last iteration's answer.
     """
-    return _run(METHOD_ITERATIVE, question, index, backends, config or RunConfig())
+    return _run(METHOD_ITERATIVE, question, index, backend, config or RunConfig())
 
 
 # --- trace (de)serialization -------------------------------------------------

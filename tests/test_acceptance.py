@@ -20,7 +20,7 @@ from keyrag.metrics import (
     recall_curve,
     score_mode,
 )
-from keyrag.pipeline import RunConfig, StepBackends, run, run_iterative
+from keyrag.pipeline import RunConfig, run, run_iterative
 
 from . import helpers
 from .helpers import (
@@ -79,7 +79,7 @@ def test_acceptance_01_bm25_oracle_equivalence():
 def test_acceptance_02_walkthrough_golden_trace():
     idx = build_index(chunk_corpus(helpers.MOON_DOCS, 256, 50))
     mock = RecordingMock(walkthrough_script())
-    trace = run_iterative(MOON_QUESTION, idx, StepBackends.shared(mock))
+    trace = run_iterative(MOON_QUESTION, idx, mock)
     ok = (
         len(trace.iterations) == 2
         and trace.stop_reason == "validated_true"
@@ -205,11 +205,11 @@ def test_acceptance_06_keyword_unlocks_recall():
         ScriptEntry("Here is a question", "Eagle"),
         ScriptEntry("Is the following answer correct", p_true=0.9, p_false=0.1),
     ])
-    trace = run_iterative(question, idx, StepBackends.shared(mock), RunConfig(top_k=3))
+    trace = run_iterative(question, idx, mock, RunConfig(top_k=3))
     loop_recall = recall_curve([trace], refs, 3, idx.text_of)[-1]
 
     rag_mock = MockBackend([ScriptEntry("Here is a question", "no idea")])
-    rag_trace = run("rag", question, idx, StepBackends.shared(rag_mock), RunConfig(top_k=3))
+    rag_trace = run("rag", question, idx, rag_mock, RunConfig(top_k=3))
     rag_recall = recall_curve([rag_trace], refs, 3, idx.text_of)[-1]
 
     ok = ok and loop_recall == 1.0 and rag_recall == 0.0
@@ -261,14 +261,14 @@ def _script_iterations(n: int, final_true: bool) -> list[ScriptEntry]:
 def test_acceptance_08_call_count_and_avg_iterations():
     idx = index_from_texts(["moon landing eagle", "challenger shuttle", "unrelated text"])
     mock = RecordingMock(_script_iterations(5, final_true=False))
-    trace = run_iterative("moon landing?", idx, StepBackends.shared(mock))
+    trace = run_iterative("moon landing?", idx, mock)
     ok = len(mock.calls) == 15 and len(trace.iterations) == 5
     ok = ok and trace.stop_reason == "budget_exhausted"
 
     traces = [trace]
     for n, final_true in ((1, True), (2, True)):
         m = MockBackend(_script_iterations(n, final_true))
-        traces.append(run_iterative("moon landing?", idx, StepBackends.shared(m)))
+        traces.append(run_iterative("moon landing?", idx, m))
     ok = ok and abs(avg_iteration_count(traces) - (5 + 1 + 2) / 3) < 1e-12
     _report(8, "budget-exhausted N=5 run makes exactly 15 calls; avg iterations exact", ok)
 
@@ -337,7 +337,7 @@ def test_acceptance_10_wire_protocol_conformance(tmp_path):
     with StubLlmServer(respond) as server:
         backend = HttpBackend(server.url, "stub-model", backoff=0.01)
         try:
-            trace = run_iterative("what landed on the moon?", idx, StepBackends.shared(backend))
+            trace = run_iterative("what landed on the moon?", idx, backend)
         finally:
             backend.close()
         ok = ok and trace.stop_reason == "validated_true"
@@ -374,7 +374,7 @@ def test_acceptance_10_wire_protocol_conformance(tmp_path):
     with StubLlmServer(respond_plain) as server:
         backend = HttpBackend(server.url, "stub-model", backoff=0.01)
         try:
-            trace = run_iterative("what landed on the moon?", idx, StepBackends.shared(backend),
+            trace = run_iterative("what landed on the moon?", idx, backend,
                                   RunConfig(max_iterations=1))
         finally:
             backend.close()

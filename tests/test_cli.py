@@ -224,7 +224,7 @@ def test_run_refuses_workers_below_one_and_keeps_the_output_file(
 ):
     out = tmp_path / "existing.jsonl"
     out.write_bytes(b"earlier traces\n")
-    monkeypatch.setattr(cli, "_build_backends", lambda *args: pytest.fail("backend made"))
+    monkeypatch.setattr(cli, "MockBackend", lambda *args: pytest.fail("backend made"))
     argv = ["run", "--dataset", str(dataset_path), "--index", str(index_path),
             "--mock-script", str(script_path), "--out", str(out)]
     if source == "flag":
@@ -257,7 +257,7 @@ def test_run_refuses_a_bad_setting_naming_it_and_keeps_the_output_file(
 ):
     out = tmp_path / "existing.jsonl"
     out.write_bytes(b"earlier traces\n")
-    monkeypatch.setattr(cli, "_build_backends", lambda *args: pytest.fail("backend made"))
+    monkeypatch.setattr(cli, "MockBackend", lambda *args: pytest.fail("backend made"))
     argv = ["run", "--dataset", str(dataset_path), "--index", str(index_path),
             "--mock-script", str(script_path), "--out", str(out), *flags]
     config = tmp_path / "keyrag.conf"
@@ -316,8 +316,7 @@ def test_run_requires_backend(tmp_path, dataset_path, index_path, monkeypatch):
     ('{"match": "x", "p_true": "hi"}', "ScriptEntry.p_true is 'hi', not float | None"),
     ('{"match": "x", "p_false": true}', "ScriptEntry.p_false is True, not float | None"),
     ('{"match": "x\\ud83d"}', "lone surrogate '\\ud83d' is not valid text"),
-    ('{"match": "x", "respnse": "y"}',
-     "ScriptEntry.__init__() got an unexpected keyword argument 'respnse'"),
+    ('{"match": "x", "respnse": "y"}', "unknown key 'respnse'"),
 ], ids=["a_number", "not_json", "no_match", "match_a_number", "response_a_number",
         "p_true_a_string", "p_false_a_bool", "lone_surrogate", "unknown_key"])
 def test_run_refuses_a_bad_mock_script_line_naming_it_before_any_question(
@@ -400,13 +399,13 @@ class _AnswerFailsInIterationTwo(MockBackend):
 
     moon_answers = 0
 
-    def complete(self, messages, max_tokens):
+    def complete(self, messages, max_tokens, model=None):
         prompt = messages[-1].content
         if prompt.startswith("Here is a question") and "Moon" in prompt:
             self.moon_answers += 1
             if self.moon_answers == 2:
                 raise RuntimeError("answer step broke")
-        return super().complete(messages, max_tokens)
+        return super().complete(messages, max_tokens, model)
 
 
 def test_run_worker_exception_is_a_question_error(capsys, tmp_path, index_path, monkeypatch):
@@ -480,50 +479,66 @@ def _record_backends(monkeypatch) -> tuple[list, list]:
     return made, closed
 
 
-def test_run_closes_its_backends(tmp_path, dataset_path, index_path, monkeypatch):
-    made, closed = _record_backends(monkeypatch)
-    main([
-        "run", "--dataset", str(dataset_path), "--index", str(index_path),
-        "--endpoint", "http://127.0.0.1:9/v1", "--model", "m", "--answer-model", "m2",
-        "--regen-mode", "docwise", "--out", str(tmp_path / "traces.jsonl"),
-    ])
-    assert len(made) == 2
-    assert {id(b) for b in closed} == {id(b) for b in made}
-
-
-def test_run_makes_one_backend_per_model_its_steps_use_and_closes_each(
-        tmp_path, dataset_path, index_path, monkeypatch):
-    made, closed = _record_backends(monkeypatch)
-    main([
-        "run", "--dataset", str(dataset_path), "--index", str(index_path),
-        "--endpoint", "http://127.0.0.1:9/v1", "--model", "m", "--keyword-model", "a",
-        "--answer-model", "b", "--validation-model", "c", "--out", str(tmp_path / "traces.jsonl"),
-    ])
-    assert sorted(backend.model for backend in made) == ["a", "b", "c"]
-    assert {id(b) for b in closed} == {id(b) for b in made}
-
-
 _STEP_MODELS = ["--keyword-model", "a", "--answer-model", "b", "--validation-model", "c"]
 
 
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--model", "m", "--answer-model", "m2", "--regen-mode", "docwise"],
+                 id="two-models"),
+    pytest.param(["--model", "m", *_STEP_MODELS], id="three-models"),
+])
+def test_run_makes_one_backend_and_closes_it_whatever_the_step_models(
+        tmp_path, dataset_path, index_path, monkeypatch, flags):
+    made, closed = _record_backends(monkeypatch)
+    main(["run", "--dataset", str(dataset_path), "--index", str(index_path),
+          "--endpoint", "http://127.0.0.1:9/v1", *flags, "--out", str(tmp_path / "traces.jsonl")])
+    assert len(made) == 1
+    assert closed == made
+
+
+def test_run_with_three_step_models_keeps_one_connection(tmp_path, dataset_path, index_path):
+    with StubLlmServer(_moon_stub) as server:
+        code = main(["run", "--dataset", str(dataset_path), "--index", str(index_path),
+                     "--endpoint", server.url, *_STEP_MODELS, "--workers", "1",
+                     "--out", str(tmp_path / "traces.jsonl")])
+    assert code == 0
+    assert len(server.requests) == 3
+    assert len(set(server.client_ports)) == 1
+
+
+def _model_of_step(payload) -> str:
+    """The model _STEP_MODELS gives the step whose request payload is."""
+    user = payload["messages"][-1]["content"]
+    if payload.get("logprobs") or user.startswith("Is the following answer correct"):
+        return "c"
+    return "b" if user.startswith("Here is a question") else "a"
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param([], id="default"),
+    # Docwise fan-out calls and overlapped answer → validate halves run on helper threads.
+    pytest.param(["--regen-mode", "docwise", "--no-early-stop", "--max-iterations", "3"],
+                 id="docwise-no-early-stop"),
+    pytest.param(["--no-logprobs"], id="text-fallback"),
+])
 def test_run_without_model_sends_each_step_its_own_model(
-        tmp_path, dataset_path, index_path, monkeypatch):
+        tmp_path, dataset_path, index_path, monkeypatch, flags):
     monkeypatch.delenv("KEYRAG_MODEL", raising=False)
     with StubLlmServer(_moon_stub) as server:
         code = main(["run", "--dataset", str(dataset_path), "--index", str(index_path),
-                     "--endpoint", server.url, *_STEP_MODELS,
+                     "--endpoint", server.url, *_STEP_MODELS, *flags,
                      "--out", str(tmp_path / "traces.jsonl")])
     assert code == 0
-
-    def step(payload):
-        if payload.get("logprobs"):
-            return "validation"
-        user = payload["messages"][-1]["content"]
-        return "keywords" if "Generate a list of important keywords" in user else "answer"
-
-    assert [(step(p), p["model"]) for p in server.requests] == [
-        ("keywords", "a"), ("answer", "b"), ("validation", "c"),
-    ]
+    models = [p["model"] for p in server.requests]
+    assert models == [_model_of_step(p) for p in server.requests]
+    assert set(models) == {"a", "b", "c"}
+    users = [p["messages"][-1]["content"] for p in server.requests]
+    if "docwise" in flags:
+        # Two refinement rounds, each with a prompt per document of the two-chunk index.
+        assert sum(user.startswith("Please refine") for user in users) == 2 * 2
+    if "--no-logprobs" in flags:
+        assert not any(p.get("logprobs") for p in server.requests)
+        assert any(user.startswith("Is the following answer correct") for user in users)
 
 
 @pytest.mark.parametrize("unset", [0, 2, 4])
@@ -560,10 +575,10 @@ def test_run_leaves_sigint_to_the_main_thread(tmp_path, dataset_path, index_path
     callers = []
 
     class Recording(HttpBackend):
-        def complete(self, messages, max_tokens):
+        def complete(self, messages, max_tokens, model=None):
             blocked = signal.pthread_sigmask(signal.SIG_BLOCK, [])
             callers.append((threading.current_thread().name, signal.SIGINT in blocked))
-            return super().complete(messages, max_tokens)
+            return super().complete(messages, max_tokens, model)
 
     monkeypatch.setattr(cli, "HttpBackend", Recording)
     with StubLlmServer(_moon_stub) as server:
@@ -588,11 +603,11 @@ def test_run_sizes_its_backends_by_workers_times_a_questions_calls_in_flight(
         monkeypatch, tmp_path, dataset_path, index_path, flags, per_question, workers):
     sized = []
 
-    def build_backends(args, file_values, timeout, max_in_flight):
+    def http_backend(*args, max_in_flight, **kwargs):
         sized.append(max_in_flight)
         raise cli.UsageError("no backend needed")
 
-    monkeypatch.setattr(cli, "_build_backends", build_backends)
+    monkeypatch.setattr(cli, "HttpBackend", http_backend)
     code = main(["run", "--dataset", str(dataset_path), "--index", str(index_path),
                  "--endpoint", "http://127.0.0.1:9/v1", "--model", "m", "--top-k", "3",
                  "--workers", str(workers), "--out", str(tmp_path / "traces.jsonl"), *flags])
@@ -834,13 +849,13 @@ class _CutByClose(MockBackend):
         self.cutting = threading.Event()
         self.closed = threading.Event()
 
-    def complete(self, messages, max_tokens):
+    def complete(self, messages, max_tokens, model=None):
         if "Question 1?" in messages[-1].content:
             self.cutting.set()
             assert self.closed.wait(timeout=10)
             raise self.cut
         assert self.cutting.wait(timeout=10)
-        return super().complete(messages, max_tokens)
+        return super().complete(messages, max_tokens, model)
 
     def close(self):
         self.closed.set()

@@ -18,7 +18,7 @@ from keyrag.llm import (
     LlmError,
     TransportError,
 )
-from keyrag.pipeline import RunConfig, StepBackends, expand_query, run, run_iterative
+from keyrag.pipeline import RunConfig, expand_query, run, run_iterative
 from keyrag.prompts import BinaryVerdict
 
 from .helpers import (
@@ -206,8 +206,8 @@ def _validation_over_the_wire(respond, validation_mode="plain", **backend_kwargs
     idx = index_from_texts(["moon landing eagle module", "challenger shuttle"])
     config = RunConfig(max_iterations=1, validation_mode=validation_mode, save_raw=True)
     with StubLlmServer(respond) as server:
-        backends = StepBackends.shared(_backend(server, **backend_kwargs))
-        trace = run("iterative", "what landed on the moon?", idx, backends, config)
+        backend = _backend(server, **backend_kwargs)
+        trace = run("iterative", "what landed on the moon?", idx, backend, config)
     assert len(trace.iterations) == 1 and trace.error is None
     return trace.iterations[0], server.requests[2:]  # after the keyword and answer calls
 
@@ -324,6 +324,29 @@ def test_429_without_delta_seconds_uses_backoff(headers):
         assert len(server.requests) == 2
 
 
+def test_429_whose_retry_after_outlasts_the_timeout_raises_at_once():
+    reply = {"status": 429, "body": "rate limited", "headers": {"Retry-After": "3600"}}
+    errors: list[LlmError] = []
+    with StubLlmServer(lambda p, i: reply) as server:
+        backend = _backend(server, timeout=0.5)
+
+        def call():
+            try:
+                backend.complete(_msgs(), 10)
+            except LlmError as exc:
+                errors.append(exc)
+
+        caller = threading.Thread(target=call)
+        caller.start()
+        caller.join(timeout=5.0)
+        still_waiting = caller.is_alive()
+        backend.close()  # ends a wait for the Retry-After, should there be one
+        caller.join()
+    assert not still_waiting
+    assert [(type(exc), exc.status) for exc in errors] == [(BackendError, 429)]
+    assert len(server.requests) == 1
+
+
 def test_429_forever_exhausts_retries():
     reply = {"status": 429, "body": "rate limited", "headers": {"Retry-After": "0"}}
     with StubLlmServer(lambda p, i: reply) as server:
@@ -373,7 +396,7 @@ def _docwise_round(server):
     """
     config = RunConfig(regen_mode="docwise", top_k=4, max_iterations=2, save_raw=True)
     backend = _backend(server, max_in_flight=config.calls_in_flight)
-    return run_iterative(_QUESTION, index_from_texts(_DOCS), StepBackends.shared(backend), config)
+    return run_iterative(_QUESTION, index_from_texts(_DOCS), backend, config)
 
 
 def _docwise_stub(on_rank):

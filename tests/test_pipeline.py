@@ -28,7 +28,6 @@ from keyrag.pipeline import (
     IterationRecord,
     RunConfig,
     RunTrace,
-    StepBackends,
     expand_query,
     run,
     run_iterative,
@@ -90,7 +89,7 @@ def test_expand_query_normalizes_trailing_space():
 
 def test_two_round_walkthrough(moon_index):
     mock = RecordingMock(walkthrough_script())
-    trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock))
+    trace = run_iterative(MOON_QUESTION, moon_index, mock)
     assert len(trace.iterations) == 2
     assert trace.stop_reason == STOP_VALIDATED
     assert trace.final_answer == "Eagle"
@@ -104,7 +103,7 @@ def test_two_round_walkthrough(moon_index):
 
 def test_budget_exhausted_runs_n_iterations(moon_index):
     mock = RecordingMock(_always_false_script(5))
-    trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock))
+    trace = run_iterative(MOON_QUESTION, moon_index, mock)
     assert len(trace.iterations) == 5
     assert trace.stop_reason == STOP_BUDGET
     assert trace.final_answer == "answer 4"
@@ -117,7 +116,7 @@ def test_immediate_true_single_iteration(moon_index):
         ScriptEntry("Here is a question", "Eagle"),
         ScriptEntry("Is the following answer correct", p_true=0.9, p_false=0.1),
     ])
-    trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock))
+    trace = run_iterative(MOON_QUESTION, moon_index, mock)
     assert len(trace.iterations) == 1
     assert len(mock.calls) == 3
     assert trace.stop_reason == STOP_VALIDATED
@@ -135,7 +134,7 @@ def test_no_early_stop_runs_full_budget(moon_index):
         entries.append(ScriptEntry("Is the following answer correct", p_true=0.9, p_false=0.1))
     mock = MockBackend(entries)
     config = RunConfig(max_iterations=3, early_stop=False)
-    trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock), config)
+    trace = run_iterative(MOON_QUESTION, moon_index, mock, config)
     assert len(trace.iterations) == 3
     assert trace.early_stop is False
     assert trace.final_answer == "alt 2"
@@ -149,7 +148,7 @@ def test_keyword_parse_retry_then_empty(moon_index):
         ScriptEntry("Here is a question", "Eagle"),
         ScriptEntry("Is the following answer correct", p_true=0.9, p_false=0.1),
     ])
-    trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock))
+    trace = run_iterative(MOON_QUESTION, moon_index, mock)
     rec = trace.iterations[0]
     assert rec.keywords == []
     assert rec.expanded_query == MOON_QUESTION
@@ -168,7 +167,7 @@ def test_regen_parse_failure_reuses_previous(moon_index):
         ScriptEntry("Is the following answer correct", p_true=0.9, p_false=0.1),
     ])
     config = RunConfig(max_iterations=2)
-    trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock), config)
+    trace = run_iterative(MOON_QUESTION, moon_index, mock, config)
     second = trace.iterations[1]
     assert second.keywords == ["Apollo 11"]
     assert "keyword_parse_failed_reused_previous" in second.flags
@@ -177,7 +176,7 @@ def test_regen_parse_failure_reuses_previous(moon_index):
 def test_validation_sees_current_docs_only(moon_index):
     script = walkthrough_script()
     mock = RecordingMock(script)
-    run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock))
+    run_iterative(MOON_QUESTION, moon_index, mock)
     # calls: 0 kw, 1 answer, 2 validate, 3 regen, 4 answer, 5 validate
     first_validation, second_validation = mock.calls[2], mock.calls[5]
     assert "Space Shuttle Challenger" in first_validation
@@ -195,7 +194,7 @@ def test_accumulated_validation_docs_span_iterations():
         ScriptEntry("Is the following answer correct", p_true=0.9, p_false=0.1),
     ])
     config = RunConfig(max_iterations=2, top_k=1, accumulate_validation_docs=True)
-    run_iterative("which topic?", idx, StepBackends.shared(mock), config)
+    run_iterative("which topic?", idx, mock, config)
     final_validation = mock.calls[-1]
     assert "alpha topic text" in final_validation  # doc from iteration 1 still shown
     assert "beta topic text" in final_validation
@@ -204,7 +203,7 @@ def test_accumulated_validation_docs_span_iterations():
 
 def test_trace_invariants_and_delta_bounds(moon_index):
     mock = MockBackend(_always_false_script(5))
-    trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock))
+    trace = run_iterative(MOON_QUESTION, moon_index, mock)
     assert 1 <= len(trace.iterations) <= 5
     union_docs = set()
     total_new = 0
@@ -223,7 +222,7 @@ def test_trace_invariants_and_delta_bounds(moon_index):
 
 def test_early_exit_implies_true_at_final_record(moon_index):
     mock = MockBackend(walkthrough_script())
-    trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock))
+    trace = run_iterative(MOON_QUESTION, moon_index, mock)
     assert trace.stop_reason == STOP_VALIDATED
     assert trace.iterations[-1].verdict.choice is True
     assert all(not rec.verdict.choice for rec in trace.iterations[:-1])
@@ -240,7 +239,7 @@ def test_deterministic_traces_with_mock(moon_index):
     dicts = []
     for _ in range(2):
         mock = MockBackend(walkthrough_script())
-        trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock))
+        trace = run_iterative(MOON_QUESTION, moon_index, mock)
         d = trace_to_dict(trace)
         for rec in d["iterations"]:
             rec["wall_time_ms"] = {}
@@ -261,7 +260,7 @@ def _validated(validation: ScriptEntry, index, **config) -> tuple[IterationRecor
         validation,
     ])
     config = RunConfig(max_iterations=1, save_raw=True, **config)
-    trace = run("iterative", MOON_QUESTION, index, StepBackends.shared(mock), config)
+    trace = run("iterative", MOON_QUESTION, index, mock, config)
     return trace.iterations[0], mock
 
 
@@ -328,7 +327,7 @@ def test_docwise_one_render_per_document():
     ])
     mock = RecordingMock(_docwise_script())
     config = RunConfig(regen_mode="docwise", max_iterations=2)
-    trace = run_iterative("what landed on the moon?", idx, StepBackends.shared(mock), config)
+    trace = run_iterative("what landed on the moon?", idx, mock, config)
     assert len(trace.iterations) == 2
     # iteration 0: 3 calls; iteration 1: 3 docwise keyword calls + answer + validation
     assert len(mock.calls) == 8
@@ -345,7 +344,7 @@ def test_docwise_parse_failure_contributes_nothing():
     script[4] = ScriptEntry("Please refine the keyword selection", "[]")
     mock = MockBackend(script)
     config = RunConfig(regen_mode="docwise", max_iterations=2)
-    trace = run_iterative("what landed on the moon?", idx, StepBackends.shared(mock), config)
+    trace = run_iterative("what landed on the moon?", idx, mock, config)
     second = trace.iterations[1]
     assert second.keywords == ["a", "b", "c"]  # failing doc contributed nothing
     assert "docwise_parse_failed" in second.flags
@@ -376,7 +375,7 @@ def test_a_docwise_round_after_an_empty_retrieval_refines_as_keywords_mode_does(
         _verdict(validation_mode, True),
     ])
     config = RunConfig(regen_mode="docwise", validation_mode=validation_mode, max_iterations=2)
-    trace = run_iterative("which word?", idx, StepBackends.shared(mock), config)
+    trace = run_iterative("which word?", idx, mock, config)
     first, second = trace.iterations
     assert first.retrieved == []
     assert (second.keywords, second.flags) == (["alpha"], ["keyword_parse_retry"])
@@ -398,7 +397,7 @@ class _DocwiseModel(HttpBackend):
         self.order = order
         self.on_docwise = on_docwise
 
-    def complete(self, messages, max_tokens):
+    def complete(self, messages, max_tokens, model=None):
         user = messages[-1].content
         if "Please refine the keyword selection" in user:
             doc = re.search(r"\bdoc_(\w+)", user).group(1)
@@ -408,7 +407,7 @@ class _DocwiseModel(HttpBackend):
             return '["moon"]'
         return "an answer"
 
-    def choice_probs(self, messages):
+    def choice_probs(self, messages, model=None):
         return (0.1, 0.9)
 
 
@@ -423,7 +422,7 @@ def _docwise_round(on_docwise):
     order = [re.search(r"doc_(\w+)", idx.text_of(d.chunk_id)).group(1) for d in first]
     backend = _DocwiseModel(order, on_docwise)
     config = RunConfig(regen_mode="docwise", max_iterations=2, save_raw=True)
-    return order, run_iterative(_FANOUT_QUESTION, idx, StepBackends.shared(backend), config)
+    return order, run_iterative(_FANOUT_QUESTION, idx, backend, config)
 
 
 def test_docwise_round_calls_overlap():
@@ -475,10 +474,10 @@ class _ThreadRecorder(_DocwiseModel):
         super().__init__(order, lambda rank: None)
         self.keyword_threads: list[tuple[str, threading.Thread]] = []  # (prompt, thread)
 
-    def complete(self, messages, max_tokens):
+    def complete(self, messages, max_tokens, model=None):
         if "keyword" in messages[-1].content:
             self.keyword_threads.append((messages[-1].content, threading.current_thread()))
-        return super().complete(messages, max_tokens)
+        return super().complete(messages, max_tokens, model)
 
 
 @pytest.mark.parametrize("early_stop", [True, False])
@@ -486,8 +485,7 @@ def test_keywords_mode_calls_the_keyword_model_from_the_question_thread(early_st
     backend = _ThreadRecorder([])
     config = RunConfig(max_iterations=3, early_stop=early_stop)
     try:
-        run_iterative(_FANOUT_QUESTION, index_from_texts(_FANOUT_TEXTS),
-                      StepBackends.shared(backend), config)
+        run_iterative(_FANOUT_QUESTION, index_from_texts(_FANOUT_TEXTS), backend, config)
     finally:
         backend.close()
     assert len(backend.keyword_threads) == 3  # the first round, then two refinements
@@ -501,7 +499,7 @@ def test_a_docwise_round_sends_its_last_prompt_from_the_question_thread():
     backend = _ThreadRecorder(order)
     config = RunConfig(regen_mode="docwise", max_iterations=2)
     try:
-        run_iterative(_FANOUT_QUESTION, idx, StepBackends.shared(backend), config)
+        run_iterative(_FANOUT_QUESTION, idx, backend, config)
     finally:
         backend.close()
     here = threading.current_thread()
@@ -574,7 +572,7 @@ def _stair_run(backend_class, stub, **config):
         backend = backend_class(server.url, "m", max_in_flight=6)
         try:
             trace = _within(30, run_iterative, _FANOUT_QUESTION, index_from_texts(_STAIR_TEXTS),
-                            StepBackends.shared(backend), config)
+                            backend, config)
         except BackendError as exc:
             trace = exc
         finally:
@@ -664,7 +662,7 @@ def test_a_question_keeps_at_most_its_calls_in_flight_and_reaches_that_when_answ
         backend = HttpBackend(server.url, "m", max_in_flight=config.calls_in_flight)
         try:
             _within(30, run_iterative, _FANOUT_QUESTION, index_from_texts(_STAIR_TEXTS),
-                    StepBackends.shared(backend), config)
+                    backend, config)
         finally:
             backend.close()
     assert stub.peak == bound
@@ -681,8 +679,7 @@ def test_concurrent_questions_overlap_on_a_small_backend_as_sequential_runs_woul
         backend = backend_class(url, "m", max_in_flight=2)
         pool = ThreadPoolExecutor(4)
         try:
-            futures = [pool.submit(run_iterative, q, index, StepBackends.shared(backend), config)
-                       for q in questions]
+            futures = [pool.submit(run_iterative, q, index, backend, config) for q in questions]
             return [json.dumps(_zeroed_timings(trace_to_dict(f.result()))) for f in futures]
         finally:
             pool.shutdown()
@@ -731,12 +728,12 @@ class _KeywordRounds(LlmBackend):
     def __init__(self, rounds: list[list[str]]):
         self.rounds = iter(rounds)
 
-    def complete(self, messages, max_tokens):
+    def complete(self, messages, max_tokens, model=None):
         if "keywords" in messages[0].content:  # the system prompt of a keyword round
             return json.dumps(next(self.rounds, []), ensure_ascii=False)
         return "an answer"
 
-    def choice_probs(self, messages):
+    def choice_probs(self, messages, model=None):
         return (0.0, 1.0)
 
 
@@ -758,8 +755,8 @@ def test_each_retrieval_equals_a_search_for_the_whole_expanded_query(
     idx = index_from_texts(texts, stopwords=stopwords)
     config = RunConfig(max_iterations=len(rounds), top_k=k)
     traces = [
-        run("iterative", question, idx, StepBackends.shared(_KeywordRounds(rounds)), config),
-        run("rag", question, idx, StepBackends.shared(_KeywordRounds([])), config),
+        run("iterative", question, idx, _KeywordRounds(rounds), config),
+        run("rag", question, idx, _KeywordRounds([]), config),
     ]
     assert len(traces[0].iterations) == len(rounds)
     for rec in traces[0].iterations + traces[1].iterations:
@@ -779,7 +776,7 @@ def test_each_retrieval_equals_a_search_for_the_whole_expanded_query(
 def test_vanilla_single_call_no_retrieval():
     mock = RecordingMock([ScriptEntry("Here is a question", "Paris")])
     question = "What is the capital of France?"
-    trace = run("vanilla", question, None, StepBackends.shared(mock), RunConfig())
+    trace = run("vanilla", question, None, mock, RunConfig())
     assert trace.final_answer == "Paris"
     assert len(mock.calls) == 1
     assert trace.method == "vanilla"
@@ -793,7 +790,7 @@ def test_vanilla_single_call_no_retrieval():
 
 def test_rag_once_single_retrieval_single_call(moon_index):
     mock = RecordingMock([ScriptEntry("Here is a question", "Eagle")])
-    trace = run("rag", MOON_QUESTION, moon_index, StepBackends.shared(mock), RunConfig())
+    trace = run("rag", MOON_QUESTION, moon_index, mock, RunConfig())
     assert trace.final_answer == "Eagle"
     assert len(mock.calls) == 1
     assert len(trace.iterations[0].retrieved) >= 1
@@ -808,14 +805,14 @@ def test_rag_once_retrieves_expected_doc():
         "moonbeam crater dust",
     ])
     mock = MockBackend([ScriptEntry("Here is a question", "whatever")])
-    trace = run("rag", "moonbeam crater", idx, StepBackends.shared(mock), RunConfig(top_k=1))
+    trace = run("rag", "moonbeam crater", idx, mock, RunConfig(top_k=1))
     assert [d.chunk_id for d in trace.iterations[0].retrieved] == ["c2"]
 
 
 def test_rag_once_empty_retrieval_flagged():
     idx = index_from_texts(["alpha beta", "gamma delta"])
     mock = MockBackend([ScriptEntry("Here is a question", "no idea")])
-    trace = run("rag", "zzz qqq", idx, StepBackends.shared(mock), RunConfig())
+    trace = run("rag", "zzz qqq", idx, mock, RunConfig())
     assert trace.iterations[0].retrieved == []
     assert "empty_retrieval" in trace.iterations[0].flags
     assert trace.final_answer == "no idea"
@@ -833,7 +830,7 @@ ANSWER_SYSTEM = "You are an assistant that generates answers based on retrieved 
 def test_rag_trace_golden(moon_index):
     mock = MockBackend([ScriptEntry("Here is a question", " Eagle ")])
     config = RunConfig(top_k=1, save_raw=True)
-    trace = run("rag", MOON_QUESTION, moon_index, StepBackends.shared(mock), config)
+    trace = run("rag", MOON_QUESTION, moon_index, mock, config)
     assert _zeroed_timings(trace_to_dict(trace, qid=4)) == {
         "v": 1,
         "qid": 4,
@@ -876,7 +873,7 @@ def test_rag_trace_golden(moon_index):
 def test_vanilla_trace_golden():
     mock = MockBackend([ScriptEntry("Here is a question", "Shakespeare ")])
     config = RunConfig(save_raw=True)
-    trace = run("vanilla", "Who wrote Hamlet?", None, StepBackends.shared(mock), config)
+    trace = run("vanilla", "Who wrote Hamlet?", None, mock, config)
     assert _zeroed_timings(trace_to_dict(trace)) == {
         "v": 1,
         "question": "Who wrote Hamlet?",
@@ -913,7 +910,7 @@ def test_run_by_method_name(moon_index):
     def trace(method):
         mock = MockBackend([ScriptEntry("Here is a question", "Eagle")])
         return _zeroed_timings(trace_to_dict(
-            run(method, MOON_QUESTION, moon_index, StepBackends.shared(mock), RunConfig())
+            run(method, MOON_QUESTION, moon_index, mock, RunConfig())
         ))
 
     rag = trace("rag")
@@ -956,8 +953,7 @@ def test_default_step_budgets():
                 max_iterations=2, regen_mode=regen_mode, validation_mode=validation_mode
             )
             try:
-                run_iterative(_FANOUT_QUESTION, index_from_texts(_FANOUT_TEXTS),
-                              StepBackends.shared(backend), config)
+                run_iterative(_FANOUT_QUESTION, index_from_texts(_FANOUT_TEXTS), backend, config)
             finally:
                 backend.close()
         budgets = {(step(payload), payload["max_tokens"]) for payload in server.requests}
@@ -967,7 +963,7 @@ def test_default_step_budgets():
 
 def test_trace_round_trip_serde(moon_index):
     mock = MockBackend(walkthrough_script())
-    trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock))
+    trace = run_iterative(MOON_QUESTION, moon_index, mock)
     restored = trace_from_dict(trace_to_dict(trace, qid=7))
     assert restored == trace
 
@@ -1032,7 +1028,7 @@ def test_cot_mode_uses_cot_prompts(moon_index):
         ScriptEntry("Let's think step by step", "Chain of thought: looks right.\nConclusion: True"),
     ])
     config = RunConfig(validation_mode="cot")
-    trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock), config)
+    trace = run_iterative(MOON_QUESTION, moon_index, mock, config)
     assert trace.stop_reason == STOP_VALIDATED
     assert trace.iterations[0].verdict.method == "text-fallback"
     assert "Conclusion: True or False" in mock.calls[-1]
@@ -1048,6 +1044,6 @@ def test_cot_mode_switches_regen_prompt(moon_index):
         ScriptEntry("Let's think step by step", "Conclusion: True"),
     ])
     config = RunConfig(validation_mode="cot", max_iterations=2)
-    trace = run_iterative(MOON_QUESTION, moon_index, StepBackends.shared(mock), config)
+    trace = run_iterative(MOON_QUESTION, moon_index, mock, config)
     assert trace.iterations[1].keywords == ["Lunar module"]
     assert trace.stop_reason == STOP_VALIDATED
