@@ -1,8 +1,8 @@
 """Command-line surface: build indexes, run QA pipelines, evaluate trace files.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error. Option precedence for
-backend settings is flags over config file over environment variables
-(KEYRAG_ENDPOINT, KEYRAG_API_KEY, KEYRAG_MODEL).
+Exit codes: 0 success, 1 runtime failure, 2 usage error. A `keyrag run` setting
+(_SETTINGS) comes from its flag, else the config file, else its environment
+variable, else its default.
 """
 from __future__ import annotations
 
@@ -26,21 +26,19 @@ from .llm import HttpBackend, LlmError, MockBackend
 from .pipeline import RunConfig
 from .prompts import load_templates
 
-ENV_ENDPOINT = "KEYRAG_ENDPOINT"
-ENV_API_KEY = "KEYRAG_API_KEY"
-ENV_MODEL = "KEYRAG_MODEL"
-
-_CONFIG_KEYS = {
-    "endpoint",
-    "api_key",
-    "model",
-    "keyword_model",
-    "answer_model",
-    "validation_model",
-    "top_k",
-    "max_iterations",
-    "workers",
-    "timeout",
+# Each `keyrag run` setting a --config file may hold: its type, the environment
+# variable it falls back on, and its default. _settings resolves them all.
+_SETTINGS = {
+    "workers": (int, None, 4),
+    "max_iterations": (int, None, 5),
+    "top_k": (int, None, 3),
+    "timeout": (float, None, 60.0),
+    "endpoint": (str, "KEYRAG_ENDPOINT", None),
+    "api_key": (str, "KEYRAG_API_KEY", None),
+    "model": (str, "KEYRAG_MODEL", None),
+    "keyword_model": (str, None, None),
+    "answer_model": (str, None, None),
+    "validation_model": (str, None, None),
 }
 
 _STEP_MODELS = ("keyword_model", "answer_model", "validation_model")
@@ -77,20 +75,10 @@ def _load_config_file(path) -> dict[str, str]:
                 raise UsageError(f"config line {line_no}: expected 'key = value'")
             key, _, value = stripped.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise UsageError(f"config line {line_no}: unknown key {key!r}")
             values[key] = value.strip()
     return values
-
-
-def _merged(flag_value, file_values: dict, key: str, env_var: str | None = None, default=None):
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        return file_values[key]
-    if env_var and os.environ.get(env_var):
-        return os.environ[env_var]
-    return default
 
 
 def _check_limit(limit: int | None) -> None:
@@ -144,46 +132,41 @@ def cmd_index(args) -> int:
 # --- run ---------------------------------------------------------------------
 
 
-def _run_setting(args, file_values: dict, key: str, kind, default):
-    """A run setting as a positive int or float: its flag, else the config file, else default.
+def _settings(args) -> dict:
+    """Every run setting of _SETTINGS: its flag, else its --config value, else its
+    environment variable when that is set and not empty, else its default.
 
-    A bad value is a usage error that names the setting, and the config file
-    when the value came from there.
+    A number must be a positive integer (int) or a finite positive float: else a
+    usage error that names the setting, and the config file when the value came
+    from there. A step's model is its own setting, else model; a step the method
+    never calls has none. Without --mock-script, the endpoint and the model of
+    each step the method calls must be set.
     """
-    flag_value = getattr(args, key, None)
-    value = _merged(flag_value, file_values, key, default=default)
-    where = f" (in {args.config})" if flag_value is None and key in file_values else ""
-    try:
-        number = kind(value)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise UsageError(f"{key} must be {noun}, got {value!r}{where}") from None
-    if not 0 < number < math.inf:
-        least = ">= 1" if kind is int else "finite and > 0"
-        raise UsageError(f"{key} must be {least}, got {value!r}{where}")
-    return number
-
-
-def _backend_settings(args, file_values) -> dict:
-    """The endpoint, API key, --model and each step's model, from flags, config file and env.
-
-    A step's model is its own setting, else --model; a step the method never
-    calls has none. Without --mock-script, the endpoint and the model of each
-    step the method calls must be set.
-    """
-    model = _merged(args.model, file_values, "model", ENV_MODEL)
-    settings = {
-        "endpoint": _merged(args.endpoint, file_values, "endpoint", ENV_ENDPOINT),
-        "api_key": _merged(args.api_key, file_values, "api_key", ENV_API_KEY),
-        "model": model,
-        **dict.fromkeys(_STEP_MODELS),
-    }
+    file_values = _load_config_file(args.config) if args.config else {}
+    settings = {}
+    for key, (kind, env_var, default) in _SETTINGS.items():
+        value, where = getattr(args, key, None), ""
+        if value is None and key in file_values:
+            value, where = file_values[key], f" (in {args.config})"
+        if value is None:
+            value = env_var and os.environ.get(env_var) or default
+        if kind is not str:
+            try:
+                number = kind(value)
+            except ValueError:
+                noun = "an integer" if kind is int else "a number"
+                raise UsageError(f"{key} must be {noun}, got {value!r}{where}") from None
+            if not 0 < number < math.inf:
+                least = ">= 1" if kind is int else "finite and > 0"
+                raise UsageError(f"{key} must be {least}, got {value!r}{where}")
+            value = number
+        settings[key] = value
     if not (settings["endpoint"] or args.mock_script):
         raise UsageError("no backend: pass --mock-script or --endpoint (or set KEYRAG_ENDPOINT)")
     called = _STEP_MODELS if args.method == pipeline.METHOD_ITERATIVE else ("answer_model",)
-    for key in called:
-        settings[key] = _merged(getattr(args, key), file_values, key) or model
-        if not (settings[key] or args.mock_script):
+    for key in _STEP_MODELS:
+        settings[key] = (settings[key] or settings["model"]) if key in called else None
+        if key in called and not (settings[key] or args.mock_script):
             flag = "--" + key.replace("_", "-")
             raise UsageError(f"no model id: pass --model or {flag} (or set KEYRAG_MODEL)")
     return settings
@@ -207,20 +190,16 @@ def _block_sigint() -> None:
 
 def cmd_run(args) -> int:
     _check_limit(args.limit)
-    file_values = _load_config_file(args.config) if args.config else {}
-    workers = _run_setting(args, file_values, "workers", int, 4)
-    max_iterations = _run_setting(args, file_values, "max_iterations", int, 5)
-    top_k = _run_setting(args, file_values, "top_k", int, 3)
-    timeout = _run_setting(args, file_values, "timeout", float, 60.0)
+    settings = _settings(args)
+    workers = settings["workers"]
     examples = corpus.load_qa(args.dataset, limit=args.limit)
     if args.method != "vanilla" and not args.index:
         raise UsageError(f"--index is required for method {args.method!r}")
 
-    settings = _backend_settings(args, file_values)
     templates = load_templates(args.templates) if args.templates else None
     config = RunConfig(
-        max_iterations=max_iterations,
-        top_k=top_k,
+        max_iterations=settings["max_iterations"],
+        top_k=settings["top_k"],
         regen_mode="docwise" if args.regen_mode == "docwise" else "keywords_only",
         validation_mode="cot" if args.cot else "plain",
         early_stop=not args.no_early_stop,
@@ -285,7 +264,7 @@ def cmd_run(args) -> int:
                 settings["answer_model"],
                 settings["api_key"],
                 supports_logprobs=not args.no_logprobs,
-                timeout=timeout,
+                timeout=settings["timeout"],
                 max_in_flight=workers * config.calls_in_flight,  # each worker runs one question
             )
         cleanup.callback(backend.close)
@@ -356,7 +335,8 @@ def cmd_run(args) -> int:
         if not resume:
             sink.truncate(0)
         if write_header:
-            sink.write(_json_line({"v": 1, "kind": "header", "config": effective}) + "\n")
+            header = {"v": pipeline.TRACE_SCHEMA_VERSION, "kind": "header", "config": effective}
+            sink.write(_json_line(header) + "\n")
             sink.flush()
         left = len(todo)
         while left:
@@ -405,31 +385,36 @@ def read_traces(path) -> tuple[list[dict], list[tuple[int, pipeline.RunTrace]]]:
     Within one run, a question traced more than once (a resumed run retries
     failed questions) keeps its last trace. A file may also hold several runs
     one after another, each starting with its header; each keeps its traces. A
-    line that is not a trace of this schema with an integer qid, or a header
-    whose run config or index digest has another type, raises ValueError naming
-    the line.
+    line that is not a trace of this schema with an integer qid, or a header of
+    another schema version, whose run config is not a valid RunConfig or whose
+    index digest is not a string, raises ValueError naming the line.
     """
     headers: list[dict] = []
     rows: dict[tuple[int, int], tuple[int, pipeline.RunTrace]] = {}
     for line_no, obj in corpus.read_jsonl(path, lambda msg: ValueError(f"{path} {msg}")):
         try:
             if obj.get("kind") == "header":
+                if obj.get("v") != pipeline.TRACE_SCHEMA_VERSION:
+                    raise ValueError(
+                        f"run header schema v{obj.get('v')},"
+                        f" expected v{pipeline.TRACE_SCHEMA_VERSION}"
+                    )
                 config = obj.get("config", {})
                 if not isinstance(config, dict):
                     raise ValueError("the header's config is not a JSON object")
                 # The values eval and resume read: the run config, the index digest.
-                corpus.checked_fields(RunConfig, config)
+                corpus.record(RunConfig, {k: v for k, v in config.items() if k in _CONFIG_FIELDS})
                 if not isinstance(config.get("index_sha256"), (str, type(None))):
                     raise ValueError(f"index_sha256 is {config['index_sha256']!r:.40}, not str")
                 headers.append(obj)
                 continue
+            if "qid" not in obj:
+                raise ValueError("missing 'qid'")
             qid = obj["qid"]
             if type(qid) is not int:
                 raise ValueError(f"qid {qid!r} is not an integer")
             rows[len(headers), qid] = (qid, pipeline.trace_from_dict(obj))
-        except KeyError as exc:
-            raise ValueError(f"{path} line {line_no}: no field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path} line {line_no}: {exc}") from None
     return headers, sorted(rows.values(), key=lambda pair: pair[0])
 

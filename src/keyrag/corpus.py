@@ -5,7 +5,7 @@ import dataclasses
 import json
 import types
 import typing
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache
 from itertools import islice
 from typing import Iterable, Iterator
@@ -82,43 +82,61 @@ def read_jsonl(path, error) -> Iterator[tuple[int, dict]]:
             yield line_no, obj
 
 
-def _json_types(hint) -> tuple[frozenset, frozenset | None]:
-    """The JSON types a value of the declared type may have, and its items' types
-    if it is a list[X] or a dict[str, X]: a record is an object, a float may be
-    an int, and a bool is neither."""
+def _json_types(hint) -> tuple[frozenset, frozenset | None, type | None]:
+    """The JSON types a value of the declared type may have, its items' types if
+    it is a list[X] or a dict[str, X], and the record class it or its list's
+    items are built as: a record is an object, a float may be an int, and a bool
+    is neither."""
     origin = typing.get_origin(hint)
     if origin is types.UnionType:  # X | None
         parts = [_json_types(arg) for arg in typing.get_args(hint)]
-        return frozenset().union(*(kinds for kinds, _ in parts)), parts[0][1]
+        return frozenset().union(*(kinds for kinds, _, _ in parts)), parts[0][1], parts[0][2]
     if origin in (list, dict):
-        return frozenset((origin,)), _json_types(typing.get_args(hint)[-1])[0]
-    kinds = (int, float) if hint is float else (dict,) if is_dataclass(hint) else (hint,)
-    return frozenset(kinds), None
+        item_kinds, _, item_cls = _json_types(typing.get_args(hint)[-1])
+        return frozenset((origin,)), item_kinds, item_cls if origin is list else None
+    if is_dataclass(hint):
+        return frozenset((dict,)), None, hint
+    return frozenset((int, float) if hint is float else (hint,)), None, None
 
 
 @cache
-def _field_types(cls) -> dict[str, tuple[frozenset, frozenset | None]]:
-    """_json_types of each field of record class cls, computed once."""
-    return {name: _json_types(hint) for name, hint in typing.get_type_hints(cls).items()}
+def _record_fields(cls) -> tuple[dict, tuple[str, ...]]:
+    """_json_types of each field of record class cls, and the fields it must be
+    given (those without a default), computed once."""
+    required = tuple(f.name for f in fields(cls)
+                     if f.default is MISSING and f.default_factory is MISSING)
+    return {name: _json_types(hint) for name, hint in typing.get_type_hints(cls).items()}, required
 
 
-def checked_fields(cls, values: dict) -> dict:
-    """values, once each that names a field of cls has its declared type; else ValueError.
+def record(cls, obj: dict):
+    """The record of class cls a JSON object holds; a field of another record, or
+    of a list of them, is built the same way.
 
-    A JSON object's keys are strings; a record's values are checked by its own call.
+    A key that names no field (unknown key 'x') or a value of another type than
+    its field declares (Cls.x is …, not …) raises ValueError, the first in the
+    object's key order; then so does a field without a default left out
+    (missing 'x').
     """
-    field_types = _field_types(cls)
-    for name, value in values.items():
-        kinds, items = field_types.get(name, (None, None))
-        if kinds is None:
-            continue  # not a field: the constructor refuses it
+    field_types, required = _record_fields(cls)
+    values = {}
+    for name, value in obj.items():
+        if name not in field_types:
+            raise ValueError(f"unknown key {name!r}")
+        kinds, items, item_cls = field_types[name]
         if type(value) not in kinds or (
             items is not None and value is not None
             and not items.issuperset(map(type, value.values() if type(value) is dict else value))
         ):
             declared = {f.name: f.type for f in fields(cls)}[name]
             raise ValueError(f"{cls.__name__}.{name} is {value!r:.40}, not {declared}")
-    return values
+        if item_cls and value is not None:
+            value = (record(item_cls, value) if type(value) is dict
+                     else [record(item_cls, item) for item in value])
+        values[name] = value
+    for name in required:
+        if name not in obj:
+            raise ValueError(f"missing {name!r}")
+    return cls(**values)
 
 
 def load_corpus(path, limit: int | None = None) -> Iterator[Document]:

@@ -18,7 +18,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .corpus import checked_fields, read_jsonl
+from .corpus import read_jsonl, record
 
 
 class LlmError(Exception):
@@ -148,15 +148,9 @@ class MockBackend(LlmBackend):
         """Entries from a JSONL file; a line that is not an entry raises ScriptError naming it."""
         entries = []
         for line_no, obj in read_jsonl(path, lambda msg: ScriptError(f"script {msg}")):
-            if "match" not in obj:
-                raise ScriptError(f"script line {line_no}: missing 'match'")
-            # Named here: the constructor's own message differs between Python versions.
-            unknown = [key for key in obj if key not in ScriptEntry.__dataclass_fields__]
-            if unknown:
-                raise ScriptError(f"script line {line_no}: unknown key {unknown[0]!r}")
             try:
-                entries.append(ScriptEntry(**checked_fields(ScriptEntry, obj)))
-            except ValueError as exc:  # a value of another type
+                entries.append(record(ScriptEntry, obj))
+            except ValueError as exc:
                 raise ScriptError(f"script line {line_no}: {exc}") from None
         return cls(entries)
 

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .bm25 import Index, ScoredDoc, retrieve_top_k, score_text
-from .corpus import checked_fields
+from .corpus import record
 from .llm import LlmBackend
 from .prompts import (
     BinaryVerdict,
@@ -400,12 +400,12 @@ def trace_to_dict(trace: RunTrace, qid: int | None = None) -> dict:
     """The trace as a JSON-ready dict: its fields, its records' fields, v and qid."""
     iterations = []
     for rec in trace.iterations:
-        record = vars(rec).copy()
-        record["retrieved"] = [vars(doc).copy() for doc in rec.retrieved]
-        record["verdict"] = None if rec.verdict is None else vars(rec.verdict).copy()
+        fields = vars(rec).copy()
+        fields["retrieved"] = [vars(doc).copy() for doc in rec.retrieved]
+        fields["verdict"] = None if rec.verdict is None else vars(rec.verdict).copy()
         if rec.raw is None:
-            del record["raw"]
-        iterations.append(record)
+            del fields["raw"]
+        iterations.append(fields)
     d = vars(trace).copy()
     d["v"] = TRACE_SCHEMA_VERSION
     d["iterations"] = iterations
@@ -415,24 +415,17 @@ def trace_to_dict(trace: RunTrace, qid: int | None = None) -> dict:
 
 
 def trace_from_dict(d: dict) -> RunTrace:
-    """The trace that trace_to_dict wrote, sharing d's lists; qid is ignored.
+    """The trace that trace_to_dict wrote, sharing d's lists but its records'; qid is ignored.
 
     A field left out takes its default, but iterations and each record's
-    retrieved must be there. Another schema version, or a value that is not of
-    its field's declared type, raises ValueError; a missing field, or one that
-    no record declares, KeyError or TypeError.
+    retrieved must be there. Another schema version, or a record that
+    corpus.record refuses, raises ValueError.
     """
     if d.get("v") != TRACE_SCHEMA_VERSION:
         raise ValueError(f"trace schema v{d.get('v')}, expected v{TRACE_SCHEMA_VERSION}")
-    trace = checked_fields(RunTrace, {k: v for k, v in d.items() if k not in ("v", "qid")})
-    trace["iterations"] = [
-        IterationRecord(**{
-            **checked_fields(IterationRecord, rec),
-            "retrieved": [ScoredDoc(**checked_fields(ScoredDoc, doc))
-                          for doc in rec["retrieved"]],
-            "verdict": None if rec.get("verdict") is None
-            else BinaryVerdict(**checked_fields(BinaryVerdict, rec["verdict"])),
-        })
-        for rec in d["iterations"]
-    ]
-    return RunTrace(**trace)
+    trace = record(RunTrace, {k: v for k, v in d.items() if k not in ("v", "qid")})
+    if "iterations" not in d:
+        raise ValueError("missing 'iterations'")
+    if not all("retrieved" in rec for rec in d["iterations"]):
+        raise ValueError("missing 'retrieved'")
+    return trace

@@ -213,9 +213,10 @@ def dedupe_keywords(raw: Iterable[str]) -> list[str]:
 def parse_keyword_list(text: str) -> list[str]:
     """Parse a model keyword reply.
 
-    Primary path: the first balanced [...] span as a JSON string array.
-    Fallback: strip fences and brackets, split on commas. Either way the result
-    is deduplicated case-insensitively, preserving first occurrence.
+    Primary path: the first balanced [...] span as a JSON array, of which only
+    the strings and numbers are keywords (null, true, false, arrays and objects
+    are dropped). Fallback: strip fences and brackets, split on commas. Either
+    way the result is deduplicated case-insensitively, preserving first occurrence.
     """
     items = _bracket_array(text)
     if items is None:
@@ -242,7 +243,9 @@ def _bracket_array(text: str) -> list | None:
                     parsed = json.loads(text[start : i + 1])
                 except ValueError:
                     return None
-                return parsed if isinstance(parsed, list) else None
+                if not isinstance(parsed, list):
+                    return None
+                return [item for item in parsed if type(item) in (str, int, float)]
     return None
 
 

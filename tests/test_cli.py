@@ -307,6 +307,14 @@ def test_run_requires_backend(tmp_path, dataset_path, index_path, monkeypatch):
     assert code == 2
 
 
+def test_run_resolves_every_setting_before_it_reads_a_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("KEYRAG_ENDPOINT", raising=False)
+    code = main(["run", "--method", "rag", "--dataset", str(tmp_path / "missing.jsonl"),
+                 "--out", str(tmp_path / "t.jsonl")])
+    assert (code, capsys.readouterr().err) == (
+        2, "usage error: no backend: pass --mock-script or --endpoint (or set KEYRAG_ENDPOINT)\n")
+
+
 @pytest.mark.parametrize("line, message", [
     ("5", "not a JSON object"),
     ("{not json", "invalid JSON (Expecting property name enclosed in double quotes)"),
@@ -1267,10 +1275,11 @@ _GOOD_TRACE = {"v": 1, "qid": 0, "question": "q?", "method": "rag", "stop_reason
     json.dumps({**_GOOD_TRACE, "qid": "a"}),
     json.dumps({key: value for key, value in _GOOD_TRACE.items() if key != "qid"}),
     json.dumps({"v": 1, "kind": "header", "config": [1]}),
+    json.dumps({"v": 7, "kind": "header", "config": {}}),
     json.dumps({**_GOOD_TRACE, "final_answer": "caf\ud83d"}),
 ], ids=["not_json", "not_an_object", "no_iterations", "v2", "v2_new_field", "new_field",
         "new_record_field", "doc_without_score", "qid_not_an_integer", "no_qid",
-        "header_config_not_an_object", "lone_surrogate"])
+        "header_config_not_an_object", "header_v7", "lone_surrogate"])
 def test_eval_refuses_a_bad_trace_line_naming_the_file_and_the_line(
         line, capsys, tmp_path, dataset_path):
     traces = tmp_path / "traces.jsonl"
@@ -1336,6 +1345,40 @@ def test_eval_refuses_a_header_value_of_another_type_naming_the_line(
     assert f"error: {traces} line 1: " in capsys.readouterr().err
     with pytest.raises(ValueError, match="line 1"):
         read_traces(traces)
+
+
+@pytest.mark.parametrize("line, message", [
+    (_with_record(keywrds=["moon"]), "unknown key 'keywrds'"),
+    (json.dumps({**_MOON_TRACE, "iterations": [{"retrieved": [], "verdict": None}]}),
+     "missing 'index'"),
+    (_with_record(verdict={"choice": False, "p_true": 0.25, "p_false": 0.75, "methd": "logprob"}),
+     "unknown key 'methd'"),
+    (json.dumps({key: value for key, value in _MOON_TRACE.items() if key != "qid"}),
+     "missing 'qid'"),
+], ids=["record_keywrds", "record_without_index", "verdict_methd", "no_qid"])
+def test_eval_names_a_bad_trace_key_in_the_same_words_on_every_python_version(
+        line, message, capsys, tmp_path, dataset_path):
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(json.dumps({"v": 1, "kind": "header", "config": {}}) + "\n"
+                      + json.dumps(_MOON_TRACE) + "\n" + line + "\n", encoding="utf-8")
+    assert main(["eval", "--traces", str(traces), "--dataset", str(dataset_path)]) == 1
+    assert capsys.readouterr().err == f"error: {traces} line 3: {message}\n"
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"top_k": 0}, "top_k must be >= 1, got 0"),
+    ({"max_iterations": -2}, "max_iterations must be >= 1, got -2"),
+    ({"regen_mode": "sideways"},
+     "regen_mode must be one of ('keywords_only', 'docwise'), got 'sideways'"),
+], ids=["top_k_zero", "max_iterations_negative", "regen_mode_unknown"])
+def test_eval_refuses_a_header_value_out_of_range_naming_the_line(
+        config, message, capsys, tmp_path, dataset_path):
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(json.dumps(_MOON_TRACE) + "\n"
+                      + json.dumps({"v": 1, "kind": "header", "config": config}) + "\n"
+                      + json.dumps(_MOON_TRACE) + "\n", encoding="utf-8")
+    assert main(["eval", "--traces", str(traces), "--dataset", str(dataset_path)]) == 1
+    assert capsys.readouterr().err == f"error: {traces} line 2: {message}\n"
 
 
 def test_read_traces_takes_an_int_where_a_float_is_declared(tmp_path):

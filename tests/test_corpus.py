@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from keyrag.corpus import (
     load_corpus,
     load_qa,
     read_jsonl,
+    record,
 )
 
 from .helpers import write_jsonl
@@ -179,6 +181,44 @@ def test_loaders_parse_no_line_past_their_limit(tmp_path):
     assert [ex.question for ex in load_qa(qa, limit=2)] == ["Q1?", "Q2?"]
     with pytest.raises(CorpusFormatError, match="line 4: invalid JSON"):
         load_qa(qa)
+
+
+# --- records ------------------------------------------------------------------
+
+
+@dataclass
+class _Leaf:
+    name: str
+    weight: float = 1.0
+
+
+@dataclass
+class _Tree:
+    leaf: _Leaf | None
+    leaves: list[_Leaf] = field(default_factory=list)
+    tags: list[str] = field(default_factory=list)
+
+
+def test_record_builds_the_records_within_a_record():
+    tree = record(_Tree, {"leaf": {"name": "a"}, "leaves": [{"name": "b", "weight": 2}]})
+    assert tree == _Tree(_Leaf("a"), [_Leaf("b", 2)])
+    assert record(_Tree, {"leaf": None}) == _Tree(None)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"leaf": None, "lef": 1}, "unknown key 'lef'"),
+    ({"lef": 1}, "unknown key 'lef'"),  # an unknown key is named before a missing field
+    ({"leaves": []}, "missing 'leaf'"),
+    ({"leaf": {"weight": 1}}, "missing 'name'"),
+    ({"leaf": None, "leaves": [{"name": "b", "wieght": 2}]}, "unknown key 'wieght'"),
+    ({"leaf": None, "tags": ["a", 1]}, "_Tree.tags is ['a', 1], not list[str]"),
+    ({"leaf": {"name": "a", "weight": True}}, "_Leaf.weight is True, not float"),
+    ({"leaf": [], "x": 1}, "_Tree.leaf is [], not _Leaf | None"),  # in the object's key order
+])
+def test_record_refuses_a_bad_object_with_one_message(obj, message):
+    with pytest.raises(ValueError) as refused:
+        record(_Tree, obj)
+    assert str(refused.value) == message
 
 
 # --- chunking -----------------------------------------------------------------

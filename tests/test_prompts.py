@@ -13,6 +13,7 @@ from keyrag.prompts import (
     BinaryVerdict,
     KeywordParseError,
     TemplateError,
+    dedupe_keywords,
     format_documents,
     format_keywords,
     load_templates,
@@ -178,6 +179,22 @@ def test_parse_empty_output_raises():
         parse_keyword_list("[]")
 
 
+@pytest.mark.parametrize("text, keywords", [
+    ('["Eiffel", null]', ["Eiffel"]),
+    ('[true, 1, 2.5, "x", false]', ["1", "2.5", "x"]),
+    ('[["b"], {"k": 1}, "c"]', ["c"]),
+])
+def test_parse_keeps_only_the_strings_and_numbers_of_a_json_array(text, keywords):
+    assert parse_keyword_list(text) == keywords
+
+
+@pytest.mark.parametrize("text", ["[null]", "[true, false]", '[["b"], {"k": 1}]'])
+def test_parse_a_json_array_of_no_string_or_number_raises(text):
+    # A reply that gives no keywords is not parsed, so the one-prompt retry asks again.
+    with pytest.raises(KeywordParseError):
+        parse_keyword_list(text)
+
+
 def test_parse_never_returns_quotes_or_padding():
     rng = random.Random(5)
     alphabet = string.ascii_letters + ' ",[]\''
@@ -285,7 +302,15 @@ def test_load_templates_refuses_a_file_no_prompt_could_render(tmp_path, name, te
 _reply_text = st.text(alphabet=st.sampled_from('[]",\n `abTrueFalsconi:')) | st.text()
 
 
-@given(_reply_text | st.lists(st.text()).map(json.dumps))
+# JSON arrays of mixed values; their strings hold no bracket, so the array is the
+# first balanced [...] span of its own text.
+_json_scalar = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(alphabet=st.characters(blacklist_characters="[]")))
+_json_array = st.lists(_json_scalar | st.lists(_json_scalar)
+                       | st.dictionaries(st.sampled_from("abc"), _json_scalar))
+
+
+@given(_reply_text | _json_array.map(json.dumps))
 def test_parse_keyword_list_gives_non_empty_stripped_unique_strings_or_raises(text):
     try:
         keywords = parse_keyword_list(text)
@@ -295,6 +320,16 @@ def test_parse_keyword_list_gives_non_empty_stripped_unique_strings_or_raises(te
     for keyword in keywords:
         assert isinstance(keyword, str) and keyword == keyword.strip() and keyword
     assert len({keyword.casefold() for keyword in keywords}) == len(keywords)
+
+
+@given(_json_array)
+def test_parse_keyword_list_reads_the_strings_and_numbers_of_a_json_array(items):
+    kept = [item for item in items if type(item) in (str, int, float)]
+    try:
+        keywords = parse_keyword_list(json.dumps(items))
+    except KeywordParseError:
+        keywords = []
+    assert keywords == dedupe_keywords(kept)
 
 
 @given(_reply_text)
