@@ -314,7 +314,7 @@ def cmd_run(args) -> int:
                 error = f"{type(exc).__name__}: {exc}"
             # early_stop as the pipeline records it: only the keyword loop stops early.
             early_stop = args.method == pipeline.METHOD_ITERATIVE and config.early_stop
-            return qid, pipeline.RunTrace(question, args.method, early_stop=early_stop, error=error)
+            return qid, pipeline.RunTrace(question, args.method, [], early_stop=early_stop, error=error)
 
         for qid, question in todo:  # each lands in `finished` as it finishes
             pool.submit(work, qid, question).add_done_callback(finished.put)

@@ -6,9 +6,9 @@ import json
 import types
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .bm25 import token_spans
 
@@ -20,8 +20,8 @@ class CorpusFormatError(ValueError):
 @dataclass(frozen=True)
 class Document:
     id: str
-    title: str
-    text: str
+    title: str = ""
+    text: str = ""
 
 
 @dataclass(frozen=True)
@@ -82,20 +82,25 @@ def read_jsonl(path, error) -> Iterator[tuple[int, dict]]:
             yield line_no, obj
 
 
-def _json_types(hint) -> tuple[frozenset, frozenset | None, type | None]:
+def _json_types(hint) -> tuple[frozenset, frozenset | None, Callable | None]:
     """The JSON types a value of the declared type may have, its items' types if
-    it is a list[X] or a dict[str, X], and the record class it or its list's
-    items are built as: a record is an object, a float may be an int, and a bool
-    is neither."""
+    it is a list[X], tuple[X, ...] or dict[str, X], and what builds the field's
+    value, if anything: record for a record or each item of a list of them, tuple
+    for a tuple. A record is an object, a tuple an array, a float may be an int,
+    and a bool is neither."""
     origin = typing.get_origin(hint)
     if origin is types.UnionType:  # X | None
         parts = [_json_types(arg) for arg in typing.get_args(hint)]
         return frozenset().union(*(kinds for kinds, _, _ in parts)), parts[0][1], parts[0][2]
-    if origin in (list, dict):
-        item_kinds, _, item_cls = _json_types(typing.get_args(hint)[-1])
-        return frozenset((origin,)), item_kinds, item_cls if origin is list else None
+    if origin in (list, tuple, dict):  # list[X], tuple[X, ...] or dict[str, X]
+        item_kinds, _, build = _json_types(typing.get_args(hint)[origin is dict])
+        if origin is tuple:
+            return frozenset((list,)), item_kinds, tuple
+        if origin is list and build:
+            return frozenset((list,)), item_kinds, lambda items: [build(item) for item in items]
+        return frozenset((origin,)), item_kinds, None
     if is_dataclass(hint):
-        return frozenset((dict,)), None, hint
+        return frozenset((dict,)), None, partial(record, hint)
     return frozenset((int, float) if hint is float else (hint,)), None, None
 
 
@@ -110,7 +115,7 @@ def _record_fields(cls) -> tuple[dict, tuple[str, ...]]:
 
 def record(cls, obj: dict):
     """The record of class cls a JSON object holds; a field of another record, or
-    of a list of them, is built the same way.
+    of a list of them, is built the same way, and a tuple field from an array.
 
     A key that names no field (unknown key 'x') or a value of another type than
     its field declares (Cls.x is …, not …) raises ValueError, the first in the
@@ -122,60 +127,55 @@ def record(cls, obj: dict):
     for name, value in obj.items():
         if name not in field_types:
             raise ValueError(f"unknown key {name!r}")
-        kinds, items, item_cls = field_types[name]
+        kinds, items, build = field_types[name]
         if type(value) not in kinds or (
             items is not None and value is not None
             and not items.issuperset(map(type, value.values() if type(value) is dict else value))
         ):
             declared = {f.name: f.type for f in fields(cls)}[name]
             raise ValueError(f"{cls.__name__}.{name} is {value!r:.40}, not {declared}")
-        if item_cls and value is not None:
-            value = (record(item_cls, value) if type(value) is dict
-                     else [record(item_cls, item) for item in value])
-        values[name] = value
+        values[name] = value if build is None or value is None else build(value)
     for name in required:
         if name not in obj:
             raise ValueError(f"missing {name!r}")
     return cls(**values)
 
 
+def read_records(path, cls, error) -> Iterator[tuple[int, object]]:
+    """(line number, record(cls, object)) for each read_jsonl line; a line that
+    read_jsonl or record refuses raises error("line N: ...")."""
+    for line_no, obj in read_jsonl(path, error):
+        try:
+            rec = record(cls, obj)
+        except ValueError as exc:
+            raise error(f"line {line_no}: {exc}") from None
+        yield line_no, rec
+
+
 def load_corpus(path, limit: int | None = None) -> Iterator[Document]:
     """Stream documents from a JSONL file of {"id", "title", "text"} records."""
     seen: dict[str, int] = {}
-    for line_no, obj in islice(read_jsonl(path, CorpusFormatError), limit):
-        doc_id = obj.get("id")
-        text = obj.get("text")
-        title = obj.get("title", "")
-        if not isinstance(doc_id, str) or not doc_id:
+    for line_no, doc in islice(read_records(path, Document, CorpusFormatError), limit):
+        if not doc.id:
             raise CorpusFormatError(f"line {line_no}: missing or non-string 'id'")
-        if not isinstance(text, str) or not text.strip():
+        if not doc.text.strip():
             raise CorpusFormatError(f"line {line_no}: missing or empty 'text'")
-        if not isinstance(title, str):
-            raise CorpusFormatError(f"line {line_no}: non-string 'title'")
-        if doc_id in seen:
-            raise CorpusFormatError(
-                f"line {line_no}: duplicate document id {doc_id!r}"
-                f" (first seen on line {seen[doc_id]})"
-            )
-        seen[doc_id] = line_no
-        yield Document(id=doc_id, title=title, text=text)
+        if doc.id in seen:
+            raise CorpusFormatError(f"line {line_no}: duplicate document id {doc.id!r}"
+                                    f" (first seen on line {seen[doc.id]})")
+        seen[doc.id] = line_no
+        yield doc
 
 
 def load_qa(path, limit: int | None = None) -> list[QaExample]:
     """Load a JSONL QA dataset of {"question", "answers"} records."""
     examples: list[QaExample] = []
-    for line_no, obj in islice(read_jsonl(path, CorpusFormatError), limit):
-        question = obj.get("question")
-        answers = obj.get("answers")
-        if not isinstance(question, str) or not question.strip():
+    for line_no, example in islice(read_records(path, QaExample, CorpusFormatError), limit):
+        if not example.question.strip():
             raise CorpusFormatError(f"line {line_no}: missing or empty 'question'")
-        if (
-            not isinstance(answers, list)
-            or not answers
-            or not all(isinstance(a, str) for a in answers)
-        ):
+        if not example.answers:
             raise CorpusFormatError(f"line {line_no}: 'answers' must be a non-empty string list")
-        examples.append(QaExample(question=question, answers=tuple(answers)))
+        examples.append(example)
     return examples
 
 

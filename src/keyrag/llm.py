@@ -18,7 +18,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .corpus import read_jsonl, record
+from .corpus import read_records
 
 
 class LlmError(Exception):
@@ -146,13 +146,8 @@ class MockBackend(LlmBackend):
     @classmethod
     def from_script_file(cls, path) -> "MockBackend":
         """Entries from a JSONL file; a line that is not an entry raises ScriptError naming it."""
-        entries = []
-        for line_no, obj in read_jsonl(path, lambda msg: ScriptError(f"script {msg}")):
-            try:
-                entries.append(record(ScriptEntry, obj))
-            except ValueError as exc:
-                raise ScriptError(f"script line {line_no}: {exc}") from None
-        return cls(entries)
+        script = read_records(path, ScriptEntry, lambda msg: ScriptError(f"script {msg}"))
+        return cls([entry for _, entry in script])
 
     def _take(self, messages: list[ChatMessage], probe: bool) -> ScriptEntry | None:
         """Consume and return the entry this call matches.

@@ -111,7 +111,7 @@ class IterationRecord:
     index: int
     keywords: list[str] = field(default_factory=list)
     expanded_query: str = ""
-    retrieved: list[ScoredDoc] = field(default_factory=list)
+    retrieved: list[ScoredDoc] = field(kw_only=True)  # required, yet in the trace's field order
     answer: str = ""
     verdict: BinaryVerdict | None = None
     new_keywords: int = 0
@@ -125,7 +125,7 @@ class IterationRecord:
 class RunTrace:
     question: str
     method: str
-    iterations: list[IterationRecord] = field(default_factory=list)
+    iterations: list[IterationRecord]
     stop_reason: str | None = None
     final_answer: str = ""
     early_stop: bool = True
@@ -305,7 +305,7 @@ def _run(
 
     try:
         for i in range(config.max_iterations if refine else 1):
-            rec = IterationRecord(i, raw=[] if config.save_raw else None)
+            rec = IterationRecord(i, retrieved=[], raw=[] if config.save_raw else None)
             if refine:
                 prev_keywords = records[-1].keywords if records else None
                 with _timed(rec, STEP_QUERY_EXPANSION):
@@ -417,15 +417,9 @@ def trace_to_dict(trace: RunTrace, qid: int | None = None) -> dict:
 def trace_from_dict(d: dict) -> RunTrace:
     """The trace that trace_to_dict wrote, sharing d's lists but its records'; qid is ignored.
 
-    A field left out takes its default, but iterations and each record's
-    retrieved must be there. Another schema version, or a record that
-    corpus.record refuses, raises ValueError.
+    Another schema version, or a record that corpus.record refuses, raises
+    ValueError; a field left out takes its default, if it has one.
     """
     if d.get("v") != TRACE_SCHEMA_VERSION:
         raise ValueError(f"trace schema v{d.get('v')}, expected v{TRACE_SCHEMA_VERSION}")
-    trace = record(RunTrace, {k: v for k, v in d.items() if k not in ("v", "qid")})
-    if "iterations" not in d:
-        raise ValueError("missing 'iterations'")
-    if not all("retrieved" in rec for rec in d["iterations"]):
-        raise ValueError("missing 'retrieved'")
-    return trace
+    return record(RunTrace, {k: v for k, v in d.items() if k not in ("v", "qid")})

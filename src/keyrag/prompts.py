@@ -28,6 +28,7 @@ class KeywordParseError(ValueError):
 
 _PLACEHOLDER_RE = re.compile(r"\{(q|K|D|a|Docs)\}")
 _WORD_RE = re.compile(r"[A-Za-z]+")
+_JSON_DECODER = json.JSONDecoder()
 
 
 @dataclass(frozen=True)
@@ -213,9 +214,9 @@ def dedupe_keywords(raw: Iterable[str]) -> list[str]:
 def parse_keyword_list(text: str) -> list[str]:
     """Parse a model keyword reply.
 
-    Primary path: the first balanced [...] span as a JSON array, of which only
-    the strings and numbers are keywords (null, true, false, arrays and objects
-    are dropped). Fallback: strip fences and brackets, split on commas. Either
+    Primary path: the first `[` that starts a JSON array, of which only the
+    strings and numbers are keywords (null, true, false, arrays and objects are
+    dropped). Fallback: strip fences and brackets, split on commas. Either
     way the result is deduplicated case-insensitively, preserving first occurrence.
     """
     items = _bracket_array(text)
@@ -228,24 +229,18 @@ def parse_keyword_list(text: str) -> list[str]:
 
 
 def _bracket_array(text: str) -> list | None:
+    """The strings and numbers of the first JSON array that starts at a `[` of
+    text; None if none does, or if one is nested too deep to decode."""
     start = text.find("[")
-    if start == -1:
-        return None
-    depth = 0
-    for i in range(start, len(text)):
-        char = text[i]
-        if char == "[":
-            depth += 1
-        elif char == "]":
-            depth -= 1
-            if depth == 0:
-                try:
-                    parsed = json.loads(text[start : i + 1])
-                except ValueError:
-                    return None
-                if not isinstance(parsed, list):
-                    return None
-                return [item for item in parsed if type(item) in (str, int, float)]
+    while start != -1:
+        try:
+            array, _ = _JSON_DECODER.raw_decode(text, start)
+        except RecursionError:  # stop: trying each later `[` would make the scan quadratic
+            return None
+        except ValueError:
+            start = text.find("[", start + 1)
+        else:
+            return [item for item in array if type(item) in (str, int, float)]
     return None
 
 

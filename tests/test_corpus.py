@@ -13,6 +13,7 @@ from keyrag.corpus import (
     Chunk,
     CorpusFormatError,
     Document,
+    QaExample,
     chunk_corpus,
     chunk_document,
     load_corpus,
@@ -127,6 +128,42 @@ def test_load_qa_lone_surrogate_cites_line(tmp_path):
         load_qa(path)
 
 
+@pytest.mark.parametrize("loader, obj, message", [
+    (load_corpus, {"id": "a", "titel": "Apollo 11", "text": "Eagle landed."},
+     "line 1: unknown key 'titel'"),
+    (load_corpus, {"id": 5, "text": "x"}, "line 1: Document.id is 5, not str"),
+    (load_corpus, {"title": "t", "text": "x"}, "line 1: missing 'id'"),
+    (load_qa, {"question": "Q1?", "answers": ["a"], "answr": ["a"]},
+     "line 1: unknown key 'answr'"),
+    (load_qa, {"question": "Q1?", "answers": ["x", 3]},
+     "line 1: QaExample.answers is ['x', 3], not tuple[str, ...]"),
+], ids=["corpus_unknown_key", "corpus_id_a_number", "corpus_no_id", "qa_unknown_key",
+        "qa_answer_a_number"])
+def test_loaders_refuse_a_line_that_is_no_record_naming_it(tmp_path, loader, obj, message):
+    path = tmp_path / "lines.jsonl"
+    write_jsonl(path, [obj])
+    with pytest.raises(CorpusFormatError) as refused:
+        list(loader(path))
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("loader, obj, message", [
+    (load_corpus, {"id": "", "text": "x"}, "line 2: missing or non-string 'id'"),
+    (load_corpus, {"id": "a", "title": "t"}, "line 2: missing or empty 'text'"),
+    (load_qa, {"question": " ", "answers": ["a"]}, "line 2: missing or empty 'question'"),
+    (load_qa, {"question": "Q2?", "answers": []},
+     "line 2: 'answers' must be a non-empty string list"),
+], ids=["corpus_empty_id", "corpus_no_text", "qa_blank_question", "qa_no_answer"])
+def test_loaders_refuse_an_empty_value_naming_its_line(tmp_path, loader, obj, message):
+    # Each line is checked as it is read: the first bad one is named, not the third.
+    good = {"id": "z", "text": "y"} if loader is load_corpus else {"question": "Q1?", "answers": ["a"]}
+    path = tmp_path / "lines.jsonl"
+    write_jsonl(path, [good, obj, {}])
+    with pytest.raises(CorpusFormatError) as refused:
+        list(loader(path))
+    assert str(refused.value) == message
+
+
 class _Refused(Exception):
     pass
 
@@ -203,6 +240,12 @@ def test_record_builds_the_records_within_a_record():
     tree = record(_Tree, {"leaf": {"name": "a"}, "leaves": [{"name": "b", "weight": 2}]})
     assert tree == _Tree(_Leaf("a"), [_Leaf("b", 2)])
     assert record(_Tree, {"leaf": None}) == _Tree(None)
+
+
+def test_record_builds_a_tuple_field_from_an_array():
+    example = record(QaExample, {"question": "Q1?", "answers": ["a", "b"]})
+    assert example == QaExample("Q1?", ("a", "b"))
+    assert type(example.answers) is tuple
 
 
 @pytest.mark.parametrize("obj, message", [

@@ -156,6 +156,19 @@ def test_keyword_parse_retry_then_empty(moon_index):
     assert len(mock.calls) == 4  # one extra call for the retry
 
 
+def test_a_keyword_reply_nested_too_deep_is_asked_again(moon_index):
+    mock = MockBackend([
+        ScriptEntry("Generate a list of important keywords", "[" * 2000 + "]" * 2000),
+        ScriptEntry("Generate a list of important keywords", '["Apollo 11"]'),
+        ScriptEntry("Here is a question", "Eagle"),
+        ScriptEntry("Is the following answer correct", p_true=0.9, p_false=0.1),
+    ])
+    trace = run_iterative(MOON_QUESTION, moon_index, mock)
+    (rec,) = trace.iterations
+    assert (rec.keywords, rec.flags) == (["Apollo 11"], ["keyword_parse_retry"])
+    assert (trace.stop_reason, trace.error) == (STOP_VALIDATED, None)
+
+
 def test_regen_parse_failure_reuses_previous(moon_index):
     mock = MockBackend([
         ScriptEntry("Generate a list of important keywords", '["Apollo 11"]'),

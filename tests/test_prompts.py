@@ -195,6 +195,21 @@ def test_parse_a_json_array_of_no_string_or_number_raises(text):
         parse_keyword_list(text)
 
 
+@pytest.mark.parametrize("text, keywords", [
+    ('Keywords: ["a]b", "c"]', ["a]b", "c"]),  # a bracket inside a string ends no array
+    ('see [x] and ["a"]', ["a"]),  # the first `[` that starts a JSON array is used
+], ids=["bracket_in_a_string", "array_after_a_bracket"])
+def test_parse_reads_the_first_json_array_of_a_reply(text, keywords):
+    assert parse_keyword_list(text) == keywords
+
+
+@pytest.mark.parametrize("text", ["[" * 2000 + "]" * 2000, "[" * 20000], ids=["closed", "open"])
+def test_parse_a_reply_nested_too_deep_holds_no_array(text):
+    # The comma split of nothing but brackets gives no keyword.
+    with pytest.raises(KeywordParseError):
+        parse_keyword_list(text)
+
+
 def test_parse_never_returns_quotes_or_padding():
     rng = random.Random(5)
     alphabet = string.ascii_letters + ' ",[]\''
