@@ -238,13 +238,16 @@ def cmd_run(args) -> int:
             index = Future()
         done_qids: set[int] = set()
         write_header = True
+        keep = 0  # the bytes of --out the run keeps: on resume, all but a torn last line
+        torn: list[tuple[int, int]] = []  # (line number, bytes) of that torn line
+        ending = ""  # a newline, when the last line kept is whole but lacks it
         if resume:
             if index:
                 # The header check needs the index's digest, so a resumed run
                 # loads the index before any question starts.
                 index.set_result(bm25.load_index(index_file))
                 effective["index_sha256"] = index.result().sha256
-            headers, rows = read_traces(out)
+            headers, rows = read_traces(out, lambda *line: torn.append(line))
             written_with = headers[-1].get("config", {}) if headers else {}
             for key in _RESUME_KEYS:
                 if key in written_with and written_with[key] != effective[key]:
@@ -253,6 +256,11 @@ def cmd_run(args) -> int:
                         f" this run has {key}={effective[key]!r}"
                     )
             write_header = not headers
+            keep = out.stat().st_size - sum(size for _, size in torn)
+            with open(out, "rb") as f:
+                f.seek(max(keep - 1, 0))
+                if keep and f.read(1) != b"\n":
+                    ending = "\n"
             # A question whose last trace records an error is run again.
             done_qids = {qid for qid, trace in rows if not trace.error}
 
@@ -299,6 +307,7 @@ def cmd_run(args) -> int:
         todo = [(qid, ex.question) for qid, ex in enumerate(examples) if qid not in done_qids]
         errored = 0
         written = 0
+        closed = False  # the backend was closed under the running questions
 
         def work(qid: int, question: str):
             try:
@@ -306,8 +315,8 @@ def cmd_run(args) -> int:
             except LlmError as exc:
                 error = str(exc)
             except Exception as exc:  # a bug, or an OSError from a template: this question fails
-                if interrupts > 1:
-                    raise  # the backend was closed: no trace of it is written
+                if closed:
+                    raise  # no trace of it is written
                 if index and index.done() and exc is index.exception():
                     raise  # the index did not load: the run fails, reported once below
                 traceback.print_exc()
@@ -332,35 +341,47 @@ def cmd_run(args) -> int:
                 raise
             effective["index_sha256"] = index.result().sha256
 
-        if not resume:
-            sink.truncate(0)
-        if write_header:
-            header = {"v": pipeline.TRACE_SCHEMA_VERSION, "kind": "header", "config": effective}
-            sink.write(_json_line(header) + "\n")
-            sink.flush()
-        left = len(todo)
-        while left:
-            future = finished.get()
-            if future is None:  # Ctrl-C
-                if interrupts > 1:
-                    backend.close()  # the running questions' calls end now
-                    break  # the traces of finished questions are written
-                pool.shutdown(wait=False, cancel_futures=True)  # drop the queued questions
-                continue
-            left -= 1
-            if future.cancelled():
-                continue
-            qid, trace = future.result()
-            if trace.error:
-                errored += 1
-                print(f"question {qid} failed: {trace.error}", file=sys.stderr)
-            if args.no_timings:
-                _strip_timings(trace)
-            sink.write(_json_line(pipeline.trace_to_dict(trace, qid=qid)) + "\n")
-            sink.flush()
-            written += 1
-            if written % 25 == 0:
-                print(f"{written}/{len(todo)} traces written", file=sys.stderr)
+        try:
+            sink.truncate(keep)
+            sink.write(ending)
+            for line_no, size in torn:
+                print(f"{out} line {line_no}: dropped its {size} bytes, cut short with no"
+                      " newline; its question runs again", file=sys.stderr)
+            if write_header:
+                header = {"v": pipeline.TRACE_SCHEMA_VERSION, "kind": "header", "config": effective}
+                sink.write(_json_line(header) + "\n")
+                sink.flush()
+            left = len(todo)
+            while left:
+                future = finished.get()
+                if future is None:  # Ctrl-C
+                    if interrupts > 1:
+                        closed = True
+                        backend.close()  # the running questions' calls end now
+                        break  # the traces of finished questions are written
+                    pool.shutdown(wait=False, cancel_futures=True)  # drop the queued questions
+                    continue
+                left -= 1
+                if future.cancelled():
+                    continue
+                qid, trace = future.result()
+                if trace.error:
+                    errored += 1
+                    print(f"question {qid} failed: {trace.error}", file=sys.stderr)
+                if args.no_timings:
+                    _strip_timings(trace)
+                sink.write(_json_line(pipeline.trace_to_dict(trace, qid=qid)) + "\n")
+                sink.flush()
+                written += 1
+                if written % 25 == 0:
+                    print(f"{written}/{len(todo)} traces written", file=sys.stderr)
+        except BaseException:
+            # A write failed (a full disk, a file-size limit): no more traces can
+            # be kept, so the running questions' calls end now, as on a second
+            # Ctrl-C, before the wait for them to end.
+            closed = True
+            backend.close()
+            raise
         if interrupts:
             print(
                 f"interrupted: {written}/{len(todo)} traces preserved in {out}"
@@ -379,7 +400,7 @@ def cmd_run(args) -> int:
 # --- eval --------------------------------------------------------------------
 
 
-def read_traces(path) -> tuple[list[dict], list[tuple[int, pipeline.RunTrace]]]:
+def read_traces(path, torn=None) -> tuple[list[dict], list[tuple[int, pipeline.RunTrace]]]:
     """Read a trace file; returns (each run's header, traces sorted by question index).
 
     Within one run, a question traced more than once (a resumed run retries
@@ -388,10 +409,19 @@ def read_traces(path) -> tuple[list[dict], list[tuple[int, pipeline.RunTrace]]]:
     line that is not a trace of this schema with an integer qid, or a header of
     another schema version, whose run config is not a valid RunConfig or whose
     index digest is not a string, raises ValueError naming the line.
+
+    A last line with no newline that is not JSON was cut short as the run that
+    wrote it ended. It raises ValueError saying so, or, if torn is given, is
+    left out and passed to torn(line number, its length in bytes).
     """
+    def refuse_torn(line_no: int, size: int):
+        raise ValueError(f"{path} line {line_no}: cut short, with no newline: the run that wrote"
+                         " it ended mid-line (keyrag run --skip-completed drops it)")
+
     headers: list[dict] = []
     rows: dict[tuple[int, int], tuple[int, pipeline.RunTrace]] = {}
-    for line_no, obj in corpus.read_jsonl(path, lambda msg: ValueError(f"{path} {msg}")):
+    lines = corpus.read_jsonl(path, lambda msg: ValueError(f"{path} {msg}"), torn or refuse_torn)
+    for line_no, obj in lines:
         try:
             if obj.get("kind") == "header":
                 if obj.get("v") != pipeline.TRACE_SCHEMA_VERSION:

@@ -1,7 +1,6 @@
 """Corpus and QA dataset ingestion plus overlapping token-window chunking."""
 from __future__ import annotations
 
-import dataclasses
 import json
 import types
 import typing
@@ -27,9 +26,6 @@ class Document:
 @dataclass(frozen=True)
 class Chunk:
     chunk_id: str
-    doc_id: str
-    ordinal: int
-    token_span: tuple[int, int]
     text: str
 
 
@@ -53,23 +49,27 @@ def _lone_surrogate(value) -> str | None:
     return None
 
 
-def read_jsonl(path, error) -> Iterator[tuple[int, dict]]:
+def read_jsonl(path, error, torn=None) -> Iterator[tuple[int, dict]]:
     """Yield (line number from 1, object) for each non-blank line of a JSONL file.
 
     A line that is not UTF-8, not JSON, not an object, or holds a lone surrogate
-    raises error("line N: ...").
+    raises error("line N: ..."). A last line with no newline that is not UTF-8
+    JSON is what a writer cut short leaves: if torn is given, it is not read,
+    and torn(line number, its length in bytes) is called instead.
     """
     with open(path, "rb") as f:
         for line_no, raw in enumerate(f, 1):
             try:
                 line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise error(f"line {line_no}: byte {exc.start + 1} is not valid UTF-8") from None
-            if not line.strip():
-                continue
-            try:
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+                if torn and not raw.endswith(b"\n"):  # the last line: no other follows
+                    torn(line_no, len(raw))
+                    continue
+                if isinstance(exc, UnicodeDecodeError):
+                    raise error(f"line {line_no}: byte {exc.start + 1} is not valid UTF-8") from None
                 raise error(f"line {line_no}: invalid JSON ({exc.msg})") from None
             if not isinstance(obj, dict):
                 raise error(f"line {line_no}: not a JSON object")
@@ -200,16 +200,7 @@ def chunk_document(doc: Document, chunk_size: int, overlap: int) -> list[Chunk]:
     while True:
         start = ordinal * stride
         end = min(start + chunk_size, total)
-        text = doc.text[spans[start][0] : spans[end - 1][1]]
-        chunks.append(
-            Chunk(
-                chunk_id=f"{doc.id}#{ordinal}",
-                doc_id=doc.id,
-                ordinal=ordinal,
-                token_span=(start, end),
-                text=text,
-            )
-        )
+        chunks.append(Chunk(f"{doc.id}#{ordinal}", doc.text[spans[start][0] : spans[end - 1][1]]))
         if end >= total:
             return chunks
         ordinal += 1
@@ -225,6 +216,5 @@ def chunk_corpus(
     for doc in docs:
         for chunk in chunk_document(doc, chunk_size, overlap):
             if prepend_titles and doc.title:
-                yield dataclasses.replace(chunk, text=f"{doc.title}\n{chunk.text}")
-            else:
-                yield chunk
+                chunk = Chunk(chunk.chunk_id, f"{doc.title}\n{chunk.text}")
+            yield chunk

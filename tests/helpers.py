@@ -72,11 +72,7 @@ def oracle_top_k(
 
 
 def chunks_from_texts(texts: list[str], prefix: str = "c") -> list[Chunk]:
-    return [
-        Chunk(chunk_id=f"{prefix}{i}", doc_id=f"{prefix}{i}", ordinal=0,
-              token_span=(0, len(oracle_tokens(t))), text=t)
-        for i, t in enumerate(texts)
-    ]
+    return [Chunk(f"{prefix}{i}", t) for i, t in enumerate(texts)]
 
 
 def index_from_texts(texts: list[str], params: Bm25Params | None = None,

@@ -1245,6 +1245,124 @@ def test_run_skip_completed_retries_errored_questions(capsys, tmp_path, dataset_
     assert "accuracy         1.0000" in printed
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_FSIZE is POSIX")
+def test_run_whose_trace_write_fails_ends_at_once_and_resumes_whole(tmp_path, index_path):
+    import resource
+
+    dataset = tmp_path / "moon.jsonl"
+    write_jsonl(dataset, [{"question": f"{MOON_QUESTION} ({speed})", "answers": ["Eagle"]}
+                          for speed in ("fast", "slow")])
+    slow_asked, release = threading.Event(), threading.Event()
+    hold: list[int] = []  # while empty, the slow question's next request is held
+
+    def respond(payload, i):
+        user = payload["messages"][-1]["content"]
+        if "(slow)" in user:
+            slow_asked.set()
+            if not hold:
+                hold.append(i)
+                release.wait(timeout=10)
+        else:  # the fast question ends while the slow one's first request is in flight
+            slow_asked.wait(timeout=10)
+        return _moon_stub(payload, i)
+
+    with StubLlmServer(respond) as server:
+        argv = ["run", "--dataset", str(dataset), "--index", str(index_path),
+                "--endpoint", server.url, "--model", "m", "--workers", "2"]
+        hold.append(-1)
+        assert main([*argv, "--out", str(tmp_path / "whole.jsonl")]) == 0
+        header = (tmp_path / "whole.jsonl").read_bytes().splitlines(keepends=True)[0]
+        hold.clear()
+        slow_asked.clear()
+        first = len(server.requests)
+        # The header fits under the child's file-size limit; the first trace does not.
+        limit = len(header) + 10
+        out = tmp_path / "traces.jsonl"
+        t0 = time.monotonic()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "keyrag.cli", *argv, "--out", str(out)],
+            env=keyrag_env(NO_PROXY="127.0.0.1"), stderr=subprocess.PIPE, encoding="utf-8",
+            preexec_fn=functools.partial(resource.setrlimit, resource.RLIMIT_FSIZE,
+                                         (limit, limit)),
+        )
+        try:
+            _, stderr = proc.communicate(timeout=30)
+            elapsed = time.monotonic() - t0
+        finally:
+            release.set()
+            proc.kill()
+            proc.wait()
+        slow_requests = sum("(slow)" in r["messages"][-1]["content"]
+                            for r in server.requests[first:])
+        assert proc.returncode == 1, stderr
+        assert "File too large" in stderr and "Traceback" not in stderr
+        assert slow_requests == 1  # its call in flight was cut, and it asked no more
+        assert elapsed < 8.0
+        assert out.read_bytes()[:len(header)] == header and out.stat().st_size == limit
+
+        assert main([*argv, "--out", str(out), "--skip-completed"]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert all(line.endswith("\n") for line in lines)
+    assert json.loads(lines[0])["kind"] == "header"
+    assert sorted(json.loads(line)["qid"] for line in lines[1:]) == [0, 1]  # each once
+    _, rows = read_traces(out)
+    assert [(qid, trace.final_answer, trace.error) for qid, trace in rows] == [
+        (0, "Eagle", None), (1, "Eagle", None)]
+
+
+def test_run_skip_completed_drops_a_torn_last_line_and_runs_its_question_again(
+        capsys, tmp_path, index_path):
+    dataset = _moon_dataset(tmp_path, 4)
+    script = tmp_path / "script.jsonl"
+    write_jsonl(script, [{"match": "Here is a question", "response": "Eagle"}] * 4)
+    out = tmp_path / "traces.jsonl"
+    argv = ["run", "--method", "rag", "--dataset", str(dataset), "--index", str(index_path),
+            "--out", str(out), "--no-timings"]
+    assert main([*argv, "--mock-script", str(script)]) == 0
+    whole = out.read_bytes()
+    torn = whole[:-40]  # a run cut short as it wrote its last trace
+    out.write_bytes(torn)
+    capsys.readouterr()
+
+    assert main(["eval", "--traces", str(out), "--dataset", str(dataset)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {out} line 5: cut short, with no newline" in err
+    assert "keyrag run --skip-completed drops it" in err
+    assert main([*argv, "--mock-script", str(script), "--skip-completed", "--top-k", "2"]) == 2
+    assert out.read_bytes() == torn  # a refused resume leaves the file as it was
+
+    write_jsonl(script, [{"match": "Here is a question", "response": "Eagle"}])  # one answer
+    capsys.readouterr()
+    assert main([*argv, "--mock-script", str(script), "--skip-completed"]) == 0
+    err = capsys.readouterr().err
+    assert f"{out} line 5: dropped its {len(whole.splitlines()[-1]) - 39} bytes" in err
+    assert out.read_bytes() == whole
+    _, rows = read_traces(out)
+    assert [(qid, trace.final_answer, trace.error) for qid, trace in rows] == [
+        (qid, "Eagle", None) for qid in range(4)]
+
+
+def test_run_skip_completed_ends_a_last_line_that_lacks_only_its_newline(
+        capsys, tmp_path, dataset_path, index_path):
+    dataset = tmp_path / "qa2.jsonl"
+    write_jsonl(dataset, [json.loads(dataset_path.read_text(encoding="utf-8")),
+                          {"question": "Second question?", "answers": ["y"]}])
+    out = tmp_path / "traces.jsonl"
+    argv = ["run", "--method", "rag", "--dataset", str(dataset), "--index", str(index_path),
+            "--out", str(out)]
+    script = tmp_path / "answer.jsonl"
+    write_jsonl(script, [{"match": "Here is a question", "response": "Eagle"}])
+    assert main([*argv, "--mock-script", str(script), "--limit", "1"]) == 0
+    out.write_bytes(out.read_bytes()[:-1])  # cut just before the last newline
+    write_jsonl(script, [{"match": "Here is a question", "response": "y"}])
+    assert main([*argv, "--mock-script", str(script), "--skip-completed"]) == 0
+    assert "dropped" not in capsys.readouterr().err  # the trace was whole, and is kept
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == 3 and all(line.endswith("\n") for line in lines)
+    _, rows = read_traces(out)
+    assert [(qid, trace.final_answer) for qid, trace in rows] == [(0, "Eagle"), (1, "y")]
+
+
 def test_read_traces_keeps_every_run_of_concatenated_files(capsys, tmp_path, dataset_path,
                                                           index_path, script_path):
     parts = [_run_traces(tmp_path / name, dataset_path, index_path, script_path)

@@ -29,6 +29,17 @@ def _doc(n_tokens: int, doc_id: str = "d") -> Document:
     return Document(doc_id, "", " ".join(f"t{i}" for i in range(n_tokens)))
 
 
+def _span(chunk: Chunk) -> tuple[int, int]:
+    """The token window [start, end) of a chunk of a _doc, whose text runs t{start} … t{end - 1}."""
+    tokens = tokenize(chunk.text)
+    return int(tokens[0][1:]), int(tokens[-1][1:]) + 1
+
+
+def _ordinal(chunk: Chunk) -> int:
+    """A chunk's ordinal in its document: the #i suffix of its id."""
+    return int(chunk.chunk_id.rpartition("#")[2])
+
+
 # --- loading ------------------------------------------------------------------
 
 
@@ -269,18 +280,18 @@ def test_record_refuses_a_bad_object_with_one_message(obj, message):
 
 def test_chunk_300_tokens_256_50():
     chunks = chunk_document(_doc(300), 256, 50)
-    assert [c.token_span for c in chunks] == [(0, 256), (206, 300)]
+    assert [_span(c) for c in chunks] == [(0, 256), (206, 300)]
     assert [c.chunk_id for c in chunks] == ["d#0", "d#1"]
 
 
 def test_chunk_short_doc_single_chunk():
     chunks = chunk_document(_doc(100), 256, 50)
-    assert [c.token_span for c in chunks] == [(0, 100)]
+    assert [_span(c) for c in chunks] == [(0, 100)]
 
 
 def test_chunk_512_tokens_256_50():
     chunks = chunk_document(_doc(512), 256, 50)
-    assert [c.token_span for c in chunks] == [(0, 256), (206, 462), (412, 512)]
+    assert [_span(c) for c in chunks] == [(0, 256), (206, 462), (412, 512)]
 
 
 def test_chunk_overlap_must_be_less_than_size():
@@ -292,9 +303,10 @@ def test_chunk_overlap_must_be_less_than_size():
 
 def test_chunk_text_matches_token_span():
     doc = Document("d", "", "Alpha, beta; GAMMA delta epsilon-zeta eta theta.")
-    for chunk in chunk_document(doc, 3, 1):
-        start, end = chunk.token_span
-        assert tokenize(chunk.text) == tokenize(doc.text)[start:end]
+    chunk_size, overlap = 3, 1
+    stride = chunk_size - overlap
+    for i, chunk in enumerate(chunk_document(doc, chunk_size, overlap)):
+        assert tokenize(chunk.text) == tokenize(doc.text)[i * stride : i * stride + chunk_size]
 
 
 def test_chunk_tokenless_document_yields_nothing():
@@ -306,28 +318,28 @@ def test_chunk_ids_are_deterministic():
     first = chunk_document(doc, 256, 50)
     second = chunk_document(doc, 256, 50)
     assert first == second
-    assert [c.ordinal for c in first] == list(range(len(first)))
+    assert [_ordinal(c) for c in first] == list(range(len(first)))
 
 
 def _assert_chunk_invariants(chunks: list[Chunk], total: int, chunk_size: int, overlap: int):
     stride = chunk_size - overlap
     covered: set[int] = set()
     for i, chunk in enumerate(chunks):
-        start, end = chunk.token_span
-        assert chunk.ordinal == i
+        start, end = _span(chunk)
+        assert _ordinal(chunk) == i
         assert start == i * stride
         assert end - start <= chunk_size
         assert end > start
         covered.update(range(start, end))
         if i + 1 < len(chunks):
-            nxt_start, nxt_end = chunks[i + 1].token_span
+            nxt_start, nxt_end = _span(chunks[i + 1])
             shared = end - nxt_start
             if nxt_end - nxt_start == chunk_size:
                 assert shared == overlap
             else:
                 assert shared >= overlap  # truncated final window keeps at least the overlap
     assert covered == set(range(total))
-    assert chunks[-1].token_span[1] == total
+    assert _span(chunks[-1])[1] == total
 
 
 @pytest.mark.parametrize("chunk_size,overlap", [(256, 50), (512, 50)])
@@ -347,7 +359,7 @@ def test_chunk_coverage_and_overlap_any_setting(data):
     chunks = chunk_document(_doc(total), chunk_size, overlap)
     _assert_chunk_invariants(chunks, total, chunk_size, overlap)
     assert [tokenize(c.text) for c in chunks] == [
-        [f"t{i}" for i in range(*c.token_span)] for c in chunks
+        [f"t{i}" for i in range(*_span(c))] for c in chunks
     ]
 
 
