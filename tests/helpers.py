@@ -6,7 +6,10 @@ import math
 import os
 import random
 import re
+import select
+import socket
 import socketserver
+import ssl
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -151,6 +154,8 @@ MOON_DOCS = [
 class _LocalServer:
     """A server on 127.0.0.1, served from a daemon thread inside a `with` block."""
 
+    scheme = "http"
+
     def __init__(self, server: socketserver.TCPServer):
         self._server = server
         # shutdown() waits for the serving loop's next poll: the default 0.5 s
@@ -162,7 +167,7 @@ class _LocalServer:
     @property
     def url(self) -> str:
         host, port = self._server.server_address
-        return f"http://{host}:{port}/v1"
+        return f"{self.scheme}://{host}:{port}/v1"
 
     def __enter__(self):
         self._thread.start()
@@ -180,10 +185,11 @@ class StubLlmServer(_LocalServer):
     Behavior is driven by `respond`, a callable (payload, request_index) -> dict
     returning {"status": int, "body": dict|str} and optionally "headers", a dict
     of extra response headers, and "drop": True, which closes the connection
-    halfway through the body. Defaults to a plain completion.
+    halfway through the body. Defaults to a plain completion. With an SSL
+    `context`, it serves https.
     """
 
-    def __init__(self, respond=None):
+    def __init__(self, respond=None, context: ssl.SSLContext | None = None):
         self.requests: list[dict] = []
         self.paths: list[str] = []  # the request target of each request
         self.client_ports: list[int] = []  # one per request; repeats mean a kept-alive connection
@@ -228,18 +234,25 @@ class StubLlmServer(_LocalServer):
             def log_message(self, *args):
                 pass
 
-        super().__init__(ThreadingHTTPServer(("127.0.0.1", 0), Handler))
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        if context is not None:
+            server.socket = context.wrap_socket(server.socket, server_side=True)
+            self.scheme = "https"
+        super().__init__(server)
 
 
 class FaultServer(_LocalServer):
     """Raw TCP server: reads one request per connection, sends `reply` bytes, closes.
 
     `reply` may be a malformed or truncated HTTP response; `delay` seconds pass
-    between reading the request and replying. `requests` holds the head
-    (request line and headers) of each request read.
+    between reading the request and replying, and `byte_gap` seconds between
+    the bytes of the reply, when given. Without a `byte_gap`, the connection
+    stays open for `hold` seconds after the reply, reading nothing. `requests`
+    holds the head (request line and headers) of each request read.
     """
 
-    def __init__(self, reply: bytes, delay: float = 0.0):
+    def __init__(self, reply: bytes, delay: float = 0.0, byte_gap: float = 0.0,
+                 hold: float = 0.0):
         self.requests: list[bytes] = []
         outer = self
 
@@ -250,7 +263,50 @@ class FaultServer(_LocalServer):
                     return
                 outer.requests.append(head)
                 time.sleep(delay)
-                self.request.sendall(reply)
+                if not byte_gap:
+                    self.request.sendall(reply)
+                    time.sleep(hold)
+                    return
+                for i in range(len(reply)):
+                    try:
+                        self.request.sendall(reply[i:i + 1])
+                    except OSError:
+                        return  # the client has hung up
+                    time.sleep(byte_gap)
+
+        class Server(socketserver.ThreadingTCPServer):
+            daemon_threads = True
+            block_on_close = False
+
+        super().__init__(Server(("127.0.0.1", 0), Handler))
+
+
+class TunnelProxy(_LocalServer):
+    """An http proxy that answers each CONNECT with 200 and then relays bytes both ways.
+
+    `requests` holds the head (request line and headers) of each CONNECT read.
+    """
+
+    def __init__(self):
+        self.requests: list[bytes] = []
+        outer = self
+
+        class Handler(socketserver.BaseRequestHandler):
+            def handle(self):
+                head = _read_request(self.request)
+                if head is None:
+                    return
+                outer.requests.append(head)
+                host, _, port = head.split(b" ")[1].decode().rpartition(":")
+                with socket.create_connection((host, int(port))) as upstream:
+                    self.request.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+                    peers = {self.request: upstream, upstream: self.request}
+                    while True:  # until either side hangs up
+                        for sock in select.select(list(peers), [], [])[0]:
+                            data = sock.recv(65536)
+                            if not data:
+                                return
+                            peers[sock].sendall(data)
 
         class Server(socketserver.ThreadingTCPServer):
             daemon_threads = True

@@ -398,7 +398,7 @@ def test_run_broken_response_is_a_question_error(tmp_path, dataset_path, index_p
     assert code == 1  # the question failed, the run did not abort
     _, rows = read_traces(out)
     assert len(rows) == 1
-    assert "IncompleteRead" in rows[0][1].error
+    assert "body cut short" in rows[0][1].error
     assert len(server.requests) == 4  # initial call + 3 retries
 
 
@@ -646,6 +646,27 @@ def test_import_cli_leaves_http_client_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=keyrag_env(),
                           capture_output=True, encoding="utf-8")
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.skipif(sys.platform in ("darwin", "win32"),
+                    reason="there the proxy lookup imports urllib.request to read system settings")
+def test_a_call_to_an_http_endpoint_without_a_proxy_leaves_http_client_unloaded():
+    # keyrag's own client needs neither the standard library's HTTP stack nor TLS.
+    with StubLlmServer() as server:
+        code = ("import sys, keyrag.cli\n"
+                "from keyrag.llm import ChatMessage, HttpBackend\n"
+                f"backend = HttpBackend({server.url!r}, 'm')\n"
+                "assert backend.complete([ChatMessage('user', 'hi')], 5) == 'ok'\n"
+                "backend.close()\n"
+                "loaded = [m for m in ('http.client', 'urllib.request', 'email', 'ssl')\n"
+                "          if m in sys.modules]\n"
+                "sys.exit(', '.join(loaded) or None)")
+        env = {name: value for name, value in keyrag_env().items()
+               if not name.lower().endswith("_proxy")}
+        done = subprocess.run([sys.executable, "-c", code], env={**env, "NO_PROXY": "127.0.0.1"},
+                              capture_output=True, encoding="utf-8", timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert len(server.requests) == 1
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="SIGINT cannot be sent to a child")

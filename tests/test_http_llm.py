@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import json
 import math
 import re
+import shutil
+import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -24,6 +28,7 @@ from keyrag.prompts import BinaryVerdict
 from .helpers import (
     FaultServer,
     StubLlmServer,
+    TunnelProxy,
     completion_body,
     http_response,
     index_from_texts,
@@ -257,17 +262,54 @@ _TRUNCATED = http_response(completion_body("ok"))[:-5]
 
 
 @pytest.mark.parametrize("reply, delay, error", [
-    (_TRUNCATED, 0.0, "IncompleteRead"),  # the server closes mid-body
-    (b"", 0.0, "RemoteDisconnected"),  # closes before the status line
-    (b"SPDY/9 200 OK\r\n\r\n", 0.0, "BadStatusLine"),
+    (_TRUNCATED, 0.0, "body cut short"),  # the server closes mid-body
+    (b"", 0.0, "closed before the status line"),
+    (b"SPDY/9 200 OK\r\n\r\n", 0.0, "bad status line"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 12abc\r\n\r\n", 0.0, "bad Content-Length"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 1%b\r\n\r\n" % (b"0" * 5000), 0.0, "bad Content-Length"),
+    (b"HTTP/1.1 200 OK\r\nX-Pad: %b\r\n\r\n" % (b"a" * 70000), 0.0, "head longer than"),
     (b"", 1.0, "timed out"),  # no reply within the timeout
-], ids=["truncated-body", "no-reply", "bad-status-line", "timeout"])
+], ids=["truncated-body", "no-reply", "bad-status-line", "bad-content-length",
+        "content-length-too-long", "head-too-long", "timeout"])
 def test_broken_response_is_a_retried_transport_error(reply, delay, error):
     with FaultServer(reply, delay) as server:
         backend = _backend(server, backoff=0.0, max_retries=2, timeout=0.2)
         with pytest.raises(TransportError, match=error):
             backend.complete(_msgs(), 10)
         assert len(server.requests) == 3  # initial call + 2 retries
+
+
+def test_timeout_bounds_the_whole_reply_not_each_read():
+    # One byte every 0.15 s: no single read waits the 0.5 s timeout.
+    with FaultServer(http_response(completion_body("ok")), byte_gap=0.15) as server:
+        backend = _backend(server, max_retries=0, timeout=0.5)
+        t0 = time.monotonic()
+        with pytest.raises(TransportError, match="timed out"):
+            backend.complete(_msgs(), 10)
+        assert time.monotonic() - t0 < 2.0
+        assert len(server.requests) == 1
+
+
+_BODY = json.dumps(completion_body("framed")).encode()
+
+
+@pytest.mark.parametrize("reply, calls, hold", [
+    # chunked coding, with a chunk extension and a trailer field
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+     b"a;name=value\r\n" + _BODY[:10] + b"\r\n%X\r\n" % (len(_BODY) - 10) + _BODY[10:]
+     + b"\r\n0\r\nX-Trailer: t\r\n\r\n", 1, 0.0),
+    # no Content-Length: the body ends where the server closes the connection
+    (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + _BODY, 3, 0.0),
+    # the next request opens a new connection at once, with no retry, while
+    # the server still holds the old one open
+    (b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: %d\r\n\r\n" % len(_BODY)
+     + _BODY, 3, 0.3),
+], ids=["chunked", "close-delimited", "connection-close"])
+def test_each_body_framing_is_read_without_a_retry(reply, calls, hold):
+    with FaultServer(reply, hold=hold) as server:
+        backend = _backend(server, max_retries=0, max_in_flight=1)
+        assert [backend.complete(_msgs(), 10) for _ in range(calls)] == ["framed"] * calls
+        assert len(server.requests) == calls
 
 
 def test_idle_connection_closed_by_the_server_is_replaced_not_retried():
@@ -297,10 +339,11 @@ def test_no_requests_package_needed():
     assert len(server.requests) == 1
 
 
-def test_429_waits_for_retry_after_then_succeeds():
+@pytest.mark.parametrize("name", ["Retry-After", "RETRY-AFTER"])
+def test_429_waits_for_retry_after_then_succeeds(name):
     def respond(payload, i):
         if i == 0:
-            return {"status": 429, "body": "slow down", "headers": {"Retry-After": "0"}}
+            return {"status": 429, "body": "slow down", "headers": {name: "0"}}
         return {"status": 200, "body": completion_body("recovered")}
 
     with StubLlmServer(respond) as server:
@@ -512,6 +555,29 @@ def test_close_ends_the_calls_in_flight_and_makes_no_further_attempt():
             release.set()
 
 
+@pytest.mark.parametrize("via_proxy", [False, True], ids=["tls-handshake", "tunnel-reply"])
+def test_close_ends_a_call_still_opening_its_connection(no_proxy_env, via_proxy):
+    # The listener reads and never answers: the call waits in the TLS handshake
+    # for the server's hello, or for the proxy's reply to CONNECT.
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        address = "127.0.0.1:%d" % listener.getsockname()[1]
+        endpoint = f"https://{address}/v1"
+        if via_proxy:
+            no_proxy_env.setenv("HTTPS_PROXY", f"http://{address}")
+            endpoint = "https://api.example.invalid/v1"
+        backend = HttpBackend(endpoint, "m", timeout=30, max_retries=3)
+        call = backend.submit(backend.complete, _msgs(), 10)
+        listener.settimeout(10)
+        peer, _ = listener.accept()
+        with peer:
+            peer.settimeout(10)
+            assert peer.recv(65536)  # the TLS hello, or the CONNECT request
+            t0 = time.monotonic()
+            backend.close()
+            assert isinstance(call.exception(timeout=5), TransportError)
+            assert time.monotonic() - t0 < 2
+
+
 def _within(seconds: float, fn, *args):
     """fn(*args) on another thread; fails the test if it takes longer than seconds."""
     pool = ThreadPoolExecutor(1)
@@ -548,6 +614,10 @@ def no_proxy_env(monkeypatch):
      b"POST http://127.0.0.1:9/openai/deployments/d/chat/completions?api-version=2024-02-01 HTTP/"),
     # https: the proxy is asked for a tunnel; TLS to the endpoint would follow
     ("https://api.example.invalid/v1", b"CONNECT api.example.invalid:443 HTTP/"),
+    # a host name that is not ASCII goes out in its IDNA form
+    ("http://b\u00fccher.example.invalid:9/v1",
+     b"POST http://xn--bcher-kva.example.invalid:9/v1/chat/completions HTTP/"),
+    ("https://b\u00fccher.example.invalid/v1", b"CONNECT xn--bcher-kva.example.invalid:443 HTTP/"),
 ])
 def test_proxy_gets_the_request_target_and_credentials(no_proxy_env, endpoint, request_line):
     refusal = b"HTTP/1.1 407 Proxy Authentication Required\r\nContent-Length: 0\r\n\r\n"
@@ -559,6 +629,8 @@ def test_proxy_gets_the_request_target_and_credentials(no_proxy_env, endpoint, r
             backend.complete(_msgs(), 10)
     head = proxy.requests[0].split(b"\r\n")
     assert head[0].startswith(request_line)
+    target = head[0].split(b" ")[1]
+    assert b"Host: " + (target.split(b"/")[2] if b"://" in target else target) in head
     assert b"Proxy-Authorization: Basic dXNlcjpwIHc=" in head  # base64 of "user:p w"
 
 
@@ -585,3 +657,60 @@ def test_unsupported_proxy_is_refused(no_proxy_env):
     no_proxy_env.setenv("HTTPS_PROXY", "socks5://127.0.0.1:1080")
     with pytest.raises(ValueError, match="only http:// proxies"):
         HttpBackend("https://api.example.invalid/v1", "m")
+
+
+@pytest.fixture()
+def tls_cert(tmp_path):
+    """A self-signed certificate for 127.0.0.1: (its file, a server context presenting it)."""
+    if shutil.which("openssl") is None:
+        pytest.skip("needs the openssl command")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+         "-nodes", "-days", "2", "-subj", "/CN=127.0.0.1",
+         "-addext", "subjectAltName=IP:127.0.0.1", "-keyout", str(key), "-out", str(cert)],
+        check=True, capture_output=True,
+    )
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    return cert, context
+
+
+def test_https_endpoint_is_verified_against_the_trust_store(tls_cert, no_proxy_env):
+    cert, context = tls_cert
+    no_proxy_env.delenv("SSL_CERT_DIR", raising=False)
+    with StubLlmServer(context=context) as server:
+        assert server.url.startswith("https://127.0.0.1:")
+        no_proxy_env.setenv("SSL_CERT_FILE", str(cert))
+        assert _backend(server, max_retries=0).complete(_msgs(), 10) == "ok"
+        no_proxy_env.delenv("SSL_CERT_FILE")  # the default trust store does not hold it
+        with pytest.raises(TransportError, match="certificate verify failed"):
+            _backend(server, max_retries=0).complete(_msgs(), 10)
+    assert len(server.requests) == 1
+
+
+def test_https_endpoint_behind_a_proxy_is_reached_through_a_kept_alive_tunnel(
+    tls_cert, no_proxy_env
+):
+    cert, context = tls_cert
+    no_proxy_env.setenv("SSL_CERT_FILE", str(cert))
+    with StubLlmServer(context=context) as server, TunnelProxy() as proxy:
+        address = proxy.url.removeprefix("http://").removesuffix("/v1")
+        no_proxy_env.setenv("HTTPS_PROXY", f"http://user:pw@{address}")
+        backend = _backend(server, max_retries=0)
+        assert [backend.complete(_msgs(), 10) for _ in range(2)] == ["ok", "ok"]
+        backend.close()
+    head = proxy.requests[0].split(b"\r\n")
+    assert head[0] == server.url.replace("https://", "CONNECT ").replace("/v1", " HTTP/1.1").encode()
+    assert b"Proxy-Authorization: Basic dXNlcjpwdw==" in head  # base64 of "user:pw"
+    assert len(proxy.requests) == 1 and len(server.requests) == 2
+
+
+@pytest.mark.parametrize("endpoint, api_key", [
+    ("http://127.0.0.1:9/v1", "sk-test\r\nX-Injected: 1"),  # would add a header field
+    ("http://127.0.0.1:9/my models/v1", None),  # would split the request line
+    ("http://127.0.0.1:9/mod\u00e8les/v1", None),  # a request line is ASCII
+])
+def test_a_setting_that_would_break_the_request_head_is_refused(no_proxy_env, endpoint, api_key):
+    with pytest.raises(ValueError, match="control character|path has a space or is not ASCII"):
+        HttpBackend(endpoint, "m", api_key)
