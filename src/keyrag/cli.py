@@ -264,6 +264,8 @@ def cmd_run(args) -> int:
             # A question whose last trace records an error is run again.
             done_qids = {qid for qid, trace in rows if not trace.error}
 
+        pool = ThreadPoolExecutor(max_workers=workers, initializer=_block_sigint)
+        cleanup.callback(pool.shutdown, cancel_futures=True)
         if args.mock_script:
             backend = MockBackend.from_script_file(args.mock_script)
         else:  # each request names its step's model; the answer step's is the default
@@ -275,14 +277,13 @@ def cmd_run(args) -> int:
                 timeout=settings["timeout"],
                 max_in_flight=workers * config.calls_in_flight,  # each worker runs one question
             )
+        # Every way out closes it before the pool's wait: the running questions' calls end.
         cleanup.callback(backend.close)
         # An --out that cannot be written fails here, before any request. The
         # file is opened to append, so it is left as it was until the index
         # has loaded.
         created = not os.path.lexists(out)
         sink = cleanup.enter_context(open(out, "a", encoding="utf-8"))
-        pool = ThreadPoolExecutor(max_workers=workers, initializer=_block_sigint)
-        cleanup.callback(pool.shutdown, cancel_futures=True)
 
         # Ctrl-C only counts and wakes the loop below, which acts on it between
         # whole trace lines. The first drops the queued questions and lets the
@@ -307,26 +308,14 @@ def cmd_run(args) -> int:
         todo = [(qid, ex.question) for qid, ex in enumerate(examples) if qid not in done_qids]
         errored = 0
         written = 0
-        closed = False  # the backend was closed under the running questions
-
-        def work(qid: int, question: str):
-            try:
-                return qid, pipeline.run(args.method, question, index, backend, config)
-            except LlmError as exc:
-                error = str(exc)
-            except Exception as exc:  # a bug, or an OSError from a template: this question fails
-                if closed:
-                    raise  # no trace of it is written
-                if index and index.done() and exc is index.exception():
-                    raise  # the index did not load: the run fails, reported once below
-                traceback.print_exc()
-                error = f"{type(exc).__name__}: {exc}"
-            # early_stop as the pipeline records it: only the keyword loop stops early.
-            early_stop = args.method == pipeline.METHOD_ITERATIVE and config.early_stop
-            return qid, pipeline.RunTrace(question, args.method, [], early_stop=early_stop, error=error)
-
+        # Each question's future, to its (qid, question). A question is read only
+        # as its trace is written: one cut by a closed backend or by an index
+        # that failed to load is never read, and prints nothing.
+        asked: dict[Future, tuple[int, str]] = {}
         for qid, question in todo:  # each lands in `finished` as it finishes
-            pool.submit(work, qid, question).add_done_callback(finished.put)
+            future = pool.submit(pipeline.run, args.method, question, index, backend, config)
+            asked[future] = qid, question
+            future.add_done_callback(finished.put)
         if index and not index.done():
             try:
                 index.set_result(bm25.load_index(index_file))
@@ -341,47 +330,49 @@ def cmd_run(args) -> int:
                 raise
             effective["index_sha256"] = index.result().sha256
 
-        try:
-            sink.truncate(keep)
-            sink.write(ending)
-            for line_no, size in torn:
-                print(f"{out} line {line_no}: dropped its {size} bytes, cut short with no"
-                      " newline; its question runs again", file=sys.stderr)
-            if write_header:
-                header = {"v": pipeline.TRACE_SCHEMA_VERSION, "kind": "header", "config": effective}
-                sink.write(_json_line(header) + "\n")
-                sink.flush()
-            left = len(todo)
-            while left:
-                future = finished.get()
-                if future is None:  # Ctrl-C
-                    if interrupts > 1:
-                        closed = True
-                        backend.close()  # the running questions' calls end now
-                        break  # the traces of finished questions are written
-                    pool.shutdown(wait=False, cancel_futures=True)  # drop the queued questions
-                    continue
-                left -= 1
-                if future.cancelled():
-                    continue
-                qid, trace = future.result()
-                if trace.error:
-                    errored += 1
-                    print(f"question {qid} failed: {trace.error}", file=sys.stderr)
-                if args.no_timings:
-                    _strip_timings(trace)
-                sink.write(_json_line(pipeline.trace_to_dict(trace, qid=qid)) + "\n")
-                sink.flush()
-                written += 1
-                if written % 25 == 0:
-                    print(f"{written}/{len(todo)} traces written", file=sys.stderr)
-        except BaseException:
-            # A write failed (a full disk, a file-size limit): no more traces can
-            # be kept, so the running questions' calls end now, as on a second
-            # Ctrl-C, before the wait for them to end.
-            closed = True
-            backend.close()
-            raise
+        sink.truncate(keep)
+        sink.write(ending)
+        for line_no, size in torn:
+            print(f"{out} line {line_no}: dropped its {size} bytes, cut short with no"
+                  " newline; its question runs again", file=sys.stderr)
+        if write_header:
+            header = {"v": pipeline.TRACE_SCHEMA_VERSION, "kind": "header", "config": effective}
+            sink.write(_json_line(header) + "\n")
+            sink.flush()
+            os.fsync(sink.fileno())
+        while asked:
+            future = finished.get()
+            if future is None:  # Ctrl-C
+                if interrupts > 1:
+                    break  # the traces of finished questions are written
+                pool.shutdown(wait=False, cancel_futures=True)  # drop the queued questions
+                continue
+            qid, question = asked.pop(future)
+            if future.cancelled():
+                continue
+            try:
+                trace = future.result()
+            except Exception as exc:  # this question fails; the run goes on
+                if isinstance(exc, LlmError):
+                    error = str(exc)
+                else:  # a bug, or an OSError from a template
+                    traceback.print_exception(exc)
+                    error = f"{type(exc).__name__}: {exc}"
+                # early_stop as the pipeline records it: only the keyword loop stops early.
+                early_stop = args.method == pipeline.METHOD_ITERATIVE and config.early_stop
+                trace = pipeline.RunTrace(question, args.method, [], early_stop=early_stop,
+                                          error=error)
+            if trace.error:
+                errored += 1
+                print(f"question {qid} failed: {trace.error}", file=sys.stderr)
+            if args.no_timings:
+                _strip_timings(trace)
+            sink.write(_json_line(pipeline.trace_to_dict(trace, qid=qid)) + "\n")
+            sink.flush()
+            os.fsync(sink.fileno())
+            written += 1
+            if written % 25 == 0:
+                print(f"{written}/{len(todo)} traces written", file=sys.stderr)
         if interrupts:
             print(
                 f"interrupted: {written}/{len(todo)} traces preserved in {out}"

@@ -512,6 +512,7 @@ def test_load_every_truncation_is_a_format_error(tmp_path):
     data = _small_index_bytes(tmp_path)
     path = tmp_path / "cut.idx"
     for n in range(len(data)):
+        path.unlink(missing_ok=True)  # a new file is written faster than an old one is rewritten
         path.write_bytes(data[:n])
         with pytest.raises(IndexFormatError):
             load_index(path)
@@ -584,5 +585,6 @@ def test_load_single_byte_flip_is_loaded_or_format_error(tmp_path, mask):
     for pos in range(len(data)):
         flipped = bytearray(data)
         flipped[pos] ^= mask
+        path.unlink(missing_ok=True)  # a new file is written faster than an old one is rewritten
         path.write_bytes(flipped)
         _load_or_format_error(path)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -1069,6 +1070,62 @@ def test_run_with_an_index_whose_postings_are_corrupt_fails_as_load_index_does(
         assert not out.exists()
     else:
         assert out.read_text(encoding="utf-8") == earlier
+
+
+def test_run_whose_index_fails_to_load_cuts_its_calls_in_flight(capsys, tmp_path, index_path):
+    index = load_index(index_path)
+    data = bytearray(index_path.read_bytes())
+    refs_at = len(data) - 12 * len(index.refs)  # refs (u32) and then impacts (f64) end the file
+    data[refs_at:refs_at + 4] = index.n_docs.to_bytes(4, "little")
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(data)
+    out = tmp_path / "traces.jsonl"
+    out.write_text("earlier traces\n", encoding="utf-8")
+    release = threading.Event()
+
+    def held(payload, i):  # every reply waits until the run has ended
+        release.wait(timeout=20)
+        return _moon_stub(payload, i)
+
+    with StubLlmServer(held) as server:
+        try:
+            t0 = time.monotonic()
+            code = main(["run", "--dataset", str(_moon_dataset(tmp_path, 6)), "--index", str(bad),
+                         "--endpoint", server.url, "--model", "m", "--workers", "2",
+                         "--out", str(out)])
+            elapsed = time.monotonic() - t0
+        finally:
+            release.set()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: corrupt index file: posting refers past the last chunk" in err
+    assert "Traceback" not in err
+    assert out.read_text(encoding="utf-8") == "earlier traces\n"
+    assert elapsed < 5.0
+
+
+def test_run_fsyncs_the_trace_file_once_per_line_written(monkeypatch, tmp_path):
+    dataset = tmp_path / "qa3.jsonl"
+    write_jsonl(dataset, [{"question": f"Question {i}?", "answers": ["x"]} for i in range(3)])
+    script = tmp_path / "script.jsonl"
+    write_jsonl(script, [{"match": "Here is a question", "response": "x"}] * 3)
+    out = tmp_path / "traces.jsonl"
+    real_fsync, synced = os.fsync, []  # the file's size at each fsync of it
+
+    def fsync(fd):
+        if out.exists() and os.path.samestat(os.fstat(fd), out.stat()):
+            synced.append(os.fstat(fd).st_size)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    assert main(["run", "--dataset", str(dataset), "--method", "vanilla", "--mock-script",
+                 str(script), "--out", str(out)]) == 0
+    ends, size = [], 0
+    for line in out.read_bytes().splitlines(keepends=True):
+        size += len(line)
+        ends.append(size)
+    assert len(ends) == 4  # the header and three traces
+    assert synced == ends
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="symlinks need privileges")
